@@ -1,7 +1,9 @@
 """Exact class functions, character tables, and the virtual-character lattice.
 
 Character tables are computed by simultaneous eigenspace splitting of the
-class-multiplication matrices, entirely in rational arithmetic.  Weyl-group
+class-multiplication matrices.  Those matrices are integer, so each eigenspace
+is an integer kernel from fraction-free elimination (ratlinalg.nullspace), and
+only the final rescaling to character values is rational.  Weyl-group
 character values are rational integers, so every step either stays exact or
 raises IrrationalityError; nothing is ever rounded.
 """
@@ -168,7 +170,7 @@ def _eigenvalue_candidates(M: list[list[int]]) -> list[int]:
 
 def _split_eigenvectors(
     mats: list[list[list[int]]], k: int, seed: int
-) -> list[list[Fraction]]:
+) -> list[list[int]]:
     """Common eigenvectors of the commuting class matrices, via random combinations.
 
     A random small-integer combination generically has k distinct integer
@@ -182,11 +184,11 @@ def _split_eigenvectors(
             [sum(c * mats[i][j][m] for i, c in enumerate(coeffs)) for m in range(k)]
             for j in range(k)
         ]
-        vectors: list[list[Fraction]] = []
+        vectors: list[list[int]] = []
         collision = False
         for lam in _eigenvalue_candidates(M):
             shifted = [
-                [Fraction(M[j][m] - (lam if j == m else 0)) for m in range(k)]
+                [M[j][m] - (lam if j == m else 0) for m in range(k)]
                 for j in range(k)
             ]
             basis = nullspace(shifted)
@@ -203,9 +205,9 @@ def _split_eigenvectors(
 
 
 def _lift_to_character(
-    classes: ConjugacyClasses, vec: list[Fraction]
+    classes: ConjugacyClasses, vec: list[int]
 ) -> tuple[int, ...]:
-    """Turn a normalized central-character vector into integer character values."""
+    """Turn a central-character vector, known up to scale, into integer character values."""
     ident = classes.identity_class
     if vec[ident] == 0:
         raise IrrationalityError("eigenvector vanishes on the identity class")

@@ -127,8 +127,8 @@ def load_cache_entry(
             ),
             values=tuple(tuple(int(v) for v in row) for row in payload["values"]),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError):
-        print(f"warning: ignoring corrupted cache file {path}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError, OSError):
+        print(f"warning: ignoring corrupted or unreadable cache file {path}", file=sys.stderr)
         return None
     if (entry.schema_version, entry.type_label, entry.rank, entry.central_rank) != (
         SCHEMA_VERSION, type_label, rank, central_rank,
@@ -172,7 +172,11 @@ def _rows_orthonormal(classes: ConjugacyClasses, values: tuple[tuple[int, ...], 
 def load_or_compute_table(
     cfg: Config, W: WeylGroup, classes: ConjugacyClasses
 ) -> tuple[CharacterTable, bool]:
-    """Cached table if it round-trips and verifies, else a fresh computation."""
+    """Cached table if it round-trips and verifies, else a fresh computation.
+
+    A cache file that cannot be written costs only the saving: the fresh table
+    is still returned, with a warning on stderr.
+    """
     cartan = W.cartan
     path = cache_path(cfg, cartan.type_label, cartan.rank, cartan.central_rank)
     entry = load_cache_entry(path, cartan.type_label, cartan.rank, cartan.central_rank)
@@ -181,7 +185,7 @@ def load_or_compute_table(
             return _table_from_entry(entry, classes), True
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
     table = character_table(W, seed=cfg.rng_seed)
-    save_cache_entry(path, TableCacheEntry(
+    entry = TableCacheEntry(
         schema_version=SCHEMA_VERSION,
         type_label=cartan.type_label,
         rank=cartan.rank,
@@ -191,7 +195,11 @@ def load_or_compute_table(
         degrees=table.degrees,
         labels=table.labels,
         values=tuple(table.values_row(i) for i in range(table.n_irreducibles)),
-    ))
+    )
+    try:
+        save_cache_entry(path, entry)
+    except OSError as exc:
+        print(f"warning: cannot write cache file {path}: {exc}", file=sys.stderr)
     return table, False
 
 
@@ -326,7 +334,7 @@ def run_type_checks(
     if cartan.type_label == "A":
         pairs = dlmod.springer_table(W, table)
         assert table.labels is not None
-        perm = dlmod.sign_tensor_permutation(W, table)
+        perm = dlmod.sign_permutation(W, table)
         from .symchars import transpose
 
         transposed = all(
@@ -455,7 +463,7 @@ def render_dl(
     cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
     checks: list[CheckItem],
 ) -> str:
-    perm = dlmod.sign_tensor_permutation(W, table)
+    perm = dlmod.sign_permutation(W, table)
     names = [lab.display for lab in dlmod.irreducible_labels(table)]
     if cfg.output_format == "json":
         extra = [

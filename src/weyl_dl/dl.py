@@ -5,8 +5,9 @@ The operator is assembled exactly, verified to coincide with tensoring by the
 sign character, to square to the identity, and to induce the transpose pairing
 on partition labels in type A.  Cohomological shift bookkeeping appears only
 through the parity ledger: the inverse-side signs (-1)^(d_empty + d_I) collapse
-to (-1)^|I|, which dl_inverse_matrix checks structurally by assembling the
-operator from the shift numbers themselves.
+to (-1)^|I|.  The assembled operator depends only on its signs, so
+dl_inverse_matrix compares the ledger signs with (-1)^|I| and assembles a
+second operator only where they differ.
 """
 from __future__ import annotations
 
@@ -87,22 +88,32 @@ def _alternating_matrix(W: WeylGroup, table: CharacterTable, signs: dict[int, in
     return tuple(columns)
 
 
+def _dl_signs(rank: int) -> dict[int, int]:
+    return {k: (-1) ** k for k in range(rank + 1)}
+
+
 def dl_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """dl_matrix[i] is the coefficient vector of DL applied to irreducible i."""
     key = ("dl_matrix", table.group_id)
     if key not in W.cache:
-        signs = {k: (-1) ** k for k in range(W.rank + 1)}
-        W.cache[key] = _alternating_matrix(W, table, signs)
+        W.cache[key] = _alternating_matrix(W, table, _dl_signs(W.rank))
     return W.cache[key]
 
 
 def dl_inverse_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
-    """Same operator assembled from the inverse-side shift parities."""
+    """Same operator assembled from the inverse-side shift parities.
+
+    _alternating_matrix is a pure function of its signs, so when the ledger
+    signs equal (-1)^|I| for every |I| this is dl_matrix itself.
+    """
     key = ("dl_inverse_matrix", table.group_id)
     if key not in W.cache:
         ledger = ShiftLedger(W.cartan.central_rank, W.rank)
         signs = {k: ledger.inverse_side_sign(k) for k in range(W.rank + 1)}
-        W.cache[key] = _alternating_matrix(W, table, signs)
+        if signs == _dl_signs(W.rank):
+            W.cache[key] = dl_matrix(W, table)
+        else:
+            W.cache[key] = _alternating_matrix(W, table, signs)
     return W.cache[key]
 
 
@@ -131,7 +142,10 @@ def dl_inverse_operator(W: WeylGroup, table: CharacterTable, v: VirtualCharacter
 
 
 def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
-    """The permutation of the irreducibles given by tensoring with sign."""
+    """The permutation of the irreducibles given by tensoring with sign.
+
+    This computes it afresh; sign_permutation keeps the result on W.
+    """
     classes = conjugacy_classes(W)
     sgn = decompose(table, sign(W, classes))
     perm = []
@@ -141,6 +155,14 @@ def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, .
         assert len(nonzero) == 1 and nonzero[0][1] == 1
         perm.append(nonzero[0][0])
     return tuple(perm)
+
+
+def sign_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
+    """sign_tensor_permutation, computed once per table and cached on W."""
+    key = ("sign_tensor_permutation", table.group_id)
+    if key not in W.cache:
+        W.cache[key] = sign_tensor_permutation(W, table)
+    return W.cache[key]
 
 
 @dataclass(frozen=True)
@@ -156,7 +178,7 @@ class SignTwistReport:
 def verify_sign_twist(W: WeylGroup, table: CharacterTable) -> SignTwistReport:
     """DL on each irreducible equals sign tensor that irreducible, exactly."""
     matrix = dl_matrix(W, table)
-    perm = sign_tensor_permutation(W, table)
+    perm = sign_permutation(W, table)
     violations = []
     for i in range(table.n_irreducibles):
         expected = unit(table, perm[i]).coeffs
@@ -210,5 +232,5 @@ def springer_table(W: WeylGroup, table: CharacterTable) -> tuple[tuple[SpringerL
     In type A this is transposition of partitions.
     """
     labels = irreducible_labels(table)
-    perm = sign_tensor_permutation(W, table)
+    perm = sign_permutation(W, table)
     return tuple((labels[i], labels[perm[i]]) for i in range(table.n_irreducibles))

@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import InvalidType
 from .rootsys import WeylGroup
 
 
@@ -133,7 +134,9 @@ class ParabolicSubgroup:
 def parabolic(W: WeylGroup, subset: Iterable[int]) -> ParabolicSubgroup:
     """Standard parabolic subgroup for a subset of {0..rank-1}, cached on W."""
     subset = tuple(sorted(set(subset)))
-    assert all(0 <= i < W.rank for i in subset)
+    for i in subset:
+        if not 0 <= i < W.rank:
+            raise InvalidType(f"simple reflection index {i} is outside 0..{W.rank - 1}")
     key = ("parabolic", subset)
     if key in W.cache:
         return W.cache[key]

@@ -1,50 +1,52 @@
-"""Small exact linear algebra over the rationals (fractions.Fraction)."""
+"""Small exact linear algebra: integer kernels and rational square roots.
+
+Kernels are found by fraction-free Gauss-Jordan elimination over Python ints
+(Bareiss, Math. Comp. 22 (1968) 565-578): every intermediate entry is a minor
+of the input, so each division is exact and no rational number is formed.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
 
+def nullspace(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer basis of the right kernel of an integer matrix, one vector per row.
 
-def rref(mat: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot columns."""
-    m = [list(map(Fraction, row)) for row in mat]
+    Each elimination step replaces every other row by
+    (pivot * row - row[c] * pivot_row) // previous_pivot.  At the end every
+    pivot equals the last one, d, so the vector for a free column fc has
+    d at fc and -m[r][fc] at the pivot column of row r.
+    """
+    m = [list(row) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p, pivot_row = m[r][c], m[r]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
-
-
-def nullspace(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per row."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    reduced, pivots = rref(mat)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        v = [0] * cols
+        v[fc] = prev
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 

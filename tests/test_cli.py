@@ -189,3 +189,23 @@ def test_verify_bad_target(cache_dir):
     assert code == 2
     code, _ = run_cli(["verify", "A", "2", "3", "--cache-dir", str(cache_dir)])
     assert code == 2
+
+
+def test_unwritable_cache_dir_still_prints_table(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a file where the cache directory should be")
+    code, out = run_cli(["table", "A", "2", "--cache-dir", str(not_a_dir)])
+    assert code == 0
+    assert "(2,1)" in out
+    assert "cannot write cache file" in capsys.readouterr().err
+    assert not_a_dir.read_text() == "a file where the cache directory should be"
+
+
+def test_cache_path_that_is_a_directory_recomputes(cache_dir, capsys):
+    cache_path(Config(cache_dir=cache_dir), "A", 2, 0).mkdir(parents=True)
+    code, out = run_cli(["dl", "A", "2", "--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert "(3) <-> (1,1,1)" in out
+    err = capsys.readouterr().err
+    assert "unreadable" in err
+    assert "cannot write cache file" in err

@@ -13,7 +13,14 @@ from weyl_dl import (
     verify_involution,
     verify_sign_twist,
 )
-from weyl_dl.dl import ShiftLedger, dl_inverse_matrix, dl_matrix, sign_tensor_permutation
+from weyl_dl.dl import (
+    ShiftLedger,
+    _alternating_matrix,
+    dl_inverse_matrix,
+    dl_matrix,
+    sign_permutation,
+    sign_tensor_permutation,
+)
 from weyl_dl.symchars import transpose
 
 
@@ -69,9 +76,27 @@ def test_dl_linear_on_lattice(tables):
 
 
 def test_dl_inverse_matches_direct(tables):
-    for key in [("A", 2), ("B", 2), ("G", 2)]:
+    # dl_inverse_matrix reuses dl_matrix when the signs agree, so assemble the
+    # inverse side from the ledger signs by brute force here
+    for key in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         W, _, t = tables(*key)
-        assert dl_matrix(W, t) == dl_inverse_matrix(W, t)
+        ledger = ShiftLedger(W.cartan.central_rank, W.rank)
+        ledger_signs = {k: ledger.inverse_side_sign(k) for k in range(W.rank + 1)}
+        assert _alternating_matrix(W, t, ledger_signs) == dl_matrix(W, t)
+        assert dl_inverse_matrix(W, t) == dl_matrix(W, t)
+
+
+def test_alternating_matrix_depends_on_signs(tables):
+    W, _, t = tables("A", 2)
+    plus = _alternating_matrix(W, t, {k: 1 for k in range(W.rank + 1)})
+    assert plus != dl_matrix(W, t)
+
+
+def test_sign_permutation_cached(tables):
+    W, _, t = tables("B", 3)
+    perm = sign_permutation(W, t)
+    assert perm == sign_tensor_permutation(W, t)
+    assert sign_permutation(W, t) is perm
 
 
 def test_dl_inverse_composition_is_identity(tables):

@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyl_dl import conjugacy_classes, double_cosets, parabolic, subgroup_classes
+import weyl_dl
+from weyl_dl import InvalidType, conjugacy_classes, double_cosets, parabolic, subgroup_classes
 
 
 def subsets(rank):
@@ -128,3 +134,27 @@ def test_subgroup_classes_of_explicit_set(groups):
     sub = subgroup_classes(W, P.members)
     assert sub.sizes == P.classes.sizes
     assert sub.reps == P.classes.reps
+
+
+@pytest.mark.parametrize("subset, bad", [([7], "7"), ([0, 3], "3"), ([-1], "-1")])
+def test_parabolic_rejects_bad_index(groups, subset, bad):
+    W = groups("A", 3)
+    with pytest.raises(InvalidType, match=f"index {bad} is outside"):
+        parabolic(W, subset)
+
+
+def test_parabolic_rejects_bad_index_under_optimize():
+    code = (
+        "from weyl_dl import InvalidType, build_weyl_group, parabolic\n"
+        "try:\n"
+        "    parabolic(build_weyl_group('A', 3), [7])\n"
+        "except InvalidType as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "index 7 is outside" in proc.stdout
