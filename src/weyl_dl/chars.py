@@ -6,12 +6,17 @@ is an integer kernel from fraction-free elimination (ratlinalg.nullspace), and
 only the final rescaling to character values is rational.  Weyl-group
 character values are rational integers, so every step either stays exact or
 raises IrrationalityError; nothing is ever rounded.
+
+Class-function values are Python ints.  Inner products, decomposition and
+realization are integer sums, and the one division by |G| in an inner product
+is exact; a Fraction appears only where a value really is non-integral.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +31,13 @@ MAX_SPLIT_ATTEMPTS = 64
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Exact rational-valued function on the conjugacy classes of one group."""
+    """Exact function on the conjugacy classes of one group.
+
+    Values are Python ints; a Fraction only where a value is non-integral.
+    """
 
     group_id: str
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def _check(self, other: "ClassFunction") -> None:
         if self.group_id != other.group_id:
@@ -48,10 +56,6 @@ class ClassFunction:
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
         return ClassFunction(self.group_id, tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
-        return ClassFunction(self.group_id, tuple(c * v for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -98,26 +102,34 @@ class CharacterTable:
         return len(self.irreducibles)
 
     def values_row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.irreducibles[i].values)
+        return self.irreducibles[i].values
 
 
-def inner_product(classes: ConjugacyClasses, f: ClassFunction, g: ClassFunction) -> Fraction:
+def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
+    """num / den as an int when the division is exact, else as a Fraction."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
+def inner_product(classes: ConjugacyClasses, f: ClassFunction, g: ClassFunction) -> int | Fraction:
     """<f, g> = (1/|G|) sum over classes of |C| f(C) g(C^-1-class)."""
     if f.group_id != classes.group_id or g.group_id != classes.group_id:
         raise GroupMismatch("class functions do not live on the given classes")
-    total = Fraction(0)
-    for c, size in enumerate(classes.sizes):
-        total += size * f.values[c] * g.values[classes.inverse_class[c]]
-    return total / classes.order
+    fv, gv = f.values, g.values
+    total = sum(
+        size * fv[c] * gv[i]
+        for c, (size, i) in enumerate(zip(classes.sizes, classes.inverse_class))
+    )
+    return exact_quotient(total, classes.order)
 
 
 def trivial(classes: ConjugacyClasses) -> ClassFunction:
-    return ClassFunction(classes.group_id, (Fraction(1),) * classes.n_classes)
+    return ClassFunction(classes.group_id, (1,) * classes.n_classes)
 
 
 def sign(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
     """(-1)^length, evaluated on class representatives."""
-    vals = tuple(Fraction((-1) ** W.lengths[r]) for r in classes.reps)
+    vals = tuple((-1) ** W.lengths[r] for r in classes.reps)
     return ClassFunction(classes.group_id, vals)
 
 
@@ -131,13 +143,13 @@ def reflection(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
         for j in range(W.rank):
             image = rs.roots[perm[rs.simple_root_columns[j]]]
             trace += image[j]
-        vals.append(Fraction(trace))
+        vals.append(trace)
     return ClassFunction(classes.group_id, tuple(vals))
 
 
 def regular(classes: ConjugacyClasses) -> ClassFunction:
-    vals = [Fraction(0)] * classes.n_classes
-    vals[classes.identity_class] = Fraction(classes.order)
+    vals = [0] * classes.n_classes
+    vals[classes.identity_class] = classes.order
     return ClassFunction(classes.group_id, tuple(vals))
 
 
@@ -229,22 +241,30 @@ def _lift_to_character(
     return tuple(values)
 
 
-def _check_orthogonality(classes: ConjugacyClasses, rows: list[tuple[int, ...]]) -> None:
+def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> tuple[bool, bool]:
+    """(row orthonormality, column orthogonality) of an integer table, exactly.
+
+    Rows: sum over classes of |C| chi_i(C) chi_j(C^-1) is |G| or 0.  Columns:
+    sum over irreducibles of chi(C) chi(D^-1) is |G|/|C| or 0.  A table that is
+    not k x k for the k classes fails both.
+    """
     k = classes.n_classes
-    order = classes.order
-    inv = classes.inverse_class
-    sizes = classes.sizes
-    for i in range(k):
-        for j in range(k):
-            row_ip = sum(sizes[c] * rows[i][c] * rows[j][inv[c]] for c in range(k))
-            if row_ip != (order if i == j else 0):
-                raise IrrationalityError(f"row orthogonality fails at ({i},{j})")
-    for c in range(k):
-        for d in range(k):
-            col_ip = sum(rows[i][c] * rows[i][inv[d]] for i in range(k))
-            expected = order // sizes[c] if c == d else 0
-            if col_ip != expected:
-                raise IrrationalityError(f"column orthogonality fails at ({c},{d})")
+    if len(rows) != k or any(len(row) != k for row in rows):
+        return False, False
+    order, sizes, inv = classes.order, classes.sizes, classes.inverse_class
+    weighted = [[sizes[c] * row[inv[c]] for c in range(k)] for row in rows]
+    rows_ok = all(
+        sum(a * b for a, b in zip(rows[i], weighted[j])) == (order if i == j else 0)
+        for i in range(k)
+        for j in range(k)
+    )
+    cols = list(zip(*rows))
+    cols_ok = all(
+        sum(a * b for a, b in zip(cols[c], cols[inv[d]])) == (order // sizes[c] if c == d else 0)
+        for c in range(k)
+        for d in range(k)
+    )
+    return rows_ok, cols_ok
 
 
 def _type_a_labels(
@@ -293,7 +313,11 @@ def character_table(
     degrees = tuple(row[classes.identity_class] for row in rows)
     if sum(d * d for d in degrees) != classes.order:
         raise IrrationalityError("degree squares do not sum to the group order")
-    _check_orthogonality(classes, rows)
+    rows_ok, cols_ok = orthogonality(classes, rows)
+    if not rows_ok:
+        raise IrrationalityError("row orthogonality fails")
+    if not cols_ok:
+        raise IrrationalityError("column orthogonality fails")
 
     labels = None
     if W.cartan.type_label == "A" and classes.order == W.order:
@@ -302,10 +326,7 @@ def character_table(
     table = CharacterTable(
         group_id=classes.group_id,
         classes=classes,
-        irreducibles=tuple(
-            ClassFunction(classes.group_id, tuple(Fraction(v) for v in row))
-            for row in rows
-        ),
+        irreducibles=tuple(ClassFunction(classes.group_id, row) for row in rows),
         degrees=degrees,
         labels=labels,
     )
@@ -320,27 +341,28 @@ def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:
     coeffs = []
     for chi in table.irreducibles:
         c = inner_product(table.classes, f, chi)
-        if c.denominator != 1:
+        if not isinstance(c, int):
             raise NotVirtual(f"pairing {c} with an irreducible is not an integer")
-        coeffs.append(int(c))
-    recon = [Fraction(0)] * table.classes.n_classes
-    for c, chi in zip(coeffs, table.irreducibles):
-        for j, v in enumerate(chi.values):
-            recon[j] += c * v
-    if tuple(recon) != f.values:
+        coeffs.append(c)
+    if _combine(table, coeffs) != f.values:
         raise NotVirtual("reconstruction from irreducible pairings failed")
     return VirtualCharacter(table.group_id, tuple(coeffs))
+
+
+def _combine(table: CharacterTable, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """Values of sum of coeffs[i] * chi_i, as integer sums."""
+    vals = [0] * table.classes.n_classes
+    for c, chi in zip(coeffs, table.irreducibles):
+        if c:
+            vals = [a + c * v for a, v in zip(vals, chi.values)]
+    return tuple(vals)
 
 
 def realize(table: CharacterTable, v: VirtualCharacter) -> ClassFunction:
     """The class function of a virtual character."""
     if v.group_id != table.group_id:
         raise GroupMismatch(f"{v.group_id} vs table on {table.group_id}")
-    vals = [Fraction(0)] * table.classes.n_classes
-    for c, chi in zip(v.coeffs, table.irreducibles):
-        for j, val in enumerate(chi.values):
-            vals[j] += c * val
-    return ClassFunction(table.group_id, tuple(vals))
+    return ClassFunction(table.group_id, _combine(table, v.coeffs))
 
 
 def tensor(table: CharacterTable, v: VirtualCharacter, w: VirtualCharacter) -> VirtualCharacter:

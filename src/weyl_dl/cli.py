@@ -7,17 +7,15 @@ rendered as decimal strings and mappings are emitted with sorted keys.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import dl as dlmod
-from .chars import CharacterTable, ClassFunction, character_table
+from .chars import CharacterTable, ClassFunction, character_table, orthogonality
 from .errors import GroupMismatch, InvalidType, NonFinite, NotVirtual, SizeLimit
 from .grp import ConjugacyClasses, conjugacy_classes, parabolic
 from .indres import frobenius_check, induce, induce_between, mackey_check
@@ -143,10 +141,7 @@ def _entry_matches_classes(entry: TableCacheEntry, W: WeylGroup, classes: Conjug
 
 
 def _table_from_entry(entry: TableCacheEntry, classes: ConjugacyClasses) -> CharacterTable:
-    irreducibles = tuple(
-        ClassFunction(classes.group_id, tuple(Fraction(v) for v in row))
-        for row in entry.values
-    )
+    irreducibles = tuple(ClassFunction(classes.group_id, row) for row in entry.values)
     return CharacterTable(
         group_id=classes.group_id,
         classes=classes,
@@ -154,19 +149,6 @@ def _table_from_entry(entry: TableCacheEntry, classes: ConjugacyClasses) -> Char
         degrees=entry.degrees,
         labels=entry.labels,
     )
-
-
-def _rows_orthonormal(classes: ConjugacyClasses, values: tuple[tuple[int, ...], ...]) -> bool:
-    k = classes.n_classes
-    if len(values) != k or any(len(row) != k for row in values):
-        return False
-    inv = classes.inverse_class
-    for i in range(k):
-        for j in range(k):
-            ip = sum(classes.sizes[c] * values[i][c] * values[j][inv[c]] for c in range(k))
-            if ip != (classes.order if i == j else 0):
-                return False
-    return True
 
 
 def load_or_compute_table(
@@ -181,7 +163,7 @@ def load_or_compute_table(
     path = cache_path(cfg, cartan.type_label, cartan.rank, cartan.central_rank)
     entry = load_cache_entry(path, cartan.type_label, cartan.rank, cartan.central_rank)
     if entry is not None:
-        if _entry_matches_classes(entry, W, classes) and _rows_orthonormal(classes, entry.values):
+        if _entry_matches_classes(entry, W, classes) and orthogonality(classes, entry.values)[0]:
             return _table_from_entry(entry, classes), True
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
     table = character_table(W, seed=cfg.rng_seed)
@@ -219,12 +201,6 @@ class CheckItem:
     detail: str = ""
 
 
-def _subsets(rank: int) -> list[tuple[int, ...]]:
-    return list(itertools.chain.from_iterable(
-        itertools.combinations(range(rank), k) for k in range(rank + 1)
-    ))
-
-
 def run_type_checks(
     cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable
 ) -> list[CheckItem]:
@@ -254,18 +230,10 @@ def run_type_checks(
                   f"classes={classes.n_classes}"))
 
     k = classes.n_classes
-    rows = [table.values_row(i) for i in range(k)]
     add(CheckItem("table-integer-values",
-                  all(v.denominator == 1 for chi in table.irreducibles for v in chi.values)))
-    add(CheckItem("row-orthonormality", _rows_orthonormal(classes, tuple(rows))))
-
-    cols_ok = True
-    inv = classes.inverse_class
-    for c in range(k):
-        for d in range(k):
-            ip = sum(rows[i][c] * rows[i][inv[d]] for i in range(k))
-            if ip != (W.order // classes.sizes[c] if c == d else 0):
-                cols_ok = False
+                  all(isinstance(v, int) for chi in table.irreducibles for v in chi.values)))
+    rows_ok, cols_ok = orthogonality(classes, [chi.values for chi in table.irreducibles])
+    add(CheckItem("row-orthonormality", rows_ok))
     add(CheckItem("column-orthogonality", cols_ok))
 
     add(CheckItem("degree-squares", sum(d * d for d in table.degrees) == W.order))
@@ -278,7 +246,7 @@ def run_type_checks(
     if W.rank <= 4:
         bad = 0
         first = ""
-        for I in _subsets(W.rank):
+        for I in dlmod.subsets(W.rank):
             P = parabolic(W, I)
             sub_table = character_table(W, P.classes, seed=cfg.rng_seed)
             report = frobenius_check(W, P, table, sub_table)
@@ -290,10 +258,10 @@ def run_type_checks(
     if W.rank <= 3:
         bad = 0
         first = ""
-        for I in _subsets(W.rank):
+        for I in dlmod.subsets(W.rank):
             P = parabolic(W, I)
             sub_table = character_table(W, P.classes, seed=cfg.rng_seed)
-            for J in _subsets(W.rank):
+            for J in dlmod.subsets(W.rank):
                 for chi in sub_table.irreducibles:
                     report = mackey_check(W, I, J, chi)
                     if not report.ok:
@@ -302,10 +270,10 @@ def run_type_checks(
         add(CheckItem("mackey-decomposition", bad == 0, first))
 
         bad = 0
-        for J in _subsets(W.rank):
+        for J in dlmod.subsets(W.rank):
             PJ = parabolic(W, J)
             tj = character_table(W, PJ.classes, seed=cfg.rng_seed)
-            for I in _subsets(W.rank):
+            for I in dlmod.subsets(W.rank):
                 if not set(J) <= set(I):
                     continue
                 PI = parabolic(W, I)

@@ -14,15 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chars import (
-    CharacterTable,
-    VirtualCharacter,
-    decompose,
-    sign,
-    tensor,
-    unit,
-)
-from .errors import GroupMismatch
+from .chars import CharacterTable, VirtualCharacter, decompose, sign, unit
+from .errors import GroupMismatch, InvalidType
 from .grp import conjugacy_classes, parabolic
 from .indres import induce, restrict
 from .rootsys import WeylGroup
@@ -40,7 +33,8 @@ class ShiftLedger:
     sigma_size: int
 
     def shift(self, i: int) -> int:
-        assert 0 <= i <= self.sigma_size
+        if not 0 <= i <= self.sigma_size:
+            raise InvalidType(f"layer {i} is outside 0..{self.sigma_size}")
         return self.central_rank + self.sigma_size - i
 
     @property
@@ -62,7 +56,8 @@ class SpringerLabel:
     display: str
 
 
-def _subsets(rank: int) -> list[tuple[int, ...]]:
+def subsets(rank: int) -> list[tuple[int, ...]]:
+    """Every subset of the simple reflections 0..rank-1, by size, then lexicographically."""
     return list(
         itertools.chain.from_iterable(
             itertools.combinations(range(rank), k) for k in range(rank + 1)
@@ -77,8 +72,8 @@ def _alternating_matrix(W: WeylGroup, table: CharacterTable, signs: dict[int, in
     columns = []
     for i in range(k):
         chi = table.irreducibles[i]
-        acc = [0 * v for v in chi.values]
-        for subset in _subsets(W.rank):
+        acc = [0] * len(chi.values)
+        for subset in subsets(W.rank):
             P = parabolic(W, subset)
             term = induce(restrict(chi, P), P, W)
             s = signs[len(subset)]
@@ -144,16 +139,19 @@ def dl_inverse_operator(W: WeylGroup, table: CharacterTable, v: VirtualCharacter
 def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
     """The permutation of the irreducibles given by tensoring with sign.
 
-    This computes it afresh; sign_permutation keeps the result on W.
+    sign * chi_i is irreducible, so it is found as the table row equal to it
+    pointwise.  This computes it afresh; sign_permutation keeps the result on W.
     """
-    classes = conjugacy_classes(W)
-    sgn = decompose(table, sign(W, classes))
+    sgn = sign(W, table.classes).values
+    row_index = {chi.values: j for j, chi in enumerate(table.irreducibles)}
+    if len(row_index) != table.n_irreducibles:
+        raise ValueError(f"table on {table.group_id} has repeated rows")
     perm = []
-    for i in range(table.n_irreducibles):
-        image = tensor(table, sgn, unit(table, i))
-        nonzero = [(j, c) for j, c in enumerate(image.coeffs) if c]
-        assert len(nonzero) == 1 and nonzero[0][1] == 1
-        perm.append(nonzero[0][0])
+    for i, chi in enumerate(table.irreducibles):
+        twisted = tuple(s * v for s, v in zip(sgn, chi.values))
+        if twisted not in row_index:
+            raise ValueError(f"sign tensor irreducible #{i} is not a row of the table")
+        perm.append(row_index[twisted])
     return tuple(perm)
 
 

@@ -2,18 +2,19 @@
 
 Restriction is a fusion lookup.  Induction uses the conjugation-count formula
 (ind f)(w) = (1/|H|) * sum over x in K of f(x w x^-1) taken over the x with
-x w x^-1 in H, evaluated once per class representative.  For parabolic
-subgroups the counts are cached, making repeated inductions a small exact
-matrix product.
+x w x^-1 in H, evaluated once per class representative.  The sum is an
+integer for an integer f, and the division by |H| is exact; a value is a
+Fraction only when f has Fraction values and the quotient is non-integral.
+For parabolic subgroups the counts are cached, making repeated inductions a
+small integer matrix product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .chars import CharacterTable, ClassFunction, inner_product
+from .chars import CharacterTable, ClassFunction, exact_quotient, inner_product
 from .errors import GroupMismatch
 from .grp import (
     ConjugacyClasses,
@@ -65,12 +66,12 @@ def induce(f: ClassFunction, P: ParabolicSubgroup, W: WeylGroup) -> ClassFunctio
     """Induce a class function from a parabolic subgroup up to the full group."""
     if f.group_id != P.classes.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {P.classes.group_id}")
-    counts = induction_counts(W, P)
-    vals = []
-    for row in counts:
-        total = sum((int(n) * v for n, v in zip(row, f.values)), start=Fraction(0))
-        vals.append(total / P.order)
-    return ClassFunction(W.group_id, tuple(vals))
+    fv = f.values
+    vals = tuple(
+        exact_quotient(sum(n * v for n, v in zip(row, fv)), P.order)
+        for row in induction_counts(W, P).tolist()
+    )
+    return ClassFunction(W.group_id, vals)
 
 
 def induce_between(
@@ -83,9 +84,9 @@ def induce_between(
     vals = []
     for rep in sup.reps:
         conj = W.conjugate_sweep(rep, xs)
-        cls = sub.class_of_arr[conj]
-        total = sum((f.values[int(c)] for c in cls if c >= 0), start=Fraction(0))
-        vals.append(total / sub.order)
+        cls = sub.class_of_arr[conj].tolist()
+        total = sum(f.values[c] for c in cls if c >= 0)
+        vals.append(exact_quotient(total, sub.order))
     return ClassFunction(sup.group_id, tuple(vals))
 
 
@@ -160,7 +161,7 @@ def mackey_check(
 
     left = restrict(induce(f, PI, W), PJ)
 
-    right_vals = [Fraction(0)] * PJ.classes.n_classes
+    right_vals = [0] * PJ.classes.n_classes
     for x, inter_members in double_cosets(W, subset_J, subset_I):
         inter = _intersection_classes(W, inter_members)
         xi = W.inv(x)

@@ -91,15 +91,21 @@ class CartanDatum:
 
     def __post_init__(self) -> None:
         m = self.cartan_matrix
-        assert len(m) == self.rank and all(len(row) == self.rank for row in m)
+        if len(m) != self.rank or any(len(row) != self.rank for row in m):
+            raise InvalidType(
+                f"Cartan matrix of {self.type_label}{self.rank} is not {self.rank}x{self.rank}"
+            )
         for i in range(self.rank):
-            assert m[i][i] == 2
+            if m[i][i] != 2:
+                raise InvalidType(f"Cartan matrix entry ({i},{i}) is {m[i][i]}, not 2")
             for j in range(self.rank):
                 if i == j:
                     continue
-                assert m[i][j] <= 0
-                assert (m[i][j] == 0) == (m[j][i] == 0)
-                assert m[i][j] * m[j][i] in (0, 1, 2, 3)
+                if m[i][j] > 0 or (m[i][j] == 0) != (m[j][i] == 0) or m[i][j] * m[j][i] > 3:
+                    raise InvalidType(
+                        f"Cartan matrix entries ({i},{j})={m[i][j]} and ({j},{i})={m[j][i]} "
+                        "are not those of a crystallographic Coxeter bond"
+                    )
 
     @property
     def label(self) -> str:
@@ -166,13 +172,28 @@ def _reflect(cartan: CartanDatum, v: Coords, i: int) -> Coords:
     return tuple(out)
 
 
+def _is_standard(cartan: CartanDatum) -> bool:
+    try:
+        return cartan.cartan_matrix == standard_cartan_matrix(cartan.type_label, cartan.rank)
+    except InvalidType:
+        return False
+
+
 def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
-    Raises NonFinite if the closure exceeds max_roots, which only happens for a
-    Cartan matrix that is not of finite type.
+    A standard Cartan matrix has 2 * sum(d_i - 1) roots for its fundamental
+    degrees d_i; if that exceeds max_roots, SizeLimit is raised before any
+    closing.  Otherwise NonFinite is raised if the closure exceeds max_roots,
+    which only happens for a Cartan matrix that is not of finite type.
     """
     rank = cartan.rank
+    if _is_standard(cartan):
+        n_roots = 2 * sum(d - 1 for d in fundamental_degrees(cartan.type_label, rank))
+        if n_roots > max_roots:
+            raise SizeLimit(
+                f"{cartan.label} has {n_roots} roots, more than the limit of {max_roots}"
+            )
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen: set[Coords] = set(simples)
     frontier = list(simples)

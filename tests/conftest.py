@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import weyl_dl
 from weyl_dl import build_weyl_group, character_table, conjugacy_classes
 
 
@@ -26,3 +32,19 @@ def tables(groups):
         return W, conjugacy_classes(W), character_table(W)
 
     return get
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a snippet under python -O, where assert statements are stripped; returns its stdout."""
+
+    def run(code):
+        src = Path(weyl_dl.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -75,6 +75,12 @@ def test_size_limit_exits_3(cache_dir):
     assert code == 3
 
 
+def test_root_count_limit_exits_3(cache_dir, capsys):
+    code, _ = run_cli(["table", "A", "200", "--cache-dir", str(cache_dir)])
+    assert code == 3
+    assert "A200 has 40200 roots" in capsys.readouterr().err
+
+
 def test_dl_text(cache_dir):
     code, out = run_cli(["dl", "A", "2", "--cache-dir", str(cache_dir)])
     assert code == 0

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weyl_dl import (
+    InvalidType,
     VirtualCharacter,
     decompose,
     dl_inverse_operator,
@@ -9,7 +11,9 @@ from weyl_dl import (
     reflection,
     sign,
     springer_table,
+    tensor,
     trivial,
+    unit,
     verify_involution,
     verify_sign_twist,
 )
@@ -21,6 +25,8 @@ from weyl_dl.dl import (
     sign_permutation,
     sign_tensor_permutation,
 )
+from weyl_dl.chars import CharacterTable, ClassFunction
+from weyl_dl.cli import ROSTER
 from weyl_dl.symchars import transpose
 
 
@@ -92,6 +98,37 @@ def test_alternating_matrix_depends_on_signs(tables):
     assert plus != dl_matrix(W, t)
 
 
+def tensor_sign_permutation(W, t):
+    """The sign permutation through the representation ring: sign tensor each unit vector."""
+    sgn = decompose(t, sign(W, t.classes))
+    perm = []
+    for i in range(t.n_irreducibles):
+        image = tensor(t, sgn, unit(t, i)).coeffs
+        assert sorted(image) == [0] * (t.n_irreducibles - 1) + [1]
+        perm.append(image.index(1))
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("key", ROSTER)
+def test_sign_permutation_matches_tensor(tables, key):
+    W, _, t = tables(*key)
+    assert sign_tensor_permutation(W, t) == tensor_sign_permutation(W, t)
+
+
+def test_sign_permutation_rejects_table_without_image(tables):
+    W, cc, t = tables("A", 2)
+    # the sign row replaced by minus the reflection row: sign * trivial is no row
+    rows = list(t.irreducibles)
+    rows[1] = ClassFunction(t.group_id, tuple(-v for v in rows[2].values))
+    broken = CharacterTable(t.group_id, cc, tuple(rows), t.degrees)
+    with pytest.raises(ValueError, match="not a row"):
+        sign_tensor_permutation(W, broken)
+    rows[1] = rows[0]
+    repeated = CharacterTable(t.group_id, cc, tuple(rows), t.degrees)
+    with pytest.raises(ValueError, match="repeated rows"):
+        sign_tensor_permutation(W, repeated)
+
+
 def test_sign_permutation_cached(tables):
     W, _, t = tables("B", 3)
     perm = sign_permutation(W, t)
@@ -147,6 +184,24 @@ def test_shift_ledger_values():
     ledger = ShiftLedger(central_rank=0, sigma_size=3)
     assert ledger.d == (3, 2, 1, 0)
     assert all(ledger.d[i] > ledger.d[i + 1] for i in range(3))
+
+
+@pytest.mark.parametrize("layer", [-1, 4, 9])
+def test_shift_rejects_layer_outside_ledger(layer):
+    with pytest.raises(InvalidType, match=f"layer {layer} is outside 0..3"):
+        ShiftLedger(0, 3).shift(layer)
+
+
+def test_shift_rejects_layer_under_optimize(run_optimized):
+    code = (
+        "from weyl_dl import InvalidType\n"
+        "from weyl_dl.dl import ShiftLedger\n"
+        "try:\n"
+        "    print(ShiftLedger(0, 2).shift(9))\n"
+        "except InvalidType as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "layer 9 is outside 0..2" in run_optimized(code)
 
 
 @given(

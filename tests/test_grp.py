@@ -1,14 +1,9 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import weyl_dl
 from weyl_dl import InvalidType, conjugacy_classes, double_cosets, parabolic, subgroup_classes
 
 
@@ -143,7 +138,7 @@ def test_parabolic_rejects_bad_index(groups, subset, bad):
         parabolic(W, subset)
 
 
-def test_parabolic_rejects_bad_index_under_optimize():
+def test_parabolic_rejects_bad_index_under_optimize(run_optimized):
     code = (
         "from weyl_dl import InvalidType, build_weyl_group, parabolic\n"
         "try:\n"
@@ -151,10 +146,4 @@ def test_parabolic_rejects_bad_index_under_optimize():
         "except InvalidType as exc:\n"
         "    print(exc)\n"
     )
-    src = Path(weyl_dl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "index 7 is outside" in proc.stdout
+    assert "index 7 is outside" in run_optimized(code)

@@ -57,6 +57,39 @@ def test_non_finite_matrix_rejected():
         build_root_system(bad, max_roots=200)
 
 
+@pytest.mark.parametrize("matrix,match", [
+    (((2, -5), (-5, 2)), "crystallographic"),
+    (((2, 1), (1, 2)), "crystallographic"),
+    (((2, -1), (0, 2)), "crystallographic"),
+    (((2, -1), (-1, 3)), "entry \\(1,1\\) is 3"),
+    (((2, -1),), "not 2x2"),
+])
+def test_cartan_datum_rejects_bad_matrix(matrix, match):
+    with pytest.raises(InvalidType, match=match):
+        CartanDatum("X", 2, matrix)
+
+
+def test_cartan_datum_rejects_bad_matrix_under_optimize(run_optimized):
+    code = (
+        "from weyl_dl import InvalidType\n"
+        "from weyl_dl.rootsys import CartanDatum\n"
+        "try:\n"
+        "    CartanDatum('X', 2, ((2, -5), (-5, 2)))\n"
+        "    print('accepted')\n"
+        "except InvalidType as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "crystallographic" in run_optimized(code)
+
+
+def test_root_count_over_limit_is_size_limit():
+    # A200 is of finite type with 40200 roots: a resource limit, not NonFinite
+    with pytest.raises(SizeLimit, match="40200 roots"):
+        build_root_system(build_cartan("A", 200))
+    with pytest.raises(SizeLimit, match="24 roots"):
+        build_root_system(build_cartan("D", 4), max_roots=20)
+
+
 @pytest.mark.parametrize("type_label,rank", [
     ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
 ])
