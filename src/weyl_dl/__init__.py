@@ -27,6 +27,7 @@ from .dl import (
 )
 from .errors import (
     GroupMismatch,
+    InternalError,
     InvalidType,
     IrrationalityError,
     NonFinite,

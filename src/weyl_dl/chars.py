@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import GroupMismatch, IrrationalityError, NotVirtual
+from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
 from .grp import ConjugacyClasses, conjugacy_classes
 from .ratlinalg import fraction_sqrt, nullspace
 from .rootsys import WeylGroup
@@ -174,7 +172,10 @@ def _eigenvalue_candidates(M: list[list[int]]) -> list[int]:
 
     Candidates are only proposals; each is certified (or discarded) by an exact
     nullspace computation, so no floating-point value ever reaches a result.
+    numpy is imported here, only when a table is split.
     """
+    import numpy as np
+
     arr = np.array(M, dtype=np.float64)
     eigs = np.linalg.eigvals(arr)
     return sorted({int(round(x)) for x in eigs.real})
@@ -296,11 +297,13 @@ def character_table(
     """Exact integer character table of W or of one of its subgroups.
 
     Pass the classes of a subgroup to get that subgroup's table; by default the
-    full group's table is computed (and cached on the group).
+    full group's table is computed.  Tables are cached on the group; the seed
+    only picks the random combinations that split eigenspaces, not the table,
+    so it is not part of the key.
     """
     if classes is None:
         classes = conjugacy_classes(W)
-    key = ("character_table", classes.group_id, seed)
+    key = ("character_table", classes.group_id)
     if key in W.cache:
         return W.cache[key]
 
@@ -371,7 +374,7 @@ def tensor(table: CharacterTable, v: VirtualCharacter, w: VirtualCharacter) -> V
     try:
         return decompose(table, product)
     except NotVirtual as exc:  # product of characters is always a character
-        raise AssertionError("tensor of virtual characters left the lattice") from exc
+        raise InternalError("tensor of virtual characters left the lattice") from exc
 
 
 def unit(table: CharacterTable, i: int) -> VirtualCharacter:

@@ -1,8 +1,10 @@
 """Command-line surface: table rendering, the DL pairing, verification, caching.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 resource
-limit.  All output is deterministic for a fixed (config, command): numbers are
-rendered as decimal strings and mappings are emitted with sorted keys.
+limit, 4 internal error (a consistency check of the engine failed, which is a
+bug; one line on stderr).  All output is deterministic for a fixed (config,
+command): numbers are rendered as decimal strings and mappings are emitted
+with sorted keys.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from . import dl as dlmod
 from .chars import CharacterTable, ClassFunction, character_table, orthogonality
-from .errors import GroupMismatch, InvalidType, NonFinite, NotVirtual, SizeLimit
+from .errors import GroupMismatch, InternalError, InvalidType, NonFinite, NotVirtual, SizeLimit
 from .grp import ConjugacyClasses, conjugacy_classes, parabolic
 from .indres import frobenius_check, induce, induce_between, mackey_check
 from .rootsys import (
@@ -301,11 +303,10 @@ def run_type_checks(
 
     if cartan.type_label == "A":
         pairs = dlmod.springer_table(W, table)
-        assert table.labels is not None
         perm = dlmod.sign_permutation(W, table)
         from .symchars import transpose
 
-        transposed = all(
+        transposed = table.labels is not None and all(
             table.labels[perm[i]] == transpose(table.labels[i]) for i in range(k)
         )
         add(CheckItem("springer-transpose", transposed,
@@ -629,6 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,7 +13,11 @@ class SizeLimit(Exception):
     """Group enumeration exceeded the configured maximum order."""
 
 
-class IrrationalityError(Exception):
+class InternalError(Exception):
+    """An internal consistency check failed; signals a bug, not bad input."""
+
+
+class IrrationalityError(InternalError):
     """Exact character computation left the rationals; signals an internal bug."""
 
 

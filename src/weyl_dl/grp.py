@@ -4,6 +4,11 @@ Subgroups are carried around as sorted tuples of element indices of the ambient
 group; a ConjugacyClasses value bundles the class partition of one such member
 set.  Standard parabolic subgroups additionally record how their classes fuse
 into the ambient classes.
+
+Orbits come from the index maps of the group: W and its parabolic subgroups
+conjugate by the simple reflections that generate them, an explicit subgroup
+by its own members, each a product of simple-reflection conjugations along
+its reduced word.  Closures walk y -> y*s_i.
 """
 from __future__ import annotations
 
@@ -11,9 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import InvalidType
+from .errors import InternalError, InvalidType
 from .rootsys import WeylGroup
 
 
@@ -30,7 +33,7 @@ class ConjugacyClasses:
     members: tuple[int, ...]
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
-    class_of_arr: np.ndarray
+    class_of_arr: tuple[int, ...]
     inverse_class: tuple[int, ...]
 
     @property
@@ -43,38 +46,63 @@ class ConjugacyClasses:
 
     @property
     def identity_class(self) -> int:
-        return int(self.class_of_arr[0])
+        return self.class_of_arr[0]
 
     def class_of(self, e: int) -> int:
-        c = int(self.class_of_arr[e])
+        c = self.class_of_arr[e]
         if c < 0:
             raise KeyError(f"element {e} is not a member of {self.group_id}")
         return c
 
 
-def _classes_of_members(W: WeylGroup, members: Sequence[int], group_id: str) -> ConjugacyClasses:
-    member_arr = np.array(sorted(members), dtype=np.int64)
-    class_of = np.full(W.order, -1, dtype=np.int64)
+def _classes_of_members(
+    W: WeylGroup, members: Sequence[int], group_id: str, simple: Sequence[int] | None
+) -> ConjugacyClasses:
+    """Conjugation orbits of a subgroup given by its members.
+
+    simple lists the simple reflections that generate the subgroup, whose
+    conjugation maps then span each orbit breadth-first; None means an explicit
+    subgroup, whose orbits are swept by conjugating with every member.
+    """
+    members = sorted(members)
+    maps = W.conjugation_maps
+    class_of = [-1] * W.order
     reps: list[int] = []
     sizes: list[int] = []
-    for e in member_arr:
-        e = int(e)
+    for e in members:
         if class_of[e] >= 0:
             continue
-        orbit = np.unique(W.conjugate_sweep(e, member_arr))
-        class_of[orbit] = len(reps)
+        c = len(reps)
+        class_of[e] = c
+        orbit = [e]
+        if simple is not None:
+            for y in orbit:
+                for i in simple:
+                    z = maps[i][y]
+                    if class_of[z] < 0:
+                        class_of[z] = c
+                        orbit.append(z)
+        else:
+            for x in members:
+                z = e
+                for i in reversed(W.words[x]):
+                    z = maps[i][z]
+                if class_of[z] < 0:
+                    class_of[z] = c
+                    orbit.append(z)
         reps.append(e)
         sizes.append(len(orbit))
-    assert sum(sizes) == len(member_arr)
-    inverse_class = tuple(int(class_of[W.inv(r)]) for r in reps)
-    class_of.setflags(write=False)
+    if sum(sizes) != len(members):
+        raise InternalError(
+            f"class sizes of {group_id} sum to {sum(sizes)}, not to its order {len(members)}"
+        )
     return ConjugacyClasses(
         group_id=group_id,
-        members=tuple(int(x) for x in member_arr),
+        members=tuple(members),
         reps=tuple(reps),
         sizes=tuple(sizes),
-        class_of_arr=class_of,
-        inverse_class=inverse_class,
+        class_of_arr=tuple(class_of),
+        inverse_class=tuple(class_of[W.inv(r)] for r in reps),
     )
 
 
@@ -82,31 +110,29 @@ def conjugacy_classes(W: WeylGroup) -> ConjugacyClasses:
     """Classes of the full group, cached on the group."""
     key = "conjugacy_classes"
     if key not in W.cache:
-        W.cache[key] = _classes_of_members(W, range(W.order), W.group_id)
+        W.cache[key] = _classes_of_members(W, range(W.order), W.group_id, range(W.rank))
     return W.cache[key]
 
 
-def _closure(W: WeylGroup, generator_ids: Iterable[int]) -> tuple[int, ...]:
-    gens = sorted(set(generator_ids))
-    seen = {W.identity_index}
-    frontier = [W.identity_index]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = W.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+def _closure(W: WeylGroup, simple: Sequence[int]) -> tuple[int, ...]:
+    """Members of the subgroup generated by the simple reflections listed in simple."""
+    seen = [False] * W.order
+    seen[W.identity_index] = True
+    found = [W.identity_index]
+    for x in found:
+        for i in simple:
+            y = W.right_maps[i][x]
+            if not seen[y]:
+                seen[y] = True
+                found.append(y)
+    return tuple(sorted(found))
 
 
 def subgroup_classes(W: WeylGroup, members: Sequence[int]) -> ConjugacyClasses:
     """Classes of an explicit subgroup, with a digest-based identifier."""
     members = tuple(sorted(members))
     digest = hashlib.sha1(",".join(map(str, members)).encode()).hexdigest()[:10]
-    return _classes_of_members(W, members, f"{W.group_id}/sub-{digest}")
+    return _classes_of_members(W, members, f"{W.group_id}/sub-{digest}", None)
 
 
 @dataclass(eq=False)
@@ -141,22 +167,20 @@ def parabolic(W: WeylGroup, subset: Iterable[int]) -> ParabolicSubgroup:
     if key in W.cache:
         return W.cache[key]
 
-    members = _closure(W, (W.generator_indices[i] for i in subset))
+    members = _closure(W, subset)
     tag = ",".join(str(i + 1) for i in subset)
-    classes = _classes_of_members(W, members, f"{W.group_id}|I=[{tag}]")
+    classes = _classes_of_members(W, members, f"{W.group_id}|I=[{tag}]", subset)
     ambient = conjugacy_classes(W)
-    assert W.order % classes.order == 0
+    if W.order % classes.order:
+        raise InternalError(f"|W_I| = {classes.order} does not divide |W| = {W.order}")
 
-    fusion = []
-    for c, rep in enumerate(classes.reps):
-        target = ambient.class_of(rep)
-        # every element of the subgroup class lands in the same ambient class
-        for e in members:
-            if classes.class_of(e) == c:
-                assert ambient.class_of(e) == target
-        fusion.append(target)
+    fusion = tuple(ambient.class_of(rep) for rep in classes.reps)
+    # every element of a subgroup class lands in the ambient class of its representative
+    for e in members:
+        if ambient.class_of(e) != fusion[classes.class_of(e)]:
+            raise InternalError(f"class of element {e} in {classes.group_id} does not fuse")
 
-    P = ParabolicSubgroup(W.group_id, subset, classes, tuple(fusion))
+    P = ParabolicSubgroup(W.group_id, subset, classes, fusion)
     W.cache[key] = P
     return P
 
@@ -175,7 +199,7 @@ def double_cosets(
     gens_right = [W.generator_indices[i] for i in PI.subset_I]
     set_I = set(PI.members)
 
-    seen = np.zeros(W.order, dtype=bool)
+    seen = [False] * W.order
     out = []
     for x in range(W.order):
         if seen[x]:

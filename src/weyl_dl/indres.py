@@ -2,8 +2,11 @@
 
 Restriction is a fusion lookup.  Induction uses the conjugation-count formula
 (ind f)(w) = (1/|H|) * sum over x in K of f(x w x^-1) taken over the x with
-x w x^-1 in H, evaluated once per class representative.  The sum is an
-integer for an integer f, and the division by |H| is exact; a value is a
+x w x^-1 in H, evaluated once per class representative.  The counts come from
+the two class partitions alone: x -> x w x^-1 hits each element of the class
+C of w exactly |K|/|C| times, so #{x in K : x w x^-1 in c} = |C n c| * |K|/|C|,
+tallied in one pass over the members of H (Geck-Pfeiffer 2000).  The sum is
+an integer for an integer f, and the division by |H| is exact; a value is a
 Fraction only when f has Fraction values and the quotient is non-integral.
 For parabolic subgroups the counts are cached, making repeated inductions a
 small integer matrix product.
@@ -11,8 +14,6 @@ small integer matrix product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .chars import CharacterTable, ClassFunction, exact_quotient, inner_product
 from .errors import GroupMismatch
@@ -45,33 +46,46 @@ def restrict_between(
     return ClassFunction(sub.group_id, vals)
 
 
-def induction_counts(W: WeylGroup, P: ParabolicSubgroup) -> np.ndarray:
+Counts = tuple[tuple[int, ...], ...]
+
+
+def _conjugation_counts(sup: ConjugacyClasses, sub: ConjugacyClasses) -> Counts:
+    """counts[r][c] = #{x in sup : x w_r x^-1 lies in class c of sub}, w_r the r-th rep of sup.
+
+    Each member of sub is tallied under its (sup class, sub class) pair; row r
+    is then scaled by the centralizer order |sup|/|C_r|.
+    """
+    tally = [[0] * sub.n_classes for _ in range(sup.n_classes)]
+    for h in sub.members:
+        tally[sup.class_of(h)][sub.class_of(h)] += 1
+    return tuple(
+        tuple(n * (sup.order // size) for n in row) for row, size in zip(tally, sup.sizes)
+    )
+
+
+def _induce_with(
+    counts: Counts, sub: ConjugacyClasses, group_id: str, f: ClassFunction
+) -> ClassFunction:
+    fv = f.values
+    vals = tuple(
+        exact_quotient(sum(n * v for n, v in zip(row, fv)), sub.order) for row in counts
+    )
+    return ClassFunction(group_id, vals)
+
+
+def induction_counts(W: WeylGroup, P: ParabolicSubgroup) -> Counts:
     """counts[r][c] = #{x in W : x w_r x^-1 lies in subgroup class c}, cached."""
     key = ("induction_counts", P.subset_I)
-    if key in W.cache:
-        return W.cache[key]
-    ambient = conjugacy_classes(W)
-    k_sub = P.classes.n_classes
-    counts = np.zeros((ambient.n_classes, k_sub), dtype=np.int64)
-    for r, rep in enumerate(ambient.reps):
-        conj = W.conjugate_sweep(rep)
-        cls = P.classes.class_of_arr[conj]
-        counts[r] = np.bincount(cls[cls >= 0], minlength=k_sub)
-    counts.setflags(write=False)
-    W.cache[key] = counts
-    return counts
+    if key not in W.cache:
+        W.cache[key] = _conjugation_counts(conjugacy_classes(W), P.classes)
+    return W.cache[key]
 
 
 def induce(f: ClassFunction, P: ParabolicSubgroup, W: WeylGroup) -> ClassFunction:
     """Induce a class function from a parabolic subgroup up to the full group."""
     if f.group_id != P.classes.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {P.classes.group_id}")
-    fv = f.values
-    vals = tuple(
-        exact_quotient(sum(n * v for n, v in zip(row, fv)), P.order)
-        for row in induction_counts(W, P).tolist()
-    )
-    return ClassFunction(W.group_id, vals)
+    return _induce_with(induction_counts(W, P), P.classes, W.group_id, f)
 
 
 def induce_between(
@@ -80,14 +94,7 @@ def induce_between(
     """Induction along an inclusion of explicit subgroups of W."""
     if f.group_id != sub.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {sub.group_id}")
-    xs = np.array(sup.members, dtype=np.int64)
-    vals = []
-    for rep in sup.reps:
-        conj = W.conjugate_sweep(rep, xs)
-        cls = sub.class_of_arr[conj].tolist()
-        total = sum(f.values[c] for c in cls if c >= 0)
-        vals.append(exact_quotient(total, sub.order))
-    return ClassFunction(sup.group_id, tuple(vals))
+    return _induce_with(_conjugation_counts(sup, sub), sub, sup.group_id, f)
 
 
 @dataclass(frozen=True)

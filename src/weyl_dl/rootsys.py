@@ -2,16 +2,21 @@
 
 Everything is exact: roots live in the root lattice (integer coordinates in the
 simple-root basis) and group elements are permutations of the finite root list.
+Per simple reflection s_i a group keeps the index maps y -> y*s_i and
+y -> s_i*y*s_i, built in pure Python; numpy is imported only for the dense
+multiplication table, which products of arbitrary elements use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .errors import InternalError, InvalidType, NonFinite, SizeLimit
 
-from .errors import InvalidType, NonFinite, SizeLimit
+if TYPE_CHECKING:
+    import numpy as np
 
 Coords = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -229,10 +234,12 @@ def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -
     # s_i negates a_i and permutes the remaining positive roots
     for i, p in enumerate(perms):
         col = rs.simple_root_columns[i]
-        assert p[col] == col + rs.n_positive
-        for r in range(rs.n_positive):
-            if r != col:
-                assert p[r] < rs.n_positive
+        if p[col] != col + rs.n_positive or any(
+            p[r] >= rs.n_positive for r in range(rs.n_positive) if r != col
+        ):
+            raise InternalError(
+                f"s{i + 1} does not negate a{i + 1} and permute the other positive roots"
+            )
     return rs
 
 
@@ -282,11 +289,46 @@ class WeylGroup:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
+    def right_maps(self) -> tuple[tuple[int, ...], ...]:
+        """right_maps[i][y] is the index of y*s_i.
+
+        An element is fixed by its images of the simple roots, and y*s_i sends
+        a_j to y(s_i(a_j)), so each image is looked up by r root indices.
+        """
+        cols = self.rootsystem.simple_root_columns
+        index = {tuple(p[c] for c in cols): e for e, p in enumerate(self.elements)}
+        out = []
+        for s in self.rootsystem.simple_reflection_perms:
+            moved = [s[c] for c in cols]
+            out.append(tuple(index[tuple(p[x] for x in moved)] for p in self.elements))
+        return tuple(out)
+
+    @cached_property
+    def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
+        """conjugation_maps[i][y] is the index of s_i*y*s_i = (y^-1*s_i)^-1 * s_i."""
+        inv = self._inverses
+        return tuple(tuple(r[inv[r[inv[y]]]] for y in range(self.order)) for r in self.right_maps)
+
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        """The inverse of s_i1*...*s_ik is s_ik*...*s_i1, walked with right_maps."""
+        right = self.right_maps
+        out = []
+        for word in self.words:
+            y = self.identity_index
+            for i in reversed(word):
+                y = right[i][y]
+            out.append(y)
+        return tuple(out)
+
+    @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Dense (multiplication, inverse) index tables, or None above the size limit."""
         n = self.order
         if n > self._mult_table_limit:
             return None
+        import numpy as np
+
         E = np.array(self.elements, dtype=np.int64)
         cols = np.array(self.rootsystem.simple_root_columns)
         base = len(self.rootsystem.roots)
@@ -316,27 +358,17 @@ class WeylGroup:
         return self.element_index[_compose(self.elements[a], self.elements[b])]
 
     def inv(self, a: int) -> int:
-        t = self._tables
-        if t is not None:
-            return int(t[1][a])
-        p = self.elements[a]
-        q = [0] * len(p)
-        for i, x in enumerate(p):
-            q[x] = i
-        return self.element_index[tuple(q)]
+        return self._inverses[a]
 
-    def conjugate_sweep(self, w: int, xs: np.ndarray | None = None) -> np.ndarray:
+    def conjugate_sweep(self, w: int, xs: Sequence[int] | None = None) -> list[int]:
         """Indices of x*w*x^-1 for every x in xs (all elements by default)."""
+        xs = range(self.order) if xs is None else xs
         t = self._tables
-        if xs is None:
-            xs = np.arange(self.order)
         if t is not None:
             mult, inv = t
-            return mult[mult[xs, w], inv[xs]].astype(np.int64)
-        out = np.empty(len(xs), dtype=np.int64)
-        for k, x in enumerate(xs):
-            out[k] = self.mul(self.mul(int(x), w), self.inv(int(x)))
-        return out
+            xs = list(xs)
+            return mult[mult[xs, w], inv[xs]].tolist()
+        return [self.mul(self.mul(x, w), self.inv(x)) for x in xs]
 
     def word_str(self, e: int) -> str:
         """Reduced word of an element, e.g. 's1*s2'; the identity is 'e'."""
@@ -355,7 +387,8 @@ class WeylGroup:
     def longest_element(self) -> int:
         npos = self.rootsystem.n_positive
         longest = [e for e in range(self.order) if self.lengths[e] == npos]
-        assert len(longest) == 1
+        if len(longest) != 1:
+            raise InternalError(f"{len(longest)} elements have the maximal length {npos}")
         return longest[0]
 
 
@@ -393,9 +426,10 @@ def enumerate_group(
 
     cartan = rootsystem.cartan
     expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
-    assert len(elements) == expected, (
-        f"enumerated {len(elements)} elements for {cartan.label}, expected {expected}"
-    )
+    if len(elements) != expected:
+        raise InternalError(
+            f"enumerated {len(elements)} elements for {cartan.label}, expected {expected}"
+        )
     return WeylGroup(rootsystem, elements, lengths, words, mult_table_limit)
 
 

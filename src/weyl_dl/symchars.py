@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
+from .errors import InternalError, InvalidType
 from .rootsys import WeylGroup
 
 Partition = tuple[int, ...]
@@ -116,7 +117,8 @@ def natural_permutation(W: WeylGroup, e: int) -> tuple[int, ...]:
     vectors at points lo and hi+1; chaining the images of the simple roots
     recovers the point permutation.
     """
-    assert W.cartan.type_label == "A"
+    if W.cartan.type_label != "A":
+        raise InvalidType(f"{W.cartan.label} is not of type A")
     rank = W.rank
     rs = W.rootsystem
     perm = W.elements[e]
@@ -134,10 +136,11 @@ def natural_permutation(W: WeylGroup, e: int) -> tuple[int, ...]:
         a, b = pair_of(rs.roots[perm[col]])
         if sigma[i] < 0:
             sigma[i] = a
-        else:
-            assert sigma[i] == a
+        elif sigma[i] != a:
+            raise InternalError(f"images of simple roots {i} and {i + 1} do not chain")
         sigma[i + 1] = b
-    assert sorted(sigma) == list(range(rank + 1))
+    if sorted(sigma) != list(range(rank + 1)):
+        raise InternalError(f"element {e} does not permute the points 0..{rank}")
     return tuple(sigma)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from weyl_dl import (
     GroupMismatch,
+    build_weyl_group,
     NotVirtual,
     VirtualCharacter,
     character_table,
@@ -64,11 +65,19 @@ def test_degree_divides_order(tables):
         assert all(W.order % d == 0 for d in t.degrees)
 
 
-def test_seed_does_not_change_table(groups):
-    W = groups("B", 2)
-    t0 = character_table(W, seed=0)
-    t7 = character_table(W, seed=7)
+def test_seed_does_not_change_table():
+    t0 = character_table(build_weyl_group("B", 2), seed=0)
+    t7 = character_table(build_weyl_group("B", 2), seed=7)
     assert [t0.values_row(i) for i in range(5)] == [t7.values_row(i) for i in range(5)]
+
+
+def test_seed_is_not_part_of_the_cache_key():
+    W = build_weyl_group("B", 4)
+    t0 = character_table(W, seed=0)
+    assert character_table(W, seed=7) is t0
+    assert [key for key in W.cache if key[0] == "character_table"] == [("character_table", W.group_id)]
+    fresh = character_table(build_weyl_group("B", 4), seed=7)
+    assert [chi.values for chi in fresh.irreducibles] == [chi.values for chi in t0.irreducibles]
 
 
 def test_type_a_matches_murnaghan_nakayama(tables):

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 
-from weyl_dl import InvalidType
+import weyl_dl
+from weyl_dl import InternalError, InvalidType, IrrationalityError, cli
 from weyl_dl.cli import (
     Config,
     TableCacheEntry,
@@ -215,3 +221,39 @@ def test_cache_path_that_is_a_directory_recomputes(cache_dir, capsys):
     err = capsys.readouterr().err
     assert "unreadable" in err
     assert "cannot write cache file" in err
+
+
+@pytest.mark.parametrize("error", [IrrationalityError("degree^2 = 3/2 is not a perfect square"),
+                                   InternalError("class sizes do not sum to the order")])
+def test_internal_error_exits_4(cache_dir, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    code, out = run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
+    assert code == 4
+    assert out == ""
+    assert capsys.readouterr().err == f"error: internal: {error}\n"
+
+
+@pytest.fixture(scope="module")
+def warm_f4_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("cache")
+    assert run_cli(["table", "F", "4", "--cache-dir", str(cache)])[0] == 0
+    return cache
+
+
+@pytest.mark.parametrize("command", ["dl", "table"])
+def test_warm_command_does_not_import_numpy(warm_f4_cache, command):
+    code = (
+        "import contextlib, io, sys\n"
+        "from weyl_dl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main([{command!r}, 'F', '4', '--cache-dir', {str(warm_f4_cache)!r}])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"

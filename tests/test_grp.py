@@ -147,3 +147,75 @@ def test_parabolic_rejects_bad_index_under_optimize(run_optimized):
         "    print(exc)\n"
     )
     assert "index 7 is outside" in run_optimized(code)
+
+
+def brute_force_conjugate(W, x, y):
+    """Index of x*y*x^-1, composed from the root permutations alone."""
+    px, py = W.elements[x], W.elements[y]
+    px_inv = [0] * len(px)
+    for r, image in enumerate(px):
+        px_inv[image] = r
+    return W.element_index[tuple(px[py[px_inv[r]]] for r in range(len(px)))]
+
+
+def assert_classes_match_oracle(W, cc, members):
+    """cc against orbits found by conjugating with every member of the subgroup."""
+    members = sorted(members)
+    assert cc.members == tuple(members)
+    orbits = []
+    seen = set()
+    for e in members:
+        if e not in seen:
+            orbit = {brute_force_conjugate(W, x, e) for x in members}
+            seen |= orbit
+            orbits.append(orbit)
+    assert cc.reps == tuple(min(orbit) for orbit in orbits)
+    assert cc.sizes == tuple(len(orbit) for orbit in orbits)
+    for c, orbit in enumerate(orbits):
+        assert all(cc.class_of(e) == c for e in orbit)
+    member_set = set(members)
+    assert all(cc.class_of_arr[e] == -1 for e in range(W.order) if e not in member_set)
+    for c, rep in enumerate(cc.reps):
+        p = W.elements[rep]
+        inverse = [0] * len(p)
+        for r, image in enumerate(p):
+            inverse[image] = r
+        assert cc.inverse_class[c] == cc.class_of(W.element_index[tuple(inverse)])
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_classes_match_brute_force_oracle(groups, type_label, rank):
+    W = groups(type_label, rank)
+    assert_classes_match_oracle(W, conjugacy_classes(W), range(W.order))
+    for I in subsets(rank):
+        P = parabolic(W, I)
+        assert_classes_match_oracle(W, P.classes, P.members)
+
+
+def test_classes_without_dense_table_match_oracle():
+    from weyl_dl import build_cartan, build_root_system
+    from weyl_dl.rootsys import enumerate_group
+
+    W = enumerate_group(build_root_system(build_cartan("B", 3)), mult_table_limit=0)
+    assert_classes_match_oracle(W, conjugacy_classes(W), range(W.order))
+    for I in subsets(3):
+        P = parabolic(W, I)
+        assert_classes_match_oracle(W, P.classes, P.members)
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
+def test_intersection_subgroup_classes_match_oracle(groups, type_label, rank):
+    W = groups(type_label, rank)
+    for I in subsets(rank):
+        for J in subsets(rank):
+            for _, members in double_cosets(W, J, I):
+                assert_classes_match_oracle(W, subgroup_classes(W, members), members)
+
+
+def test_simple_reflection_maps(groups):
+    W = groups("B", 3)
+    for i, g in enumerate(W.generator_indices):
+        for y in range(W.order):
+            assert W.right_maps[i][y] == W.mul(y, g)
+            assert W.conjugation_maps[i][y] == W.mul(W.mul(g, y), g)
+    assert all(W.mul(y, W.inv(y)) == W.identity_index for y in range(W.order))

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from weyl_dl import (
+    ClassFunction,
     GroupMismatch,
     character_table,
     decompose,
+    double_cosets,
     frobenius_check,
     induce,
     induce_between,
@@ -17,8 +19,10 @@ from weyl_dl import (
     restrict,
     restrict_between,
     sign,
+    subgroup_classes,
     trivial,
 )
+from weyl_dl.indres import induction_counts
 
 
 def subsets(rank):
@@ -165,3 +169,56 @@ def test_restrict_between_matches_parabolic_path(tables):
     via_parabolic = restrict(f, P)
     via_generic = restrict_between(cc, P.classes, f)
     assert via_parabolic.values == via_generic.values
+
+
+def indicator(classes, c):
+    vals = [0] * classes.n_classes
+    vals[c] = 1
+    return ClassFunction(classes.group_id, tuple(vals))
+
+
+def brute_force_counts(W, sup, sub):
+    """counts[r][c] = #{x in sup : x w_r x^-1 in class c of sub}, by sweeping every x."""
+    counts = []
+    for rep in sup.reps:
+        row = [0] * sub.n_classes
+        for y in W.conjugate_sweep(rep, sup.members):
+            if sub.class_of_arr[y] >= 0:
+                row[sub.class_of_arr[y]] += 1
+        counts.append(tuple(row))
+    return tuple(counts)
+
+
+def assert_induce_between_matches_sweep(W, sub, sup):
+    counts = brute_force_counts(W, sup, sub)
+    for c in range(sub.n_classes):
+        induced = induce_between(W, sub, sup, indicator(sub, c))
+        assert induced.values == tuple(Fraction(row[c], sub.order) for row in counts)
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
+def test_induction_counts_match_sweep(tables, type_label, rank):
+    W, cc, _ = tables(type_label, rank)
+    for I in subsets(rank):
+        P = parabolic(W, I)
+        assert induction_counts(W, P) == brute_force_counts(W, cc, P.classes)
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
+def test_induce_between_matches_sweep(tables, type_label, rank):
+    W, _, _ = tables(type_label, rank)
+    for I in subsets(rank):
+        PI = parabolic(W, I)
+        for J in subsets(rank):
+            if set(J) <= set(I):
+                assert_induce_between_matches_sweep(W, parabolic(W, J).classes, PI.classes)
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
+def test_induce_between_matches_sweep_on_intersections(tables, type_label, rank):
+    W, _, _ = tables(type_label, rank)
+    for I in subsets(rank):
+        for J in subsets(rank):
+            PJ = parabolic(W, J)
+            for _, members in double_cosets(W, J, I):
+                assert_induce_between_matches_sweep(W, subgroup_classes(W, members), PJ.classes)

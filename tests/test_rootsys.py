@@ -2,7 +2,7 @@ from math import prod
 
 import pytest
 
-from weyl_dl import InvalidType, NonFinite, SizeLimit, build_cartan, build_root_system, fundamental_degrees
+from weyl_dl import InternalError, InvalidType, NonFinite, SizeLimit, build_cartan, build_root_system, fundamental_degrees
 from weyl_dl.rootsys import CartanDatum, enumerate_group
 
 
@@ -149,3 +149,22 @@ def test_fallback_composition_agrees(groups):
         assert fast.inv(a) == slow.inv(a)
         for b in range(fast.order):
             assert fast.mul(a, b) == slow.mul(a, b)
+
+
+def test_order_mismatch_is_internal_error():
+    # a G2 matrix under the label A2: 12 elements where the degrees of A2 give 6
+    datum = CartanDatum("A", 2, ((2, -1), (-3, 2)))
+    with pytest.raises(InternalError, match="enumerated 12 elements for A2, expected 6"):
+        enumerate_group(build_root_system(datum))
+
+
+def test_order_mismatch_is_internal_error_under_optimize(run_optimized):
+    code = (
+        "from weyl_dl import InternalError, build_root_system\n"
+        "from weyl_dl.rootsys import CartanDatum, enumerate_group\n"
+        "try:\n"
+        "    enumerate_group(build_root_system(CartanDatum('A', 2, ((2, -1), (-3, 2)))))\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "enumerated 12 elements for A2, expected 6" in run_optimized(code)

@@ -1,0 +1,20 @@
+"""The traced benchmark wraps engine functions by name; a rename must fail here, not silently there."""
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+
+def test_traced_functions_resolve(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    names = set()
+    for name, owner, attr, _timed, _on_result in traced_cli.TRACED:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
+        names.add((owner.__name__, attr))
+    for expected in [("WeylGroup", "conjugate_sweep"), ("WeylGroup", "mul"),
+                     ("weyl_dl.indres", "induction_counts"), ("weyl_dl.chars", "_split_eigenvectors")]:
+        assert expected in names
