@@ -1,7 +1,8 @@
 """Exact class functions, character tables, and the virtual-character lattice.
 
 Character tables are computed by simultaneous eigenspace splitting of the
-class-multiplication matrices.  Those matrices are integer, so each eigenspace
+class-multiplication matrices, tallied from walks through the group's
+simple-reflection maps.  Those matrices are integer, so each eigenspace
 is an integer kernel from fraction-free elimination (ratlinalg.nullspace), and
 only the final rescaling to character values is rational.  Weyl-group
 character values are rational integers, so every step either stays exact or
@@ -152,18 +153,22 @@ def regular(classes: ConjugacyClasses) -> ClassFunction:
 
 
 def _class_multiplication_matrices(W: WeylGroup, classes: ConjugacyClasses) -> list[list[list[int]]]:
-    """A[i][j][m] = #{x in C_i : x^-1 z_m in C_j} for class representatives z_m."""
+    """A[i][j][m] = #{x in C_i : x^-1 z_m in C_j} for class representatives z_m.
+
+    With y = x^-1 this tallies (class of y^-1, class of y*z_m) over the members
+    y, whose products with z_m are one walk through right_maps along its word.
+    """
     k = classes.n_classes
-    by_class: list[list[int]] = [[] for _ in range(k)]
-    for e in classes.members:
-        by_class[classes.class_of(e)].append(e)
+    class_of = classes.class_of_arr
+    inverse_classes = [class_of[W.inv(y)] for y in classes.members]
     A = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for x in by_class[i]:
-            xi = W.inv(x)
-            for m, rep in enumerate(classes.reps):
-                j = classes.class_of(W.mul(xi, rep))
-                A[i][j][m] += 1
+    for m, rep in enumerate(classes.reps):
+        products = classes.members
+        for s in W.words[rep]:
+            right = W.right_maps[s]
+            products = [right[y] for y in products]
+        for i, z in zip(inverse_classes, products):
+            A[i][class_of[z]][m] += 1
     return A
 
 
@@ -268,12 +273,23 @@ def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> t
     return rows_ok, cols_ok
 
 
-def _type_a_labels(
-    W: WeylGroup, classes: ConjugacyClasses, rows: list[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """Match rows against the Murnaghan-Nakayama table of S_{rank+1}."""
-    n = W.rank + 1
-    parts, mn_rows = symchars.sn_character_table(n)
+def canonical_rows(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """Rows in canonical order: ascending degree, then value lists compared high-to-low."""
+    ident = classes.identity_class
+    return sorted(rows, key=lambda row: (row[ident], [-v for v in row]))
+
+
+def table_labels(
+    W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """Partition labels of the rows of W's own table for irreducible type A, else None.
+
+    Each row is matched against the Murnaghan-Nakayama table of S_{rank+1};
+    IrrationalityError if a row matches no partition or several.
+    """
+    if W.cartan.type_label != "A" or classes.order != W.order:
+        return None
+    parts, mn_rows = symchars.sn_character_table(W.rank + 1)
     col_of_class = []
     for rep in classes.reps:
         ct = symchars.cycle_type(symchars.natural_permutation(W, rep))
@@ -310,8 +326,7 @@ def character_table(
     k = classes.n_classes
     mats = _class_multiplication_matrices(W, classes)
     vectors = _split_eigenvectors(mats, k, seed)
-    rows = [_lift_to_character(classes, v) for v in vectors]
-    rows.sort(key=lambda row: (row[classes.identity_class], [-v for v in row]))
+    rows = canonical_rows(classes, [_lift_to_character(classes, v) for v in vectors])
 
     degrees = tuple(row[classes.identity_class] for row in rows)
     if sum(d * d for d in degrees) != classes.order:
@@ -322,16 +337,12 @@ def character_table(
     if not cols_ok:
         raise IrrationalityError("column orthogonality fails")
 
-    labels = None
-    if W.cartan.type_label == "A" and classes.order == W.order:
-        labels = _type_a_labels(W, classes, rows)
-
     table = CharacterTable(
         group_id=classes.group_id,
         classes=classes,
         irreducibles=tuple(ClassFunction(classes.group_id, row) for row in rows),
         degrees=degrees,
-        labels=labels,
+        labels=table_labels(W, classes, rows),
     )
     W.cache[key] = table
     return table

@@ -17,8 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dl as dlmod
-from .chars import CharacterTable, ClassFunction, character_table, orthogonality
-from .errors import GroupMismatch, InternalError, InvalidType, NonFinite, NotVirtual, SizeLimit
+from .chars import (
+    CharacterTable, ClassFunction, canonical_rows, character_table, orthogonality, table_labels,
+)
+from .errors import (
+    GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite, NotVirtual, SizeLimit,
+)
 from .grp import ConjugacyClasses, conjugacy_classes, parabolic
 from .indres import frobenius_check, induce, induce_between, mackey_check
 from .rootsys import (
@@ -137,9 +141,26 @@ def load_cache_entry(
     return entry
 
 
-def _entry_matches_classes(entry: TableCacheEntry, W: WeylGroup, classes: ConjugacyClasses) -> bool:
+def _entry_is_consistent(entry: TableCacheEntry, W: WeylGroup, classes: ConjugacyClasses) -> bool:
+    """Whether the entry is the table character_table would compute for these classes.
+
+    Class words and sizes must match; the rows must be orthonormal and in
+    canonical order; the degrees must be the identity-class column, all
+    positive; the labels must be those the rows derive (None outside type A).
+    """
     words = tuple(W.word_str(r) for r in classes.reps)
-    return entry.class_words == words and entry.class_sizes == classes.sizes
+    if entry.class_words != words or entry.class_sizes != classes.sizes:
+        return False
+    rows = list(entry.values)
+    if not orthogonality(classes, rows)[0] or rows != canonical_rows(classes, rows):
+        return False
+    degrees = tuple(row[classes.identity_class] for row in rows)
+    if entry.degrees != degrees or min(degrees) <= 0:
+        return False
+    try:
+        return entry.labels == table_labels(W, classes, rows)
+    except IrrationalityError:
+        return False
 
 
 def _table_from_entry(entry: TableCacheEntry, classes: ConjugacyClasses) -> CharacterTable:
@@ -165,7 +186,7 @@ def load_or_compute_table(
     path = cache_path(cfg, cartan.type_label, cartan.rank, cartan.central_rank)
     entry = load_cache_entry(path, cartan.type_label, cartan.rank, cartan.central_rank)
     if entry is not None:
-        if _entry_matches_classes(entry, W, classes) and orthogonality(classes, entry.values)[0]:
+        if _entry_is_consistent(entry, W, classes):
             return _table_from_entry(entry, classes), True
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
     table = character_table(W, seed=cfg.rng_seed)

@@ -8,7 +8,8 @@ into the ambient classes.
 Orbits come from the index maps of the group: W and its parabolic subgroups
 conjugate by the simple reflections that generate them, an explicit subgroup
 by its own members, each a product of simple-reflection conjugations along
-its reduced word.  Closures walk y -> y*s_i.
+its reduced word.  Closures and double cosets walk y -> y*s_i, and
+s_j*y = (y^-1*s_j)^-1.
 """
 from __future__ import annotations
 
@@ -84,9 +85,7 @@ def _classes_of_members(
                         orbit.append(z)
         else:
             for x in members:
-                z = e
-                for i in reversed(W.words[x]):
-                    z = maps[i][z]
+                z = W.conjugate(x, e)
                 if class_of[z] < 0:
                     class_of[z] = c
                     orbit.append(z)
@@ -195,9 +194,10 @@ def double_cosets(
     """
     PJ = parabolic(W, left_subset)
     PI = parabolic(W, right_subset)
-    gens_left = [W.generator_indices[i] for i in PJ.subset_I]
-    gens_right = [W.generator_indices[i] for i in PI.subset_I]
-    set_I = set(PI.members)
+    right, inv = W.right_maps, W.inv
+    in_I = [False] * W.order
+    for u in PI.members:
+        in_I[u] = True
 
     seen = [False] * W.order
     out = []
@@ -208,19 +208,14 @@ def double_cosets(
         seen[x] = True
         while stack:
             y = stack.pop()
-            for g in gens_left:
-                z = W.mul(g, y)
+            yi = inv(y)
+            neighbours = [inv(right[j][yi]) for j in PJ.subset_I]
+            neighbours += [right[i][y] for i in PI.subset_I]
+            for z in neighbours:
                 if not seen[z]:
                     seen[z] = True
                     stack.append(z)
-            for g in gens_right:
-                z = W.mul(y, g)
-                if not seen[z]:
-                    seen[z] = True
-                    stack.append(z)
-        xi = W.inv(x)
-        inter = tuple(
-            u for u in PJ.members if W.mul(W.mul(xi, u), x) in set_I
-        )
+        xi = inv(x)
+        inter = tuple(u for u in PJ.members if in_I[W.conjugate(xi, u)])
         out.append((x, inter))
     return tuple(out)

@@ -173,8 +173,7 @@ def mackey_check(
         inter = _intersection_classes(W, inter_members)
         xi = W.inv(x)
         transported = tuple(
-            f.values[PI.classes.class_of(W.mul(W.mul(xi, rep), x))]
-            for rep in inter.reps
+            f.values[PI.classes.class_of(W.conjugate(xi, rep))] for rep in inter.reps
         )
         g = ClassFunction(inter.group_id, transported)
         term = induce_between(W, inter, PJ.classes, g)

@@ -2,31 +2,25 @@
 
 Everything is exact: roots live in the root lattice (integer coordinates in the
 simple-root basis) and group elements are permutations of the finite root list.
-Per simple reflection s_i a group keeps the index maps y -> y*s_i and
-y -> s_i*y*s_i, built in pure Python; numpy is imported only for the dense
-multiplication table, which products of arbitrary elements use.
+Per simple reflection s_i a group keeps the index maps y -> y*s_i, recorded
+while it is enumerated, and y -> s_i*y*s_i.  Every product is a walk through
+these maps along a reduced word (Geck-Pfeiffer 2000, ch. 2); no product of two
+arbitrary permutations is formed after enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import InternalError, InvalidType, NonFinite, SizeLimit
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Coords = tuple[int, ...]
 Perm = tuple[int, ...]
 
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_MAX_ROOTS = 10_000
-
-# Groups up to this order get a dense multiplication table (fast vectorized
-# conjugation sweeps); larger ones fall back to composing permutations.
-MULT_TABLE_LIMIT = 4096
 
 ACCEPTED_TYPES = "A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)"
 
@@ -253,6 +247,7 @@ class WeylGroup:
 
     Elements are indexed 0..order-1 in canonical order: by length, then by the
     lexicographic image of the root list.  Index 0 is the identity.
+    right_maps[i][y] is the index of y*s_i.
     """
 
     def __init__(
@@ -261,18 +256,16 @@ class WeylGroup:
         elements: tuple[Perm, ...],
         lengths: tuple[int, ...],
         words: tuple[tuple[int, ...], ...],
-        mult_table_limit: int = MULT_TABLE_LIMIT,
+        right_maps: tuple[tuple[int, ...], ...],
     ):
         self.rootsystem = rootsystem
         self.cartan = rootsystem.cartan
         self.elements = elements
         self.lengths = lengths
         self.words = words
+        self.right_maps = right_maps
         self.identity_index = 0
-        self._mult_table_limit = mult_table_limit
-        self.generator_indices = tuple(
-            self.element_index[p] for p in rootsystem.simple_reflection_perms
-        )
+        self.generator_indices = tuple(r[self.identity_index] for r in right_maps)
         self.group_id = rootsystem.cartan.group_id
         self.cache: dict = {}
 
@@ -287,21 +280,6 @@ class WeylGroup:
     @cached_property
     def element_index(self) -> dict[Perm, int]:
         return {p: i for i, p in enumerate(self.elements)}
-
-    @cached_property
-    def right_maps(self) -> tuple[tuple[int, ...], ...]:
-        """right_maps[i][y] is the index of y*s_i.
-
-        An element is fixed by its images of the simple roots, and y*s_i sends
-        a_j to y(s_i(a_j)), so each image is looked up by r root indices.
-        """
-        cols = self.rootsystem.simple_root_columns
-        index = {tuple(p[c] for c in cols): e for e, p in enumerate(self.elements)}
-        out = []
-        for s in self.rootsystem.simple_reflection_perms:
-            moved = [s[c] for c in cols]
-            out.append(tuple(index[tuple(p[x] for x in moved)] for p in self.elements))
-        return tuple(out)
 
     @cached_property
     def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
@@ -321,54 +299,27 @@ class WeylGroup:
             out.append(y)
         return tuple(out)
 
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Dense (multiplication, inverse) index tables, or None above the size limit."""
-        n = self.order
-        if n > self._mult_table_limit:
-            return None
-        import numpy as np
-
-        E = np.array(self.elements, dtype=np.int64)
-        cols = np.array(self.rootsystem.simple_root_columns)
-        base = len(self.rootsystem.roots)
-        powers = base ** np.arange(len(cols), dtype=np.int64)
-        codes = E[:, cols] @ powers
-        order_idx = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order_idx]
-
-        def lookup(c: np.ndarray) -> np.ndarray:
-            return order_idx[np.searchsorted(sorted_codes, c)]
-
-        mult = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            images = E[a][E[:, cols]]
-            mult[a] = lookup(images @ powers)
-        inv_perms = np.argsort(E, axis=1)
-        inv = lookup(inv_perms[:, cols] @ powers).astype(np.int32)
-        mult.setflags(write=False)
-        inv.setflags(write=False)
-        return mult, inv
-
     def mul(self, a: int, b: int) -> int:
-        """Index of elements[a] after elements[b]."""
-        t = self._tables
-        if t is not None:
-            return int(t[0][a, b])
-        return self.element_index[_compose(self.elements[a], self.elements[b])]
+        """Index of elements[a] after elements[b]: a walked along the reduced word of b."""
+        right = self.right_maps
+        for i in self.words[b]:
+            a = right[i][a]
+        return a
 
     def inv(self, a: int) -> int:
         return self._inverses[a]
 
+    def conjugate(self, x: int, y: int) -> int:
+        """Index of x*y*x^-1: y conjugated by the letters of x's reduced word, last first."""
+        maps = self.conjugation_maps
+        for i in reversed(self.words[x]):
+            y = maps[i][y]
+        return y
+
     def conjugate_sweep(self, w: int, xs: Sequence[int] | None = None) -> list[int]:
         """Indices of x*w*x^-1 for every x in xs (all elements by default)."""
         xs = range(self.order) if xs is None else xs
-        t = self._tables
-        if t is not None:
-            mult, inv = t
-            xs = list(xs)
-            return mult[mult[xs, w], inv[xs]].tolist()
-        return [self.mul(self.mul(x, w), self.inv(x)) for x in xs]
+        return [self.conjugate(x, w) for x in xs]
 
     def word_str(self, e: int) -> str:
         """Reduced word of an element, e.g. 's1*s2'; the identity is 'e'."""
@@ -392,45 +343,58 @@ class WeylGroup:
         return longest[0]
 
 
-def enumerate_group(
-    rootsystem: RootSystem,
-    max_order: int = DEFAULT_MAX_ORDER,
-    mult_table_limit: int = MULT_TABLE_LIMIT,
-) -> WeylGroup:
-    """Breadth-first closure of the simple reflections; length = search depth."""
-    identity = tuple(range(len(rootsystem.roots)))
-    gens = rootsystem.simple_reflection_perms
-    found: dict[Perm, tuple[int, tuple[int, ...]]] = {identity: (0, ())}
-    frontier = [identity]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for p in frontier:
-            word = found[p][1]
-            for i, g in enumerate(gens):
-                q = _compose(p, g)
-                if q not in found:
-                    found[q] = (depth, word + (i,))
-                    nxt.append(q)
-        if len(found) > max_order:
-            raise SizeLimit(
-                f"group order exceeds the configured maximum {max_order}"
-            )
-        frontier = nxt
+def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) -> WeylGroup:
+    """Breadth-first closure of the simple reflections; length = search depth.
 
-    ordering = sorted(found, key=lambda p: (found[p][0], p))
-    elements = tuple(ordering)
-    lengths = tuple(found[p][0] for p in ordering)
-    words = tuple(found[p][1] for p in ordering)
-
+    A standard Cartan matrix gives a group whose order is the product of its
+    fundamental degrees; if that exceeds max_order, SizeLimit is raised before
+    any product is formed.  The search records y*s_i for every element y, which
+    become the group's right_maps.
+    """
     cartan = rootsystem.cartan
     expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
-    if len(elements) != expected:
-        raise InternalError(
-            f"enumerated {len(elements)} elements for {cartan.label}, expected {expected}"
+    if _is_standard(cartan) and expected > max_order:
+        raise SizeLimit(
+            f"{cartan.label} has order {expected}, more than the limit of {max_order}"
         )
-    return WeylGroup(rootsystem, elements, lengths, words, mult_table_limit)
+    identity = tuple(range(len(rootsystem.roots)))
+    gens = rootsystem.simple_reflection_perms
+    found: dict[Perm, int] = {identity: 0}
+    perms = [identity]
+    depths = [0]
+    words: list[tuple[int, ...]] = [()]
+    successors: list[list[int]] = [[] for _ in gens]
+    # perms grows while it is walked, so it is visited in breadth-first order
+    for k, p in enumerate(perms):
+        for i, g in enumerate(gens):
+            q = _compose(p, g)
+            j = found.get(q)
+            if j is None:
+                j = found[q] = len(perms)
+                if j >= max_order:
+                    raise SizeLimit(
+                        f"group order exceeds the configured maximum {max_order}"
+                    )
+                perms.append(q)
+                depths.append(depths[k] + 1)
+                words.append(words[k] + (i,))
+            successors[i].append(j)
+
+    if len(perms) != expected:
+        raise InternalError(
+            f"enumerated {len(perms)} elements for {cartan.label}, expected {expected}"
+        )
+    ordering = sorted(range(len(perms)), key=lambda k: (depths[k], perms[k]))
+    position = [0] * len(perms)
+    for pos, k in enumerate(ordering):
+        position[k] = pos
+    return WeylGroup(
+        rootsystem,
+        tuple(perms[k] for k in ordering),
+        tuple(depths[k] for k in ordering),
+        tuple(words[k] for k in ordering),
+        tuple(tuple(position[succ[k]] for k in ordering) for succ in successors),
+    )
 
 
 def build_weyl_group(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import weyl_dl
-from weyl_dl import InternalError, InvalidType, IrrationalityError, cli
+from weyl_dl import InternalError, InvalidType, IrrationalityError, cli, rootsys
 from weyl_dl.cli import (
     Config,
     TableCacheEntry,
@@ -85,6 +85,16 @@ def test_root_count_limit_exits_3(cache_dir, capsys):
     code, _ = run_cli(["table", "A", "200", "--cache-dir", str(cache_dir)])
     assert code == 3
     assert "A200 has 40200 roots" in capsys.readouterr().err
+
+
+def test_group_order_limit_exits_3_before_enumerating(cache_dir, capsys, monkeypatch):
+    def no_products(a, b):
+        raise AssertionError("a product of permutations was formed")
+
+    monkeypatch.setattr(rootsys, "_compose", no_products)
+    code, _ = run_cli(["table", "A", "9", "--cache-dir", str(cache_dir)])
+    assert code == 3
+    assert "A9 has order 3628800, more than the limit of 2000000" in capsys.readouterr().err
 
 
 def test_dl_text(cache_dir):
@@ -175,17 +185,49 @@ def test_corrupted_cache_recovers(cache_dir, capsys):
     assert "corrupted" in err
 
 
-def test_tampered_cache_values_recomputed(cache_dir, capsys):
-    run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
-    cfg = Config(cache_dir=cache_dir)
-    path = cache_path(cfg, "A", 2, 0)
-    payload = json.loads(path.read_text())
-    payload["values"][0][0] = "7"  # break orthogonality
-    path.write_text(json.dumps(payload))
-    code, out = run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
+def _set_first_value(payload):
+    payload["values"][0][0] = "7"  # breaks orthogonality
+
+
+def _set_degrees(payload):
+    payload["degrees"] = ["1", "1", "1", "7", "9"]
+
+
+def _reverse_rows(payload):
+    payload["values"].reverse()
+    payload["degrees"].reverse()
+
+
+def _reverse_labels(payload):
+    payload["labels"].reverse()
+
+
+def _negate_trivial_row(payload):
+    payload["values"][0] = [str(-int(v)) for v in payload["values"][0]]
+    payload["degrees"][0] = "-1"
+
+
+@pytest.mark.parametrize("command, type_label, rank, tamper", [
+    ("table", "A", "2", _set_first_value),
+    ("table", "B", "2", _set_degrees),
+    ("dl", "B", "2", _reverse_rows),
+    ("dl", "A", "2", _reverse_labels),
+    ("table", "B", "2", _negate_trivial_row),
+], ids=["values", "degrees", "row-order", "labels", "negated-row"])
+def test_tampered_cache_values_recomputed(tmp_path, capsys, command, type_label, rank, tamper):
+    args = [command, type_label, rank, "--cache-dir"]
+    code, fresh = run_cli(args + [str(tmp_path / "fresh")])
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("(3)")]
-    assert lines and " 7" not in lines[0]
+    cache_dir = tmp_path / "cache"
+    run_cli(["table", type_label, rank, "--cache-dir", str(cache_dir)])
+    path = cache_path(Config(cache_dir=cache_dir), type_label, int(rank), 0)
+    payload = json.loads(path.read_text())
+    tamper(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code, out = run_cli(args + [str(cache_dir)])
+    assert code == 0
+    assert out == fresh
     assert "inconsistent" in capsys.readouterr().err
 
 

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weyl_dl
 from weyl_dl import InvalidType, conjugacy_classes, double_cosets, parabolic, subgroup_classes
 
 
@@ -192,17 +197,6 @@ def test_classes_match_brute_force_oracle(groups, type_label, rank):
         assert_classes_match_oracle(W, P.classes, P.members)
 
 
-def test_classes_without_dense_table_match_oracle():
-    from weyl_dl import build_cartan, build_root_system
-    from weyl_dl.rootsys import enumerate_group
-
-    W = enumerate_group(build_root_system(build_cartan("B", 3)), mult_table_limit=0)
-    assert_classes_match_oracle(W, conjugacy_classes(W), range(W.order))
-    for I in subsets(3):
-        P = parabolic(W, I)
-        assert_classes_match_oracle(W, P.classes, P.members)
-
-
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
 def test_intersection_subgroup_classes_match_oracle(groups, type_label, rank):
     W = groups(type_label, rank)
@@ -212,10 +206,74 @@ def test_intersection_subgroup_classes_match_oracle(groups, type_label, rank):
                 assert_classes_match_oracle(W, subgroup_classes(W, members), members)
 
 
+def compose(p, q):
+    """The root permutation p after q."""
+    return tuple(p[r] for r in q)
+
+
+def closure_by_composition(W, simple):
+    """Root permutations of the subgroup generated by the listed simple reflections."""
+    gens = [W.rootsystem.simple_reflection_perms[i] for i in simple]
+    found = {W.elements[W.identity_index]}
+    frontier = list(found)
+    while frontier:
+        frontier = [q for q in {compose(p, g) for p in frontier for g in gens} if q not in found]
+        found.update(frontier)
+    return found
+
+
 def test_simple_reflection_maps(groups):
     W = groups("B", 3)
-    for i, g in enumerate(W.generator_indices):
-        for y in range(W.order):
-            assert W.right_maps[i][y] == W.mul(y, g)
-            assert W.conjugation_maps[i][y] == W.mul(W.mul(g, y), g)
-    assert all(W.mul(y, W.inv(y)) == W.identity_index for y in range(W.order))
+    index = W.element_index
+    for i, s in enumerate(W.rootsystem.simple_reflection_perms):
+        assert W.generator_indices[i] == index[s]
+        for y, p in enumerate(W.elements):
+            assert W.right_maps[i][y] == index[compose(p, s)]
+            assert W.conjugation_maps[i][y] == index[compose(s, compose(p, s))]
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
+def test_double_cosets_match_composition(groups, type_label, rank):
+    W = groups(type_label, rank)
+    index = W.element_index
+    for J in subsets(rank):
+        WJ = closure_by_composition(W, J)
+        for I in subsets(rank):
+            WI = closure_by_composition(W, I)
+            covered = set()
+            for x, inter in double_cosets(W, J, I):
+                px = W.elements[x]
+                px_inv = [0] * len(px)
+                for r, image in enumerate(px):
+                    px_inv[image] = r
+                coset = {index[compose(compose(u, px), v)] for u in WJ for v in WI}
+                assert not coset & covered
+                assert x == min(coset)
+                covered |= coset
+                expected = sorted(index[u] for u in WJ if compose(compose(px_inv, u), px) in WI)
+                assert list(inter) == expected
+            assert covered == set(range(W.order))
+
+
+def test_products_without_numpy():
+    """Classes, parabolics, double cosets, Mackey transport and products use no numpy."""
+    code = (
+        "import sys\n"
+        "from weyl_dl import build_weyl_group, conjugacy_classes, double_cosets, parabolic, trivial\n"
+        "from weyl_dl.indres import mackey_check\n"
+        "from weyl_dl.dl import subsets\n"
+        "W = build_weyl_group('B', 3)\n"
+        "conjugacy_classes(W)\n"
+        "for I in subsets(3):\n"
+        "    P = parabolic(W, I)\n"
+        "    for J in subsets(3):\n"
+        "        double_cosets(W, J, I)\n"
+        "        assert mackey_check(W, I, J, trivial(P.classes)).ok\n"
+        "W.mul(5, 7), W.conjugate_sweep(3)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

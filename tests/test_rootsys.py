@@ -3,6 +3,7 @@ from math import prod
 import pytest
 
 from weyl_dl import InternalError, InvalidType, NonFinite, SizeLimit, build_cartan, build_root_system, fundamental_degrees
+from weyl_dl import rootsys
 from weyl_dl.rootsys import CartanDatum, enumerate_group
 
 
@@ -140,15 +141,38 @@ def test_canonical_order_starts_at_identity(groups):
     assert list(W.lengths) == sorted(W.lengths)
 
 
-def test_fallback_composition_agrees(groups):
-    rs = build_root_system(build_cartan("B", 2))
-    fast = enumerate_group(rs)
-    slow = enumerate_group(rs, mult_table_limit=0)
-    assert fast.elements == slow.elements
-    for a in range(fast.order):
-        assert fast.inv(a) == slow.inv(a)
-        for b in range(fast.order):
-            assert fast.mul(a, b) == slow.mul(a, b)
+def test_products_match_permutation_composition(groups):
+    for key in [("B", 2), ("A", 3)]:
+        W = groups(*key)
+        perms, index = W.elements, W.element_index
+        inverses = []
+        for p in perms:
+            inverse = [0] * len(p)
+            for r, image in enumerate(p):
+                inverse[image] = r
+            inverses.append(tuple(inverse))
+        for a in range(W.order):
+            assert W.inv(a) == index[inverses[a]]
+            for b in range(W.order):
+                assert W.mul(a, b) == index[tuple(perms[a][r] for r in perms[b])]
+        for w in range(W.order):
+            expected = [
+                index[tuple(perms[x][perms[w][r]] for r in inverses[x])] for x in range(W.order)
+            ]
+            assert W.conjugate_sweep(w) == expected
+            assert W.conjugate_sweep(w, [3, 1]) == [expected[3], expected[1]]
+
+
+def test_size_limit_raised_before_any_product(monkeypatch):
+    def no_products(a, b):
+        raise AssertionError("a product of permutations was formed")
+
+    monkeypatch.setattr(rootsys, "_compose", no_products)
+    rs = build_root_system(build_cartan("A", 9))
+    with pytest.raises(SizeLimit, match="A9 has order 3628800, more than the limit of 2000000"):
+        enumerate_group(rs)
+    with pytest.raises(SizeLimit, match="F4 has order 1152"):
+        enumerate_group(build_root_system(build_cartan("F", 4)), max_order=1151)
 
 
 def test_order_mismatch_is_internal_error():
