@@ -22,10 +22,9 @@ from weyl_dl.cli import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cache-dir", type=Path, default=Path("~/.cache/weyl-dl"))
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cfg = Config(rng_seed=args.seed, cache_dir=args.cache_dir)
+    cfg = Config(cache_dir=args.cache_dir)
     print(f"{'type':<6} {'|W|':>6} {'classes':>8} {'checks':>8} {'time':>8}")
     failures = 0
     t_total = time.perf_counter()

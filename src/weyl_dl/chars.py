@@ -2,10 +2,9 @@
 
 Character tables are computed by simultaneous eigenspace splitting of the
 class-multiplication matrices, tallied from walks through the group's
-simple-reflection maps.  Those matrices are integer, so each eigenspace
-is an integer kernel from fraction-free elimination (ratlinalg.nullspace), and
-only the final rescaling to character values is rational.  Weyl-group
-character values are rational integers, so every step either stays exact or
+simple-reflection maps.  The split runs modulo a prime p that does not divide
+the group order, and each character value is the symmetric residue of its
+value mod p; the rows are then certified over the integers.  Any failure
 raises IrrationalityError; nothing is ever rounded.
 
 Class-function values are Python ints.  Inner products, decomposition and
@@ -14,18 +13,18 @@ is exact; a Fraction appears only where a value really is non-integral.
 """
 from __future__ import annotations
 
-import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
 from .grp import ConjugacyClasses, conjugacy_classes
-from .ratlinalg import fraction_sqrt, nullspace
+from .ratlinalg import nullspace, split_prime
 from .rootsys import WeylGroup
 from . import symchars
-
-MAX_SPLIT_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -152,99 +151,91 @@ def regular(classes: ConjugacyClasses) -> ClassFunction:
     return ClassFunction(classes.group_id, tuple(vals))
 
 
-def _class_multiplication_matrices(W: WeylGroup, classes: ConjugacyClasses) -> list[list[list[int]]]:
-    """A[i][j][m] = #{x in C_i : x^-1 z_m in C_j} for class representatives z_m.
+def _class_matrix(W: WeylGroup, classes: ConjugacyClasses, i: int) -> list[list[int]]:
+    """A[j][m] = #{x in C_i : x^-1 z_m in C_j} for class representatives z_m.
 
-    With y = x^-1 this tallies (class of y^-1, class of y*z_m) over the members
-    y, whose products with z_m are one walk through right_maps along its word.
+    Each x^-1 z_m is a walk of x^-1 through right_maps along the word of z_m.
     """
-    k = classes.n_classes
     class_of = classes.class_of_arr
-    inverse_classes = [class_of[W.inv(y)] for y in classes.members]
-    A = [[[0] * k for _ in range(k)] for _ in range(k)]
+    inverses = [W.inv(x) for x in classes.members if class_of[x] == i]
+    A = [[0] * classes.n_classes for _ in classes.reps]
     for m, rep in enumerate(classes.reps):
-        products = classes.members
+        products = inverses
         for s in W.words[rep]:
             right = W.right_maps[s]
             products = [right[y] for y in products]
-        for i, z in zip(inverse_classes, products):
-            A[i][class_of[z]][m] += 1
+        for j, count in Counter(map(class_of.__getitem__, products)).items():
+            A[j][m] = count
     return A
 
 
-def _eigenvalue_candidates(M: list[list[int]]) -> list[int]:
-    """Integer eigenvalue candidates from a floating-point solve.
+def _mat_vec(A: list[list[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in A]
 
-    Candidates are only proposals; each is certified (or discarded) by an exact
-    nullspace computation, so no floating-point value ever reaches a result.
-    numpy is imported here, only when a table is split.
+
+def _eigenvalues(A: list[list[int]], ident: int, p: int) -> list[int]:
+    """Distinct eigenvalues of a class matrix mod p: the roots of the minimal polynomial of e_ident.
+
+    e_ident = sum over chi of (chi(1)^2/|H|) omega_chi with no coefficient 0 mod p,
+    so its Krylov space meets every eigenspace.  The first kernel vector of
+    [e, Ae, ..., A^k e] holds the polynomial's coefficients, constant term first.
     """
-    import numpy as np
+    krylov = [[int(j == ident) for j in range(len(A))]]
+    for _ in A:
+        krylov.append([x % p for x in _mat_vec(A, krylov[-1])])
+    poly = nullspace(list(zip(*krylov)), p)[0]
+    return [x for x in range(p) if reduce(lambda v, c: (v * x + c) % p, reversed(poly), 0) == 0]
 
-    arr = np.array(M, dtype=np.float64)
-    eigs = np.linalg.eigvals(arr)
-    return sorted({int(round(x)) for x in eigs.real})
 
+def _split_eigenvectors(W: WeylGroup, classes: ConjugacyClasses, p: int) -> list[list[int]]:
+    """Common eigenvectors mod p of the class matrices, one per irreducible.
 
-def _split_eigenvectors(
-    mats: list[list[list[int]]], k: int, seed: int
-) -> list[list[int]]:
-    """Common eigenvectors of the commuting class matrices, via random combinations.
-
-    A random small-integer combination generically has k distinct integer
-    eigenvalues whose one-dimensional eigenspaces are the common eigenvectors;
-    collisions trigger a retry with fresh coefficients.
+    The centre of F_p H is split semisimple for p not dividing |H|, so the joint
+    eigenspaces are k lines.  Class matrices, smallest (cheapest) class first,
+    cut each subspace into the kernels of its restriction R - lambda.  A basis
+    vector is 1 at its last nonzero entry, where the others are 0, so
+    coordinates are read at those ends; kernel vectors keep this shape.
     """
-    rng = random.Random(seed)
-    for _ in range(MAX_SPLIT_ATTEMPTS):
-        coeffs = [rng.randrange(1, 64) for _ in range(k)]
-        M = [
-            [sum(c * mats[i][j][m] for i, c in enumerate(coeffs)) for m in range(k)]
-            for j in range(k)
-        ]
-        vectors: list[list[int]] = []
-        collision = False
-        for lam in _eigenvalue_candidates(M):
-            shifted = [
-                [M[j][m] - (lam if j == m else 0) for m in range(k)]
-                for j in range(k)
-            ]
-            basis = nullspace(shifted)
-            if len(basis) > 1:
-                collision = True
-                break
-            if basis:
-                vectors.append(basis[0])
-        if not collision and len(vectors) == k:
-            return vectors
-    raise IrrationalityError(
-        f"failed to split {k} rational eigenspaces after {MAX_SPLIT_ATTEMPTS} attempts"
-    )
+    k = classes.n_classes
+    spaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for i in sorted(range(k), key=classes.sizes.__getitem__):
+        A = _class_matrix(W, classes, i)
+        eigenvalues = _eigenvalues(A, classes.identity_class, p)
+        pieces = [basis for basis in spaces if len(basis) == 1]
+        for basis in [basis for basis in spaces if len(basis) > 1]:
+            ends = [max(c for c, x in enumerate(b) if x) for b in basis]
+            R = [_mat_vec(basis, A[e]) for e in ends]  # R[t][s]: coordinate t of A*b_s
+            found = 0
+            for lam in eigenvalues:
+                shifted = [[x - lam * (s == t) for s, x in enumerate(row)] for t, row in enumerate(R)]
+                kernel = nullspace(shifted, p)
+                if kernel:
+                    pieces.append([[sum(map(mul, v, col)) % p for col in zip(*basis)] for v in kernel])
+                    found += len(kernel)
+                if found == len(basis):
+                    break
+        spaces = pieces
+        if all(len(basis) == 1 for basis in spaces):
+            return [basis[0] for basis in spaces]
+    raise InternalError(f"the class matrices do not split {k} lines mod {p}")
 
 
-def _lift_to_character(
-    classes: ConjugacyClasses, vec: list[int]
-) -> tuple[int, ...]:
-    """Turn a central-character vector, known up to scale, into integer character values."""
-    ident = classes.identity_class
-    if vec[ident] == 0:
-        raise IrrationalityError("eigenvector vanishes on the identity class")
-    scale = Fraction(1) / vec[ident]
-    omega = [v * scale for v in vec]
-    norm = Fraction(0)
-    for j, size in enumerate(classes.sizes):
-        norm += omega[j] * omega[classes.inverse_class[j]] / size
-    degree_sq = Fraction(classes.order) / norm
-    degree = fraction_sqrt(degree_sq)
-    if degree is None or degree.denominator != 1 or degree <= 0:
-        raise IrrationalityError(f"degree^2 = {degree_sq} is not a perfect square")
-    values = []
-    for j, size in enumerate(classes.sizes):
-        v = degree * omega[j] / size
-        if v.denominator != 1:
-            raise IrrationalityError(f"non-integral character value {v}")
-        values.append(int(v))
-    return tuple(values)
+def _lift_to_character(classes: ConjugacyClasses, vec: list[int], p: int) -> tuple[int, ...]:
+    """Integer character values from a central-character vector mod p, known up to scale.
+
+    With omega = vec / vec[ident], chi(1)^2 = |H| / (sum of omega_j omega_j* / |C_j|),
+    chi(1) is its root in (0, p/2), and chi_j the symmetric residue of chi(1) omega_j / |C_j|.
+    """
+    inv_sizes = [pow(size, -1, p) for size in classes.sizes]
+    try:
+        omega = [v * pow(vec[classes.identity_class], -1, p) % p for v in vec]
+        norm = sum(w * omega[j] * inv for w, j, inv in zip(omega, classes.inverse_class, inv_sizes))
+        square = classes.order * pow(norm, -1, p) % p
+        degree = next(d for d in range(1, p // 2 + 1) if d * d % p == square)
+    except (ValueError, StopIteration):
+        raise IrrationalityError(f"eigenvector {vec} lifts to no character mod {p}") from None
+    values = (degree * w * inv % p for w, inv in zip(omega, inv_sizes))
+    return tuple(v - p if 2 * v > p else v for v in values)
 
 
 def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> tuple[bool, bool]:
@@ -271,6 +262,34 @@ def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> t
         for d in range(k)
     )
     return rows_ok, cols_ok
+
+
+def certify_characters(W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> None:
+    """Prove over Z that rows are the irreducible characters; IrrationalityError if not.
+
+    Rows and columns must be orthogonal, and the degree squares sum to |H|.
+    Each w = (|C_j| chi_j), of positive degree, must be an eigenvector of class
+    matrices A_i, smallest class first, until the rows' eigenvalue tuples
+    differ; independent rows then span lines that every class matrix
+    preserves, so w is a central character and its norm fixes the scale.
+    (A_i w)[ident] = w_i, so the eigenvalue can only be w_i / w_ident.
+    """
+    if not all(orthogonality(classes, rows)):
+        raise IrrationalityError("row or column orthogonality fails")
+    ident = classes.identity_class
+    if sum(row[ident] ** 2 for row in rows) != classes.order:
+        raise IrrationalityError("degree squares do not sum to the group order")
+    ws = [[size * x for size, x in zip(classes.sizes, row)] for row in rows]
+    eigenvalues: list[tuple[int, ...]] = [()] * len(rows)
+    for i in sorted(range(classes.n_classes), key=classes.sizes.__getitem__):
+        A = _class_matrix(W, classes, i)
+        for r, w in enumerate(ws):
+            if w[ident] <= 0 or _mat_vec(A, w) != [w[i] // w[ident] * x for x in w]:
+                raise IrrationalityError(f"row {r} is not an eigenvector of class matrix {i}")
+        eigenvalues = [e + (w[i] // w[ident],) for e, w in zip(eigenvalues, ws)]
+        if len(set(eigenvalues)) == len(rows):
+            return
+    raise IrrationalityError("the class matrices do not separate the rows")
 
 
 def canonical_rows(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
@@ -307,15 +326,12 @@ def table_labels(
     return tuple(labels)
 
 
-def character_table(
-    W: WeylGroup, classes: ConjugacyClasses | None = None, *, seed: int = 0
-) -> CharacterTable:
+def character_table(W: WeylGroup, classes: ConjugacyClasses | None = None) -> CharacterTable:
     """Exact integer character table of W or of one of its subgroups.
 
     Pass the classes of a subgroup to get that subgroup's table; by default the
-    full group's table is computed.  Tables are cached on the group; the seed
-    only picks the random combinations that split eigenspaces, not the table,
-    so it is not part of the key.
+    full group's table is computed.  The split mod p is deterministic, and the
+    rows it lifts are certified over the integers.  Tables are cached on the group.
     """
     if classes is None:
         classes = conjugacy_classes(W)
@@ -323,25 +339,15 @@ def character_table(
     if key in W.cache:
         return W.cache[key]
 
-    k = classes.n_classes
-    mats = _class_multiplication_matrices(W, classes)
-    vectors = _split_eigenvectors(mats, k, seed)
-    rows = canonical_rows(classes, [_lift_to_character(classes, v) for v in vectors])
-
-    degrees = tuple(row[classes.identity_class] for row in rows)
-    if sum(d * d for d in degrees) != classes.order:
-        raise IrrationalityError("degree squares do not sum to the group order")
-    rows_ok, cols_ok = orthogonality(classes, rows)
-    if not rows_ok:
-        raise IrrationalityError("row orthogonality fails")
-    if not cols_ok:
-        raise IrrationalityError("column orthogonality fails")
-
+    p = split_prime(classes.order)
+    vectors = _split_eigenvectors(W, classes, p)
+    rows = canonical_rows(classes, [_lift_to_character(classes, v, p) for v in vectors])
+    certify_characters(W, classes, rows)
     table = CharacterTable(
         group_id=classes.group_id,
         classes=classes,
         irreducibles=tuple(ClassFunction(classes.group_id, row) for row in rows),
-        degrees=degrees,
+        degrees=tuple(row[classes.identity_class] for row in rows),
         labels=table_labels(W, classes, rows),
     )
     W.cache[key] = table

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import dl as dlmod
 from .chars import (
-    CharacterTable, ClassFunction, canonical_rows, character_table, orthogonality, table_labels,
+    CharacterTable, ClassFunction, canonical_rows, certify_characters, character_table,
+    orthogonality, table_labels,
 )
 from .errors import (
     GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite, NotVirtual, SizeLimit,
@@ -49,7 +50,6 @@ FORMATS = ("json", "csv", "text")
 @dataclass(frozen=True)
 class Config:
     max_group_order: int = DEFAULT_MAX_ORDER
-    rng_seed: int = 0
     cache_dir: Path = Path("~/.cache/weyl-dl")
     output_format: str = "text"
 
@@ -144,21 +144,20 @@ def load_cache_entry(
 def _entry_is_consistent(entry: TableCacheEntry, W: WeylGroup, classes: ConjugacyClasses) -> bool:
     """Whether the entry is the table character_table would compute for these classes.
 
-    Class words and sizes must match; the rows must be orthonormal and in
-    canonical order; the degrees must be the identity-class column, all
-    positive; the labels must be those the rows derive (None outside type A).
+    Class words and sizes must match, the rows pass character_table's
+    certificate in canonical order, and the degrees and labels derive from them.
     """
     words = tuple(W.word_str(r) for r in classes.reps)
     if entry.class_words != words or entry.class_sizes != classes.sizes:
         return False
     rows = list(entry.values)
-    if not orthogonality(classes, rows)[0] or rows != canonical_rows(classes, rows):
-        return False
-    degrees = tuple(row[classes.identity_class] for row in rows)
-    if entry.degrees != degrees or min(degrees) <= 0:
-        return False
     try:
-        return entry.labels == table_labels(W, classes, rows)
+        certify_characters(W, classes, rows)
+        return (
+            rows == canonical_rows(classes, rows)
+            and entry.degrees == tuple(row[classes.identity_class] for row in rows)
+            and entry.labels == table_labels(W, classes, rows)
+        )
     except IrrationalityError:
         return False
 
@@ -189,7 +188,7 @@ def load_or_compute_table(
         if _entry_is_consistent(entry, W, classes):
             return _table_from_entry(entry, classes), True
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
-    table = character_table(W, seed=cfg.rng_seed)
+    table = character_table(W)
     entry = TableCacheEntry(
         schema_version=SCHEMA_VERSION,
         type_label=cartan.type_label,
@@ -271,7 +270,7 @@ def run_type_checks(
         first = ""
         for I in dlmod.subsets(W.rank):
             P = parabolic(W, I)
-            sub_table = character_table(W, P.classes, seed=cfg.rng_seed)
+            sub_table = character_table(W, P.classes)
             report = frobenius_check(W, P, table, sub_table)
             if not report.ok:
                 bad += len(report.violations)
@@ -283,7 +282,7 @@ def run_type_checks(
         first = ""
         for I in dlmod.subsets(W.rank):
             P = parabolic(W, I)
-            sub_table = character_table(W, P.classes, seed=cfg.rng_seed)
+            sub_table = character_table(W, P.classes)
             for J in dlmod.subsets(W.rank):
                 for chi in sub_table.irreducibles:
                     report = mackey_check(W, I, J, chi)
@@ -295,7 +294,7 @@ def run_type_checks(
         bad = 0
         for J in dlmod.subsets(W.rank):
             PJ = parabolic(W, J)
-            tj = character_table(W, PJ.classes, seed=cfg.rng_seed)
+            tj = character_table(W, PJ.classes)
             for I in dlmod.subsets(W.rank):
                 if not set(J) <= set(I):
                     continue
@@ -603,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
     common.add_argument("--cache-dir", type=Path, default=Path("~/.cache/weyl-dl"))
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
 
     parser = argparse.ArgumentParser(
@@ -631,7 +630,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = Config(
             max_group_order=args.max_order,
-            rng_seed=args.seed,
             cache_dir=args.cache_dir,
             output_format=args.format,
         )

@@ -190,10 +190,13 @@ def double_cosets(
     """Transversal of W_J \\ W / W_I with the intersection subgroups.
 
     left_subset is J, right_subset is I.  Returns (x, members of W_J n x W_I x^-1)
-    per double coset; x is the smallest element index in its coset.
+    per double coset; x is the smallest element index in its coset.  Cached on W.
     """
     PJ = parabolic(W, left_subset)
     PI = parabolic(W, right_subset)
+    key = ("double_cosets", PJ.subset_I, PI.subset_I)
+    if key in W.cache:
+        return W.cache[key]
     right, inv = W.right_maps, W.inv
     in_I = [False] * W.order
     for u in PI.members:
@@ -218,4 +221,5 @@ def double_cosets(
         xi = inv(x)
         inter = tuple(u for u in PJ.members if in_I[W.conjugate(xi, u)])
         out.append((x, inter))
-    return tuple(out)
+    W.cache[key] = tuple(out)
+    return W.cache[key]

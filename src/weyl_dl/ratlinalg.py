@@ -1,62 +1,53 @@
-"""Small exact linear algebra: integer kernels and rational square roots.
+"""Exact linear algebra over F_p, for a prime p that does not divide the group order.
 
-Kernels are found by fraction-free Gauss-Jordan elimination over Python ints
-(Bareiss, Math. Comp. 22 (1968) 565-578): every intermediate entry is a minor
-of the input, so each division is exact and no rational number is formed.
+Character tables are split mod p (Dixon, Numer. Math. 10 (1967) 446-450): each
+eigenspace is a kernel from Gauss-Jordan elimination on residues.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
 
-def nullspace(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer basis of the right kernel of an integer matrix, one vector per row.
+def split_prime(order: int) -> int:
+    """Smallest prime above 2*isqrt(order) + 2 that does not divide order.
 
-    Each elimination step replaces every other row by
-    (pivot * row - row[c] * pivot_row) // previous_pivot.  At the end every
-    pivot equals the last one, d, so the vector for a free column fc has
-    d at fc and -m[r][fc] at the pivot column of row r.
+    Character values are at most isqrt(order) in absolute value, so each is a
+    symmetric residue mod p.
     """
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    p = 2 * isqrt(order) + 3
+    while order % p == 0 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def nullspace(mat: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Basis of the right kernel of a matrix over F_p, one vector per free column.
+
+    Gauss-Jordan elimination brings mat to reduced row echelon form mod p; the
+    vector for free column fc is 1 at fc, 0 at the other free columns, and
+    -m[r][fc] at the pivot column of row r.  Entries are residues in [0, p).
+    """
+    m = [[a % p for a in row] for row in mat]
+    cols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = 1
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        p, pivot_row = m[r][c], m[r]
-        for i in range(rows):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
-        prev = p
+        inv = pow(m[r][c], -1, p)
+        pivot_row = m[r] = [a * inv % p for a in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [(a - row[c] * b) % p for a, b in zip(row, pivot_row)]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [0] * cols
-        v[fc] = prev
+        v[fc] = 1
         for row, pc in zip(m, pivots):
-            v[pc] = -row[fc]
+            v[pc] = -row[fc] % p
         basis.append(v)
     return basis
-
-
-def fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)

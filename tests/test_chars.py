@@ -1,4 +1,6 @@
+import inspect
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from weyl_dl import (
     NotVirtual,
     VirtualCharacter,
     character_table,
+    conjugacy_classes,
     decompose,
     inner_product,
+    parabolic,
     realize,
     reflection,
     regular,
@@ -20,8 +24,11 @@ from weyl_dl import (
     trivial,
     unit,
 )
-from weyl_dl.chars import ClassFunction
-from weyl_dl.symchars import cycle_type, natural_permutation, sn_character_table
+from weyl_dl.chars import ClassFunction, _class_matrix, _eigenvalues
+from weyl_dl.ratlinalg import split_prime
+from weyl_dl.symchars import (
+    cycle_type, dimension, natural_permutation, partitions, sn_character_table,
+)
 
 
 def test_a2_table(tables):
@@ -66,18 +73,65 @@ def test_degree_divides_order(tables):
 
 
 def test_seed_does_not_change_table():
-    t0 = character_table(build_weyl_group("B", 2), seed=0)
-    t7 = character_table(build_weyl_group("B", 2), seed=7)
-    assert [t0.values_row(i) for i in range(5)] == [t7.values_row(i) for i in range(5)]
+    """character_table takes no seed, and two fresh B2 groups give the same table."""
+    assert "seed" not in inspect.signature(character_table).parameters
+    t0 = character_table(build_weyl_group("B", 2))
+    t1 = character_table(build_weyl_group("B", 2))
+    assert [t0.values_row(i) for i in range(5)] == [t1.values_row(i) for i in range(5)]
 
 
 def test_seed_is_not_part_of_the_cache_key():
     W = build_weyl_group("B", 4)
-    t0 = character_table(W, seed=0)
-    assert character_table(W, seed=7) is t0
+    t0 = character_table(W)
+    assert character_table(W) is t0
     assert [key for key in W.cache if key[0] == "character_table"] == [("character_table", W.group_id)]
-    fresh = character_table(build_weyl_group("B", 4), seed=7)
+    fresh = character_table(build_weyl_group("B", 4))
     assert [chi.values for chi in fresh.irreducibles] == [chi.values for chi in t0.irreducibles]
+
+
+@pytest.mark.parametrize("type_label, rank, subset", [
+    ("A", 3, None), ("B", 3, None), ("G", 2, None), ("F", 4, None), ("F", 4, (1, 2, 3)),
+])
+def test_eigenvalues_are_central_characters_mod_p(groups, type_label, rank, subset):
+    """Each class matrix's eigenvalues mod p are |C_i| chi(g_i) / chi(1) over the table."""
+    W = groups(type_label, rank)
+    cc = conjugacy_classes(W) if subset is None else parabolic(W, subset).classes
+    t = character_table(W, cc)
+    p = split_prime(cc.order)
+    ident = cc.identity_class
+    for i in range(cc.n_classes):
+        central = [divmod(cc.sizes[i] * chi.values[i], chi.values[ident]) for chi in t.irreducibles]
+        assert all(r == 0 for _, r in central)
+        assert _eigenvalues(_class_matrix(W, cc, i), ident, p) == sorted({q % p for q, _ in central})
+
+
+def bipartition_degrees(n, type_d):
+    """Degrees of B_n (or D_n) from bipartitions (lam, mu): C(n, |lam|) f^lam f^mu.
+
+    In D_n the pairs (lam, mu) and (mu, lam) give one character, and lam = mu
+    gives two of half the degree.
+    """
+    out = []
+    for a in range(n + 1):
+        for lam in partitions(a):
+            for mu in partitions(n - a):
+                d = comb(n, a) * dimension(lam) * dimension(mu)
+                if not type_d:
+                    out.append(d)
+                elif lam == mu:
+                    out += [d // 2, d // 2]
+                elif (a, lam) < (n - a, mu):
+                    out.append(d)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("type_label, rank", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 3), ("D", 4), ("D", 5), ("D", 6),
+])
+def test_degrees_match_bipartition_oracle(tables, type_label, rank):
+    _, cc, t = tables(type_label, rank)
+    assert sorted(t.degrees) == bipartition_degrees(rank, type_label == "D")
+    assert t.n_irreducibles == cc.n_classes
 
 
 def test_type_a_matches_murnaghan_nakayama(tables):
@@ -91,8 +145,6 @@ def test_type_a_matches_murnaghan_nakayama(tables):
 
 
 def test_subgroup_table(groups):
-    from weyl_dl import parabolic
-
     W = groups("B", 3)
     P = parabolic(W, (0, 1))
     t = character_table(W, P.classes)

@@ -207,13 +207,22 @@ def _negate_trivial_row(payload):
     payload["degrees"][0] = "-1"
 
 
+def _negate_column(payload):
+    """Both orthogonality relations, the degrees and the canonical order survive this."""
+    rows = [[int(v) for v in row] for row in payload["values"]]
+    rows = [[-v if c == 1 else v for c, v in enumerate(row)] for row in rows]
+    rows.sort(key=lambda row: (row[0], [-v for v in row]))
+    payload["values"] = [[str(v) for v in row] for row in rows]
+
+
 @pytest.mark.parametrize("command, type_label, rank, tamper", [
     ("table", "A", "2", _set_first_value),
     ("table", "B", "2", _set_degrees),
     ("dl", "B", "2", _reverse_rows),
     ("dl", "A", "2", _reverse_labels),
     ("table", "B", "2", _negate_trivial_row),
-], ids=["values", "degrees", "row-order", "labels", "negated-row"])
+    ("table", "G", "2", _negate_column),
+], ids=["values", "degrees", "row-order", "labels", "negated-row", "negated-column"])
 def test_tampered_cache_values_recomputed(tmp_path, capsys, command, type_label, rank, tamper):
     args = [command, type_label, rank, "--cache-dir"]
     code, fresh = run_cli(args + [str(tmp_path / "fresh")])
@@ -285,17 +294,34 @@ def warm_f4_cache(tmp_path_factory):
     return cache
 
 
-@pytest.mark.parametrize("command", ["dl", "table"])
-def test_warm_command_does_not_import_numpy(warm_f4_cache, command):
+def test_seed_has_no_effect(tmp_path):
+    """--seed is accepted for compatibility; the split mod p uses no random numbers."""
+    for args in (["table", "F", "4", "--format", "json"], ["verify", "G", "2"]):
+        runs = {run_cli(args + ["--seed", seed, "--cache-dir", str(tmp_path / seed)])
+                for seed in ("0", "7")}
+        assert len(runs) == 1
+        assert runs.pop()[0] == 0
+
+
+@pytest.mark.parametrize("argv, warm", [
+    (["dl", "F", "4"], True),
+    (["table", "F", "4"], True),
+    (["table", "B", "4"], False),
+    (["verify", "G", "2"], False),
+], ids=["dl", "table", "cold-table-B4", "cold-verify-G2"])
+def test_warm_command_does_not_import_numpy(warm_f4_cache, tmp_path, argv, warm):
+    """With numpy made unimportable, warm commands and cold splits still succeed."""
+    cache = warm_f4_cache if warm else tmp_path / "cache"
     code = (
         "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
         "from weyl_dl.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = main([{command!r}, 'F', '4', '--cache-dir', {str(warm_f4_cache)!r}])\n"
-        "print(rc, 'numpy' in sys.modules)\n"
+        f"    rc = main({argv + ['--cache-dir', str(cache)]!r})\n"
+        "print(rc, sys.modules['numpy'])\n"
     )
     src = Path(weyl_dl.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 False\n"
+    assert proc.stdout == "0 None\n"

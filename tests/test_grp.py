@@ -97,6 +97,13 @@ def test_double_cosets_a2(groups):
     assert len(double_cosets(W, (1,), (0,))) == 2
 
 
+def test_double_cosets_cached_per_subset_pair(groups):
+    W = groups("B", 3)
+    dc = double_cosets(W, (1, 0), (2,))
+    assert double_cosets(W, (0, 1), (2,)) is dc
+    assert double_cosets(W, (2,), (0, 1)) is not dc
+
+
 def test_double_cosets_empty_subset(groups):
     W = groups("B", 2)
     PJ = parabolic(W, (0,))

@@ -1,52 +1,27 @@
-from fractions import Fraction
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyl_dl.ratlinalg import nullspace
+from weyl_dl.ratlinalg import nullspace, split_prime
 
 
-def rational_rank(mat):
-    """Rank by plain Gauss elimination over Fraction: the oracle for nullspace."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c] / m[rank][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def rational_nullspace(mat, cols):
-    """Kernel basis over Fraction from the reduced row echelon form."""
-    m = [[Fraction(x) for x in row] for row in mat]
+def echelon_pivots(mat, p):
+    """Pivot columns of a plain row echelon form mod p: the oracle for nullspace."""
+    m = [[x % p for x in row] for row in mat]
     pivots = []
-    for c in range(cols):
+    for c in range(len(m[0])):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        inv = pow(m[r][c], -1, p)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append(c)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return pivots
 
 
 @st.composite
@@ -62,29 +37,36 @@ def low_rank_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(low_rank_matrices())
-def test_integer_nullspace_properties(M):
+@given(low_rank_matrices(), st.sampled_from([2, 3, 5, 7, 71, 127]))
+def test_nullspace_mod_p_properties(M, p):
     cols = len(M[0])
     original = [row[:] for row in M]
-    basis = nullspace(M)
+    basis = nullspace(M, p)
     assert M == original
-    rank = rational_rank(M)
-    assert len(basis) == cols - rank
-    for v in basis:
+    pivots = echelon_pivots(M, p)
+    free = [c for c in range(cols) if c not in pivots]
+    assert len(basis) == cols - len(pivots)
+    for q, v in enumerate(basis):
         assert len(v) == cols
-        assert all(type(x) is int for x in v)
-        assert any(v)
-        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
-    # same span as the Fraction oracle: stacking the two bases adds no rank
-    oracle = rational_nullspace(M, cols)
-    assert len(oracle) == len(basis)
-    if basis:
-        assert rational_rank(basis) == len(basis)
-        assert rational_rank(basis + oracle) == len(basis)
+        assert all(0 <= x < p for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in M)
+        assert [v[fc] for fc in free] == [int(q == r) for r in range(len(free))]
 
 
 def test_nullspace_known_kernel():
-    assert nullspace([[1, 2, 3], [2, 4, 6]]) == [[-2, 1, 0], [-3, 0, 1]]
-    assert nullspace([[2, 0], [0, 3]]) == []
-    assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+    assert nullspace([[1, 2, 3], [2, 4, 6]], 7) == [[5, 1, 0], [4, 0, 1]]
+    assert nullspace([[2, 0], [0, 3]], 7) == []
+    assert nullspace([[2, 0], [0, 3]], 3) == [[0, 1]]
+    assert nullspace([[0, 0]], 7) == [[1, 0], [0, 1]]
 
+
+def test_split_prime():
+    assert [split_prime(n) for n in (1152, 3840, 40320)] == [71, 127, 409]
+    for order in (1, 2, 6, 8, 12, 48, 384, 1920, 5040, 46080):
+        p = split_prime(order)
+        assert p > 2 * isqrt(order) + 2 and order % p
+        assert all(p % d for d in range(2, p))
+        assert not any(
+            order % q and all(q % d for d in range(2, q))
+            for q in range(2 * isqrt(order) + 3, p)
+        )
