@@ -136,10 +136,10 @@ def reflection(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
     rs = W.rootsystem
     vals = []
     for r in classes.reps:
-        perm = W.elements[r]
+        images = W.simple_images[r]
         trace = 0
         for j in range(W.rank):
-            image = rs.roots[perm[rs.simple_root_columns[j]]]
+            image = rs.roots[images[rs.simple_root_columns[j]]]
             trace += image[j]
         vals.append(trace)
     return ClassFunction(classes.group_id, tuple(vals))

@@ -113,8 +113,6 @@ def load_cache_entry(
     path: Path, type_label: str, rank: int, central_rank: int
 ) -> TableCacheEntry | None:
     """Parse and fingerprint-check a cache file; any defect is a miss, never partial reuse."""
-    if not path.exists():
-        return None
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -131,7 +129,10 @@ def load_cache_entry(
             ),
             values=tuple(tuple(int(v) for v in row) for row in payload["values"]),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError, OSError):
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    # RecursionError: nesting too deep for the parser; OverflowError: int(Infinity)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, OSError):
         print(f"warning: ignoring corrupted or unreadable cache file {path}", file=sys.stderr)
         return None
     if (entry.schema_version, entry.type_label, entry.rank, entry.central_rank) != (

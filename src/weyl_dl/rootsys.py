@@ -1,7 +1,10 @@
-"""Root systems from Cartan data, and Weyl groups realized as permutations of the roots.
+"""Root systems from Cartan data, and Weyl groups acting on the roots.
 
 Everything is exact: roots live in the root lattice (integer coordinates in the
-simple-root basis) and group elements are permutations of the finite root list.
+simple-root basis) and the simple reflections are permutations of the finite
+root list.  An element is fixed by the r images of the simple roots
+(Geck-Pfeiffer 2000, ch. 1-2), so the enumeration stores those, as root
+indices, and builds permutations of the whole root list only on request.
 Per simple reflection s_i a group keeps the index maps y -> y*s_i, recorded
 while it is enumerated, and y -> s_i*y*s_i.  Every product is a walk through
 these maps along a reduced word (Geck-Pfeiffer 2000, ch. 2); no product of two
@@ -35,32 +38,43 @@ def _chain(n: int) -> list[list[int]]:
     return m
 
 
+def coxeter_number(type_label: str, rank: int) -> int:
+    """The Coxeter number h of an accepted pair; its root system has rank * h roots.
+
+    InvalidType for any other pair.  Nothing of size rank is built, so a huge
+    rank is cheap to check.
+    """
+    if type_label == "A" and rank >= 1:
+        return rank + 1
+    if (type_label == "B" and rank >= 2) or (type_label == "C" and rank >= 3):
+        return 2 * rank
+    if type_label == "D" and rank >= 4:
+        return 2 * rank - 2
+    if type_label == "G" and rank == 2:
+        return 6
+    if type_label == "F" and rank == 4:
+        return 12
+    raise InvalidType(f"unsupported type {type_label}{rank}; accepted: {ACCEPTED_TYPES}")
+
+
 def standard_cartan_matrix(type_label: str, rank: int) -> tuple[Coords, ...]:
     """Standard Cartan matrix of an irreducible type, entry(i,j) = <a_j, a_i^v>."""
-    if type_label == "A" and rank >= 1:
-        m = _chain(rank)
-    elif type_label == "B" and rank >= 2:
-        m = _chain(rank)
+    coxeter_number(type_label, rank)  # InvalidType unless the pair is accepted
+    m = _chain(rank)
+    if type_label == "B":
         m[rank - 1][rank - 2] = -2
-    elif type_label == "C" and rank >= 3:
-        m = _chain(rank)
+    elif type_label == "C":
         m[rank - 2][rank - 1] = -2
-    elif type_label == "D" and rank >= 4:
-        m = _chain(rank)
+    elif type_label == "D":
         # branch node: the last two simple roots both attach to node rank-3
         m[rank - 1][rank - 2] = 0
         m[rank - 2][rank - 1] = 0
         m[rank - 1][rank - 3] = -1
         m[rank - 3][rank - 1] = -1
-    elif type_label == "G" and rank == 2:
-        m = [[2, -1], [-3, 2]]
-    elif type_label == "F" and rank == 4:
-        m = _chain(4)
+    elif type_label == "G":
+        m[1][0] = -3
+    elif type_label == "F":
         m[2][1] = -2
-    else:
-        raise InvalidType(
-            f"unsupported type {type_label}{rank}; accepted: {ACCEPTED_TYPES}"
-        )
     return tuple(tuple(row) for row in m)
 
 
@@ -117,8 +131,19 @@ class CartanDatum:
         return self.label
 
 
-def build_cartan(type_label: str, rank: int, central_rank: int = 0) -> CartanDatum:
-    """Standard Cartan datum for an irreducible pair, rejecting aliases (C2, D2, D3)."""
+def _check_root_count(label: str, n_roots: int, max_roots: int) -> None:
+    if n_roots > max_roots:
+        raise SizeLimit(f"{label} has {n_roots} roots, more than the limit of {max_roots}")
+
+
+def build_cartan(
+    type_label: str, rank: int, central_rank: int = 0, max_roots: int = DEFAULT_MAX_ROOTS
+) -> CartanDatum:
+    """Standard Cartan datum for an irreducible pair, rejecting aliases (C2, D2, D3).
+
+    SizeLimit if the root system would have more than max_roots roots, raised
+    before the rank x rank matrix is built.
+    """
     if not isinstance(rank, int) or rank < 1:
         raise InvalidType(f"rank must be a positive integer, got {rank!r}")
     if central_rank < 0:
@@ -127,6 +152,7 @@ def build_cartan(type_label: str, rank: int, central_rank: int = 0) -> CartanDat
         raise InvalidType(
             f"type E is not enumerated at desk scale; accepted: {ACCEPTED_TYPES}"
         )
+    _check_root_count(f"{type_label}{rank}", rank * coxeter_number(type_label, rank), max_roots)
     matrix = standard_cartan_matrix(type_label, rank)
     return CartanDatum(type_label, rank, matrix, central_rank)
 
@@ -181,18 +207,14 @@ def _is_standard(cartan: CartanDatum) -> bool:
 def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
-    A standard Cartan matrix has 2 * sum(d_i - 1) roots for its fundamental
-    degrees d_i; if that exceeds max_roots, SizeLimit is raised before any
-    closing.  Otherwise NonFinite is raised if the closure exceeds max_roots,
-    which only happens for a Cartan matrix that is not of finite type.
+    A standard Cartan matrix has rank * h roots for its Coxeter number h; if
+    that exceeds max_roots, SizeLimit is raised before any closing.  Otherwise
+    NonFinite is raised if the closure exceeds max_roots, which only happens
+    for a Cartan matrix that is not of finite type.
     """
     rank = cartan.rank
     if _is_standard(cartan):
-        n_roots = 2 * sum(d - 1 for d in fundamental_degrees(cartan.type_label, rank))
-        if n_roots > max_roots:
-            raise SizeLimit(
-                f"{cartan.label} has {n_roots} roots, more than the limit of {max_roots}"
-            )
+        _check_root_count(cartan.label, rank * coxeter_number(cartan.type_label, rank), max_roots)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen: set[Coords] = set(simples)
     frontier = list(simples)
@@ -243,27 +265,33 @@ def _compose(a: Perm, b: Perm) -> Perm:
 
 
 class WeylGroup:
-    """The full reflection group, enumerated as permutations of the root list.
+    """The full reflection group, enumerated by the images of the simple roots.
 
     Elements are indexed 0..order-1 in canonical order: by length, then by the
     lexicographic image of the root list.  Index 0 is the identity.
-    right_maps[i][y] is the index of y*s_i.
+    The first r roots are the simple roots, and their images fix an element:
+    simple_images[y] holds them as root indices, one byte each, so
+    simple_images[y][c] == elements[y][c] for c < r.  right_maps[i][y] is the
+    index of y*s_i.  The elements as permutations of the whole root list are
+    built only when first asked for.
     """
 
     def __init__(
         self,
         rootsystem: RootSystem,
-        elements: tuple[Perm, ...],
         lengths: tuple[int, ...],
         words: tuple[tuple[int, ...], ...],
         right_maps: tuple[tuple[int, ...], ...],
+        inverses: tuple[int, ...],
+        simple_images: tuple[bytes, ...],
     ):
         self.rootsystem = rootsystem
         self.cartan = rootsystem.cartan
-        self.elements = elements
         self.lengths = lengths
         self.words = words
         self.right_maps = right_maps
+        self._inverses = inverses
+        self.simple_images = simple_images
         self.identity_index = 0
         self.generator_indices = tuple(r[self.identity_index] for r in right_maps)
         self.group_id = rootsystem.cartan.group_id
@@ -271,11 +299,24 @@ class WeylGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.lengths)
 
     @property
     def rank(self) -> int:
         return self.cartan.rank
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """Each element as a permutation of the root list: y = (y*s_i)*s_i for y's last letter i.
+
+        y*s_i is one shorter, so it comes earlier in the canonical order.
+        """
+        gens = self.rootsystem.simple_reflection_perms
+        perms = [tuple(range(len(self.rootsystem.roots)))]
+        for y in range(1, self.order):
+            i = self.words[y][-1]
+            perms.append(_compose(perms[self.right_maps[i][y]], gens[i]))
+        return tuple(perms)
 
     @cached_property
     def element_index(self) -> dict[Perm, int]:
@@ -286,18 +327,6 @@ class WeylGroup:
         """conjugation_maps[i][y] is the index of s_i*y*s_i = (y^-1*s_i)^-1 * s_i."""
         inv = self._inverses
         return tuple(tuple(r[inv[r[inv[y]]]] for y in range(self.order)) for r in self.right_maps)
-
-    @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        """The inverse of s_i1*...*s_ik is s_ik*...*s_i1, walked with right_maps."""
-        right = self.right_maps
-        out = []
-        for word in self.words:
-            y = self.identity_index
-            for i in reversed(word):
-                y = right[i][y]
-            out.append(y)
-        return tuple(out)
 
     def mul(self, a: int, b: int) -> int:
         """Index of elements[a] after elements[b]: a walked along the reduced word of b."""
@@ -348,8 +377,11 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
 
     A standard Cartan matrix gives a group whose order is the product of its
     fundamental degrees; if that exceeds max_order, SizeLimit is raised before
-    any product is formed.  The search records y*s_i for every element y, which
-    become the group's right_maps.
+    any product is formed.  The search finds each element y by its key, y^-1
+    applied to the first r roots (the simple roots), which fixes y.  Keys are
+    bytes of root indices, so the key of y*s_i is the key of y translated by
+    the permutation s_i, one call.  The search records y*s_i for every element
+    y, which become the group's right_maps.
     """
     cartan = rootsystem.cartan
     expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
@@ -357,43 +389,65 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
         raise SizeLimit(
             f"{cartan.label} has order {expected}, more than the limit of {max_order}"
         )
-    identity = tuple(range(len(rootsystem.roots)))
-    gens = rootsystem.simple_reflection_perms
-    found: dict[Perm, int] = {identity: 0}
-    perms = [identity]
+    n_roots = len(rootsystem.roots)
+    if n_roots > 256:
+        # keys hold root indices in bytes; every such group has over 10^11 elements
+        raise SizeLimit(f"{cartan.label} has {n_roots} roots, more than the 256 a search key holds")
+    rank = cartan.rank
+    if sorted(rootsystem.simple_root_columns) != list(range(rank)):
+        raise InternalError("the simple roots are not the first roots of the list")
+    # translate tables have 256 entries; those past the last root are never read
+    gens = [bytes(g) + bytes(256 - n_roots) for g in rootsystem.simple_reflection_perms]
+    identity = bytes(range(rank))
+    found = {identity: 0}
+    keys = [identity]
     depths = [0]
     words: list[tuple[int, ...]] = [()]
     successors: list[list[int]] = [[] for _ in gens]
-    # perms grows while it is walked, so it is visited in breadth-first order
-    for k, p in enumerate(perms):
+    # keys grows while it is walked, so it is visited in breadth-first order
+    for k, key in enumerate(keys):
         for i, g in enumerate(gens):
-            q = _compose(p, g)
-            j = found.get(q)
+            moved = key.translate(g)
+            j = found.get(moved)
             if j is None:
-                j = found[q] = len(perms)
+                j = found[moved] = len(keys)
                 if j >= max_order:
                     raise SizeLimit(
                         f"group order exceeds the configured maximum {max_order}"
                     )
-                perms.append(q)
+                keys.append(moved)
                 depths.append(depths[k] + 1)
                 words.append(words[k] + (i,))
             successors[i].append(j)
+    del found
 
-    if len(perms) != expected:
+    n = len(keys)
+    if n != expected:
         raise InternalError(
-            f"enumerated {len(perms)} elements for {cartan.label}, expected {expected}"
+            f"enumerated {n} elements for {cartan.label}, expected {expected}"
         )
-    ordering = sorted(range(len(perms)), key=lambda k: (depths[k], perms[k]))
-    position = [0] * len(perms)
+    # the inverse of s_i1*...*s_ik is s_ik*...*s_i1
+    inverses = []
+    for word in words:
+        y = 0
+        for i in reversed(word):
+            y = successors[i][y]
+        inverses.append(y)
+    # y's images of the first r roots are the key of y^-1; they order distinct
+    # elements as the images of the whole root list do
+    images = [keys[y] for y in inverses]
+    del keys
+    ordering = sorted(range(n), key=lambda k: (depths[k], images[k]))
+    position = [0] * n
     for pos, k in enumerate(ordering):
         position[k] = pos
     return WeylGroup(
         rootsystem,
-        tuple(perms[k] for k in ordering),
         tuple(depths[k] for k in ordering),
         tuple(words[k] for k in ordering),
         tuple(tuple(position[succ[k]] for k in ordering) for succ in successors),
+        tuple(position[inverses[k]] for k in ordering),
+        tuple(images[k] for k in ordering),
     )
 
 

@@ -121,7 +121,7 @@ def natural_permutation(W: WeylGroup, e: int) -> tuple[int, ...]:
         raise InvalidType(f"{W.cartan.label} is not of type A")
     rank = W.rank
     rs = W.rootsystem
-    perm = W.elements[e]
+    images = W.simple_images[e]
 
     def pair_of(root: tuple[int, ...]) -> tuple[int, int]:
         if all(c >= 0 for c in root):
@@ -133,7 +133,7 @@ def natural_permutation(W: WeylGroup, e: int) -> tuple[int, ...]:
     sigma = [-1] * (rank + 1)
     for i in range(rank):
         col = rs.simple_root_columns[i]
-        a, b = pair_of(rs.roots[perm[col]])
+        a, b = pair_of(rs.roots[images[col]])
         if sigma[i] < 0:
             sigma[i] = a
         elif sigma[i] != a:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -48,3 +49,22 @@ def run_optimized():
         return proc.stdout
 
     return run
+
+
+class NoGenerators:
+    """Stands in for the simple reflections of a root system: touching one is forming a product."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a simple reflection was used")
+
+    __getitem__ = __iter__ = __len__ = _refuse
+
+
+@pytest.fixture
+def without_generators():
+    """The root system with its simple reflections replaced by NoGenerators."""
+
+    def replace(rs):
+        return dataclasses.replace(rs, simple_reflection_perms=NoGenerators())
+
+    return replace

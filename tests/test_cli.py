@@ -87,14 +87,47 @@ def test_root_count_limit_exits_3(cache_dir, capsys):
     assert "A200 has 40200 roots" in capsys.readouterr().err
 
 
-def test_group_order_limit_exits_3_before_enumerating(cache_dir, capsys, monkeypatch):
-    def no_products(a, b):
-        raise AssertionError("a product of permutations was formed")
+def test_group_order_limit_exits_3_before_enumerating(
+    cache_dir, capsys, monkeypatch, without_generators
+):
+    built = []
 
-    monkeypatch.setattr(rootsys, "_compose", no_products)
+    def build_root_system(cartan, *args, **kwargs):
+        # every product the search forms reads a simple reflection of the root system
+        built.append(cartan.label)
+        return without_generators(rootsys.build_root_system(cartan, *args, **kwargs))
+
+    monkeypatch.setattr(cli, "build_root_system", build_root_system)
     code, _ = run_cli(["table", "A", "9", "--cache-dir", str(cache_dir)])
     assert code == 3
+    assert built == ["A9"]
     assert "A9 has order 3628800, more than the limit of 2000000" in capsys.readouterr().err
+
+
+def test_huge_rank_exits_3_before_any_matrix(cache_dir, capsys, monkeypatch):
+    def no_matrix(n):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "_chain", no_matrix)
+    code, out = run_cli(["table", "A", "1000000", "--cache-dir", str(cache_dir)])
+    assert (code, out) == (3, "")
+    assert "A1000000 has 1000001000000 roots" in capsys.readouterr().err
+    for type_label, rank in (("B", "1"), ("X", "5")):
+        code, _ = run_cli(["table", type_label, rank, "--cache-dir", str(cache_dir)])
+        assert code == 2
+        assert f"unsupported type {type_label}{rank}" in capsys.readouterr().err
+
+
+def test_warm_table_never_builds_root_permutations(cache_dir, monkeypatch):
+    assert run_cli(["table", "A", "6", "--cache-dir", str(cache_dir)])[0] == 0
+
+    def refuse(W):
+        raise AssertionError("WeylGroup.elements was built")
+
+    monkeypatch.setattr(rootsys.WeylGroup, "elements", property(refuse))
+    code, out = run_cli(["table", "A", "6", "--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert "|W| = 5040" in out
 
 
 def test_dl_text(cache_dir):
@@ -185,6 +218,19 @@ def test_corrupted_cache_recovers(cache_dir, capsys):
     assert "corrupted" in err
 
 
+def test_deeply_nested_cache_recovers(tmp_path, capsys):
+    code, fresh = run_cli(["table", "A", "2", "--cache-dir", str(tmp_path / "fresh")])
+    assert code == 0
+    cache_dir = tmp_path / "cache"
+    path = cache_path(Config(cache_dir=cache_dir), "A", 2, 0)
+    path.parent.mkdir(parents=True)
+    path.write_text("[" * 200_000)
+    capsys.readouterr()
+    code, out = run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
+    assert (code, out) == (0, fresh)
+    assert "ignoring corrupted" in capsys.readouterr().err
+
+
 def _set_first_value(payload):
     payload["values"][0][0] = "7"  # breaks orthogonality
 
@@ -269,6 +315,16 @@ def test_cache_path_that_is_a_directory_recomputes(cache_dir, capsys):
     code, out = run_cli(["dl", "A", "2", "--cache-dir", str(cache_dir)])
     assert code == 0
     assert "(3) <-> (1,1,1)" in out
+    err = capsys.readouterr().err
+    assert "unreadable" in err
+    assert "cannot write cache file" in err
+
+
+def test_cache_file_name_too_long_recomputes(tmp_path, capsys):
+    cache_dir = tmp_path / ("x" * 300)  # longer than a file name may be
+    code, out = run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert "(2,1)" in out
     err = capsys.readouterr().err
     assert "unreadable" in err
     assert "cannot write cache file" in err

@@ -4,7 +4,7 @@ import pytest
 
 from weyl_dl import InternalError, InvalidType, NonFinite, SizeLimit, build_cartan, build_root_system, fundamental_degrees
 from weyl_dl import rootsys
-from weyl_dl.rootsys import CartanDatum, enumerate_group
+from weyl_dl.rootsys import CartanDatum, build_weyl_group, coxeter_number, enumerate_group
 
 
 def test_a1_cartan_is_forced():
@@ -42,6 +42,31 @@ def test_root_counts(type_label, rank, n_roots, n_pos):
     rs = build_root_system(build_cartan(type_label, rank))
     assert len(rs.roots) == n_roots
     assert rs.n_positive == n_pos
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    ("A", 1), ("A", 6), ("B", 2), ("B", 5), ("C", 3), ("C", 4), ("D", 4), ("D", 6), ("G", 2), ("F", 4),
+])
+def test_root_count_is_rank_times_coxeter_number(type_label, rank):
+    rs = build_root_system(build_cartan(type_label, rank))
+    assert len(rs.roots) == rank * coxeter_number(type_label, rank)
+
+
+@pytest.mark.parametrize("type_label,rank", [("B", 1), ("C", 2), ("D", 3), ("G", 4), ("F", 3), ("X", 5)])
+def test_coxeter_number_rejects_unsupported_pairs(type_label, rank):
+    with pytest.raises(InvalidType, match=f"unsupported type {type_label}{rank}"):
+        coxeter_number(type_label, rank)
+
+
+def test_root_count_limit_checked_before_any_matrix(monkeypatch):
+    def no_matrix(n):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "_chain", no_matrix)
+    with pytest.raises(SizeLimit, match="A1000000 has 1000001000000 roots"):
+        build_cartan("A", 1_000_000)
+    with pytest.raises(SizeLimit, match="D5 has 40 roots, more than the limit of 39"):
+        build_cartan("D", 5, max_roots=39)
 
 
 def test_roots_closed_under_negation():
@@ -163,16 +188,21 @@ def test_products_match_permutation_composition(groups):
             assert W.conjugate_sweep(w, [3, 1]) == [expected[3], expected[1]]
 
 
-def test_size_limit_raised_before_any_product(monkeypatch):
-    def no_products(a, b):
-        raise AssertionError("a product of permutations was formed")
-
-    monkeypatch.setattr(rootsys, "_compose", no_products)
-    rs = build_root_system(build_cartan("A", 9))
+def test_size_limit_raised_before_any_product(without_generators):
+    rs = without_generators(build_root_system(build_cartan("A", 9)))
     with pytest.raises(SizeLimit, match="A9 has order 3628800, more than the limit of 2000000"):
         enumerate_group(rs)
     with pytest.raises(SizeLimit, match="F4 has order 1152"):
-        enumerate_group(build_root_system(build_cartan("F", 4)), max_order=1151)
+        enumerate_group(without_generators(build_root_system(build_cartan("F", 4))), max_order=1151)
+    # the stand-in is not vacuous: a search that goes ahead uses it at once
+    with pytest.raises(AssertionError, match="a simple reflection was used"):
+        enumerate_group(without_generators(build_root_system(build_cartan("A", 2))))
+
+
+def test_more_than_256_roots_is_size_limit():
+    # A16 has 272 roots and order 17!, so only an explicit max_order lets the search start
+    with pytest.raises(SizeLimit, match="A16 has 272 roots, more than the 256 a search key holds"):
+        enumerate_group(build_root_system(build_cartan("A", 16)), max_order=10**15)
 
 
 def test_order_mismatch_is_internal_error():
@@ -192,3 +222,53 @@ def test_order_mismatch_is_internal_error_under_optimize(run_optimized):
         "    print(exc)\n"
     )
     assert "enumerated 12 elements for A2, expected 6" in run_optimized(code)
+
+
+def full_permutation_search(rs):
+    """Oracle: the group found as permutations of the whole root list.
+
+    Returns the elements, lengths and words in canonical order (length, then
+    the permutation), with the right maps and inverses read off the permutations.
+    """
+    identity = tuple(range(len(rs.roots)))
+    gens = rs.simple_reflection_perms
+    found = {identity}
+    perms, depths, words = [identity], [0], [()]
+    for k, p in enumerate(perms):
+        for i, g in enumerate(gens):
+            q = tuple(p[x] for x in g)
+            if q not in found:
+                found.add(q)
+                perms.append(q)
+                depths.append(depths[k] + 1)
+                words.append(words[k] + (i,))
+    ordering = sorted(range(len(perms)), key=lambda k: (depths[k], perms[k]))
+    elements = tuple(perms[k] for k in ordering)
+    index = {p: y for y, p in enumerate(elements)}
+    right_maps = tuple(tuple(index[tuple(p[x] for x in g)] for p in elements) for g in gens)
+    inverses = []
+    for p in elements:
+        inverse = [0] * len(p)
+        for r, image in enumerate(p):
+            inverse[image] = r
+        inverses.append(index[tuple(inverse)])
+    lengths = tuple(depths[k] for k in ordering)
+    return elements, lengths, tuple(words[k] for k in ordering), right_maps, tuple(inverses)
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
+])
+def test_enumeration_matches_full_permutation_search(type_label, rank):
+    W = build_weyl_group(type_label, rank)
+    elements, lengths, words, right_maps, inverses = full_permutation_search(W.rootsystem)
+    assert W.words == words
+    assert W.lengths == lengths
+    assert W.right_maps == right_maps
+    assert tuple(W.inv(y) for y in range(W.order)) == inverses
+    assert "elements" not in vars(W)  # built only when asked for
+    assert W.elements == elements
+    columns = W.rootsystem.simple_root_columns
+    for y, p in enumerate(elements):
+        assert [W.simple_images[y][c] for c in columns] == [p[c] for c in columns]
