@@ -14,11 +14,9 @@ is exact; a Fraction appears only where a value really is non-integral.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
 from .grp import ConjugacyClasses, conjugacy_classes
@@ -26,12 +24,30 @@ from .ratlinalg import nullspace, split_prime
 from .rootsys import WeylGroup
 from . import symchars
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class ClassFunction:
+
+def _record_eq(self, other) -> bool:
+    """Equal fields of the same class: never equal to a plain tuple or another record class."""
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+def _refuse(self, other):
+    """Stands in for tuple repetition, which is no arithmetic on characters."""
+    return NotImplemented
+
+
+class ClassFunction(NamedTuple):
     """Exact function on the conjugacy classes of one group.
 
     Values are Python ints; a Fraction only where a value is non-integral.
+    Equal, and hashed, by (group_id, values).  The arithmetic is pointwise,
+    and n * f is refused rather than repeating the tuple.
     """
 
     group_id: str
@@ -55,10 +71,16 @@ class ClassFunction:
         self._check(other)
         return ClassFunction(self.group_id, tuple(a * b for a, b in zip(self.values, other.values)))
 
+    __rmul__ = _refuse
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class VirtualCharacter:
-    """Integer vector over the canonical irreducible basis of one group."""
+
+class VirtualCharacter(NamedTuple):
+    """Integer vector over the canonical irreducible basis of one group.
+
+    Equal, and hashed, by (group_id, coeffs); n * v and v * n are refused
+    rather than repeating the tuple.
+    """
 
     group_id: str
     coeffs: tuple[int, ...]
@@ -79,8 +101,10 @@ class VirtualCharacter:
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         return self + (-other)
 
+    __mul__ = __rmul__ = _refuse
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(eq=False)
+
 class CharacterTable:
     """All irreducible characters of one group, in canonical order.
 
@@ -89,11 +113,19 @@ class CharacterTable:
     for irreducible type A, else None.
     """
 
-    group_id: str
-    classes: ConjugacyClasses
-    irreducibles: tuple[ClassFunction, ...]
-    degrees: tuple[int, ...]
-    labels: tuple[tuple[int, ...], ...] | None = None
+    def __init__(
+        self,
+        group_id: str,
+        classes: ConjugacyClasses,
+        irreducibles: tuple[ClassFunction, ...],
+        degrees: tuple[int, ...],
+        labels: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        self.group_id = group_id
+        self.classes = classes
+        self.irreducibles = irreducibles
+        self.degrees = degrees
+        self.labels = labels
 
     @property
     def n_irreducibles(self) -> int:
@@ -106,7 +138,11 @@ class CharacterTable:
 def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
     """num / den as an int when the division is exact, else as a Fraction."""
     q, r = divmod(num, den)
-    return q if r == 0 else Fraction(num, den)
+    if r == 0:
+        return q
+    from fractions import Fraction  # kept off the import path: it loads decimal
+
+    return Fraction(num, den)
 
 
 def inner_product(classes: ConjugacyClasses, f: ClassFunction, g: ClassFunction) -> int | Fraction:

@@ -12,9 +12,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import dl as dlmod
 from .chars import (
@@ -47,24 +46,34 @@ ROSTER: tuple[tuple[str, int], ...] = (
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class Config:
-    max_group_order: int = DEFAULT_MAX_ORDER
-    cache_dir: Path = Path("~/.cache/weyl-dl")
-    output_format: str = "text"
+class _ConfigFields(NamedTuple):
+    max_group_order: int
+    cache_dir: Path
+    output_format: str
 
-    def __post_init__(self) -> None:
-        if self.max_group_order < 2:
-            raise InvalidType(f"max_group_order must be >= 2, got {self.max_group_order}")
-        if self.output_format not in FORMATS:
+
+class Config(_ConfigFields):
+    """Options of one command; validated on every construction, _replace included."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_group_order: int = DEFAULT_MAX_ORDER,
+                cache_dir: Path = Path("~/.cache/weyl-dl"), output_format: str = "text") -> Config:
+        if max_group_order < 2:
+            raise InvalidType(f"max_group_order must be >= 2, got {max_group_order}")
+        if output_format not in FORMATS:
             raise InvalidType(f"output format must be one of {FORMATS}")
+        return super().__new__(cls, max_group_order, cache_dir, output_format)
+
+    @classmethod
+    def _make(cls, iterable) -> Config:
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
 # character-table cache
 
-@dataclass(frozen=True)
-class TableCacheEntry:
+class TableCacheEntry(NamedTuple):
     """Everything needed to rebuild a table without the eigenspace computation."""
 
     schema_version: int
@@ -85,6 +94,8 @@ def cache_path(cfg: Config, type_label: str, rank: int, central_rank: int) -> Pa
 
 def save_cache_entry(path: Path, entry: TableCacheEntry) -> None:
     """Atomic write: temp file in the target directory, then rename."""
+    import tempfile  # only a cache miss writes; a warm command never loads it
+
     payload = {
         "schema_version": str(entry.schema_version),
         "type_label": entry.type_label,
@@ -217,8 +228,7 @@ def build_group(cfg: Config, type_label: str, rank: int) -> tuple[WeylGroup, Con
 # ---------------------------------------------------------------------------
 # verification suite
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -548,11 +558,12 @@ def render_verify_all(cfg: Config, results: list[tuple[str, list[CheckItem]]]) -
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_table(cfg: Config, type_label: str, rank: int) -> int:
+# Each command returns its output and its exit code; main prints the output.
+
+def cmd_table(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
     W, classes = build_group(cfg, type_label, rank)
     table, _ = load_or_compute_table(cfg, W, classes)
-    print(render_table(cfg, W, classes, table))
-    return 0
+    return render_table(cfg, W, classes, table), 0
 
 
 def _dl_checks(cfg: Config, W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
@@ -566,15 +577,15 @@ def _dl_checks(cfg: Config, W: WeylGroup, table: CharacterTable) -> list[CheckIt
     ]
 
 
-def cmd_dl(cfg: Config, type_label: str, rank: int) -> int:
+def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
     W, classes = build_group(cfg, type_label, rank)
     table, _ = load_or_compute_table(cfg, W, classes)
     checks = _dl_checks(cfg, W, table)
-    print(render_dl(cfg, W, classes, table, checks))
-    return 0 if all(c.passed for c in checks) else 1
+    code = 0 if all(c.passed for c in checks) else 1
+    return render_dl(cfg, W, classes, table, checks), code
 
 
-def cmd_verify(cfg: Config, targets: list[str]) -> int:
+def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
     if len(targets) == 1 and targets[0] == "all":
         results = []
         for type_label, rank in ROSTER:
@@ -582,9 +593,8 @@ def cmd_verify(cfg: Config, targets: list[str]) -> int:
             table, _ = load_or_compute_table(cfg, W, classes)
             results.append((W.cartan.label, run_type_checks(cfg, W, classes, table)))
         results.append(("ledger", global_parity_checks()))
-        print(render_verify_all(cfg, results))
         ok = all(c.passed for _, checks in results for c in checks)
-        return 0 if ok else 1
+        return render_verify_all(cfg, results), 0 if ok else 1
     if len(targets) == 2:
         type_label, rank_str = targets
         try:
@@ -594,8 +604,8 @@ def cmd_verify(cfg: Config, targets: list[str]) -> int:
         W, classes = build_group(cfg, type_label, rank)
         table, _ = load_or_compute_table(cfg, W, classes)
         checks = run_type_checks(cfg, W, classes, table)
-        print(render_verify_single(cfg, W, classes, table, checks))
-        return 0 if all(c.passed for c in checks) else 1
+        code = 0 if all(c.passed for c in checks) else 1
+        return render_verify_single(cfg, W, classes, table, checks), code
     raise InvalidType("verify expects 'TYPE RANK' or 'all'")
 
 
@@ -635,15 +645,16 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.format,
         )
         if args.command == "table":
-            return cmd_table(cfg, args.type_label.upper(), args.rank)
-        if args.command == "dl":
-            return cmd_dl(cfg, args.type_label.upper(), args.rank)
-        if args.command == "verify":
+            text, code = cmd_table(cfg, args.type_label.upper(), args.rank)
+        elif args.command == "dl":
+            text, code = cmd_dl(cfg, args.type_label.upper(), args.rank)
+        elif args.command == "verify":
             targets = args.targets
             if len(targets) == 2:
                 targets = [targets[0].upper(), targets[1]]
-            return cmd_verify(cfg, targets)
-        raise InvalidType(f"unknown command {args.command}")
+            text, code = cmd_verify(cfg, targets)
+        else:
+            raise InvalidType(f"unknown command {args.command}")
     except (InvalidType, NonFinite, GroupMismatch, NotVirtual) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -653,6 +664,16 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 4
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`): point stdout at devnull
+        # so the interpreter's final flush cannot fail, and keep the command's code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ second operator only where they differ.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chars import CharacterTable, VirtualCharacter, decompose, sign, unit
 from .errors import GroupMismatch, InvalidType
@@ -21,8 +21,7 @@ from .indres import induce, restrict
 from .rootsys import WeylGroup
 
 
-@dataclass(frozen=True)
-class ShiftLedger:
+class ShiftLedger(NamedTuple):
     """The central-torus dimensions d_i = central_rank + sigma_size - i.
 
     d_I depends only on |I|; the parity (-1)^(d_0 + d_|I|) is the sign carried
@@ -48,8 +47,7 @@ class ShiftLedger:
         return self.inverse_side_sign(subset_size) == (-1) ** subset_size
 
 
-@dataclass(frozen=True)
-class SpringerLabel:
+class SpringerLabel(NamedTuple):
     """Display label of one irreducible: a partition in type A, degree+ordinal otherwise."""
 
     irr_index: int
@@ -163,8 +161,7 @@ def sign_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
     return W.cache[key]
 
 
-@dataclass(frozen=True)
-class SignTwistReport:
+class SignTwistReport(NamedTuple):
     permutation: tuple[int, ...]
     violations: tuple[str, ...]
 
@@ -187,8 +184,7 @@ def verify_sign_twist(W: WeylGroup, table: CharacterTable) -> SignTwistReport:
     return SignTwistReport(perm, tuple(violations))
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

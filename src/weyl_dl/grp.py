@@ -13,15 +13,12 @@ s_j*y = (y^-1*s_j)^-1.
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InternalError, InvalidType
 from .rootsys import WeylGroup
 
 
-@dataclass(eq=False)
 class ConjugacyClasses:
     """Partition of a member set into conjugation orbits.
 
@@ -30,12 +27,21 @@ class ConjugacyClasses:
     class_of_arr has one entry per ambient element, -1 for non-members.
     """
 
-    group_id: str
-    members: tuple[int, ...]
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    class_of_arr: tuple[int, ...]
-    inverse_class: tuple[int, ...]
+    def __init__(
+        self,
+        group_id: str,
+        members: tuple[int, ...],
+        reps: tuple[int, ...],
+        sizes: tuple[int, ...],
+        class_of_arr: tuple[int, ...],
+        inverse_class: tuple[int, ...],
+    ):
+        self.group_id = group_id
+        self.members = members
+        self.reps = reps
+        self.sizes = sizes
+        self.class_of_arr = class_of_arr
+        self.inverse_class = inverse_class
 
     @property
     def order(self) -> int:
@@ -129,12 +135,13 @@ def _closure(W: WeylGroup, simple: Sequence[int]) -> tuple[int, ...]:
 
 def subgroup_classes(W: WeylGroup, members: Sequence[int]) -> ConjugacyClasses:
     """Classes of an explicit subgroup, with a digest-based identifier."""
+    import hashlib  # kept off the import path: it loads OpenSSL
+
     members = tuple(sorted(members))
     digest = hashlib.sha1(",".join(map(str, members)).encode()).hexdigest()[:10]
     return _classes_of_members(W, members, f"{W.group_id}/sub-{digest}", None)
 
 
-@dataclass(eq=False)
 class ParabolicSubgroup:
     """The subgroup generated by the simple reflections indexed by subset_I.
 
@@ -142,10 +149,17 @@ class ParabolicSubgroup:
     identity on indices.  fusion[c] is the ambient class containing class c.
     """
 
-    ambient_group_id: str
-    subset_I: tuple[int, ...]
-    classes: ConjugacyClasses
-    fusion: tuple[int, ...]
+    def __init__(
+        self,
+        ambient_group_id: str,
+        subset_I: tuple[int, ...],
+        classes: ConjugacyClasses,
+        fusion: tuple[int, ...],
+    ):
+        self.ambient_group_id = ambient_group_id
+        self.subset_I = subset_I
+        self.classes = classes
+        self.fusion = fusion
 
     @property
     def members(self) -> tuple[int, ...]:

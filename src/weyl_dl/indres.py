@@ -13,7 +13,7 @@ small integer matrix product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chars import CharacterTable, ClassFunction, exact_quotient, inner_product
 from .errors import GroupMismatch
@@ -97,8 +97,7 @@ def induce_between(
     return _induce_with(_conjugation_counts(sup, sub), sub, sup.group_id, f)
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(NamedTuple):
     subset_I: tuple[int, ...]
     violations: tuple[str, ...]
 
@@ -129,8 +128,7 @@ def frobenius_check(
     return FrobeniusReport(P.subset_I, tuple(violations))
 
 
-@dataclass(frozen=True)
-class MackeyReport:
+class MackeyReport(NamedTuple):
     subset_I: tuple[int, ...]
     subset_J: tuple[int, ...]
     left: ClassFunction

@@ -12,10 +12,9 @@ arbitrary permutations is formed after enumeration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidType, NonFinite, SizeLimit
 
@@ -93,25 +92,30 @@ def fundamental_degrees(type_label: str, rank: int) -> tuple[int, ...]:
     raise InvalidType(f"no degree table for type {type_label}")
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    """An irreducible Cartan matrix plus the rank of the central torus it sits over."""
-
+class _CartanFields(NamedTuple):
     type_label: str
     rank: int
     cartan_matrix: tuple[Coords, ...]
-    central_rank: int = 0
+    central_rank: int
 
-    def __post_init__(self) -> None:
-        m = self.cartan_matrix
-        if len(m) != self.rank or any(len(row) != self.rank for row in m):
-            raise InvalidType(
-                f"Cartan matrix of {self.type_label}{self.rank} is not {self.rank}x{self.rank}"
-            )
-        for i in range(self.rank):
+
+class CartanDatum(_CartanFields):
+    """An irreducible Cartan matrix plus the rank of the central torus it sits over.
+
+    Validated on every construction, _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, type_label: str, rank: int, cartan_matrix: tuple[Coords, ...],
+                central_rank: int = 0) -> CartanDatum:
+        m = cartan_matrix
+        if len(m) != rank or any(len(row) != rank for row in m):
+            raise InvalidType(f"Cartan matrix of {type_label}{rank} is not {rank}x{rank}")
+        for i in range(rank):
             if m[i][i] != 2:
                 raise InvalidType(f"Cartan matrix entry ({i},{i}) is {m[i][i]}, not 2")
-            for j in range(self.rank):
+            for j in range(rank):
                 if i == j:
                     continue
                 if m[i][j] > 0 or (m[i][j] == 0) != (m[j][i] == 0) or m[i][j] * m[j][i] > 3:
@@ -119,6 +123,11 @@ class CartanDatum:
                         f"Cartan matrix entries ({i},{j})={m[i][j]} and ({j},{i})={m[j][i]} "
                         "are not those of a crystallographic Coxeter bond"
                     )
+        return super().__new__(cls, type_label, rank, cartan_matrix, central_rank)
+
+    @classmethod
+    def _make(cls, iterable) -> CartanDatum:
+        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -157,19 +166,21 @@ def build_cartan(
     return CartanDatum(type_label, rank, matrix, central_rank)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """The finite root set, in simple-root coordinates, with the simple reflections.
-
-    Roots are ordered: positive roots first, sorted by (height, coordinates),
-    then the negatives in the matching order.  This ordering is what makes every
-    downstream permutation, and hence every table, deterministic.
-    """
-
+class _RootSystemFields(NamedTuple):
     cartan: CartanDatum
     roots: tuple[Coords, ...]
     n_positive: int
     simple_reflection_perms: tuple[Perm, ...]
+
+
+class RootSystem(_RootSystemFields):
+    """The finite root set, in simple-root coordinates, with the simple reflections.
+
+    Roots are ordered: positive roots first, sorted by (height, coordinates),
+    then the negatives in the matching order.  This ordering is what makes every
+    downstream permutation, and hence every table, deterministic.  Without
+    __slots__ an instance has the __dict__ its cached properties are kept in.
+    """
 
     @property
     def positive_roots(self) -> tuple[Coords, ...]:

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -65,6 +64,6 @@ def without_generators():
     """The root system with its simple reflections replaced by NoGenerators."""
 
     def replace(rs):
-        return dataclasses.replace(rs, simple_reflection_perms=NoGenerators())
+        return rs._replace(simple_reflection_perms=NoGenerators())
 
     return replace

@@ -381,3 +381,59 @@ def test_warm_command_does_not_import_numpy(warm_f4_cache, tmp_path, argv, warm)
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 None\n"
+
+
+HEAVY_MODULES = ("dataclasses", "inspect", "hashlib", "fractions", "decimal")
+
+
+def test_startup_imports_stay_light(warm_f4_cache):
+    """import weyl_dl.cli and a warm dl load no heavy module; the lazy imports still work."""
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        f"heavy = {HEAVY_MODULES!r}\n"
+        "from weyl_dl.cli import main\n"
+        "print(sorted(m for m in heavy if m in set(sys.modules) - before))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main(['dl', 'F', '4', '--cache-dir', {str(warm_f4_cache)!r}])\n"
+        "print(rc, sorted(m for m in heavy if m in set(sys.modules) - before))\n"
+        "from fractions import Fraction\n"
+        "from weyl_dl import build_weyl_group\n"
+        "from weyl_dl.chars import exact_quotient\n"
+        "from weyl_dl.grp import subgroup_classes\n"
+        "print(exact_quotient(1, 2) == Fraction(1, 2))\n"
+        "W = build_weyl_group('B', 3)\n"
+        "print(subgroup_classes(W, [0, W.longest_element]).group_id)\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    # the identifier is the one earlier releases gave this subgroup
+    assert proc.stdout == "[]\n0 []\nTrue\nB3/sub-377474a7eb\n"
+
+
+@pytest.mark.parametrize("command", ["table", "dl"])
+def test_closed_stdout_keeps_exit_code(warm_f4_cache, command):
+    """A reader that takes one line and closes the pipe gets no traceback and exit code 0."""
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weyl_dl.cli", command, "F", "4", "--format", "json",
+         "--cache-dir", str(warm_f4_cache)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        import fcntl
+
+        # a one-page pipe makes the command's output outgrow it, so the write is
+        # still in progress when the pipe is closed
+        fcntl.fcntl(proc.stdout.fileno(), fcntl.F_SETPIPE_SZ, 4096)
+    except (ImportError, AttributeError, OSError):
+        pass
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""

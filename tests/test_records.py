@@ -1,0 +1,93 @@
+"""The engine's immutable records: read-only fields, value equality, no tuple arithmetic."""
+from pathlib import Path
+
+import pytest
+
+from weyl_dl import InvalidType, build_weyl_group
+from weyl_dl.chars import ClassFunction, VirtualCharacter
+from weyl_dl.cli import CheckItem, Config, TableCacheEntry
+from weyl_dl.dl import InvolutionReport, ShiftLedger, SignTwistReport, SpringerLabel
+from weyl_dl.indres import FrobeniusReport, MackeyReport
+
+
+def records():
+    W = build_weyl_group("A", 2)
+    f = ClassFunction("A2", (1, 1, 1))
+    return [
+        f,
+        VirtualCharacter("A2", (1, 0, 0)),
+        W.cartan,
+        W.rootsystem,
+        Config(),
+        TableCacheEntry(1, "A", 2, 0, ("e",), (1,), (1,), None, ((1,),)),
+        CheckItem("name", True),
+        ShiftLedger(0, 2),
+        SpringerLabel(0, "(3)"),
+        SignTwistReport((0,), ()),
+        InvolutionReport(()),
+        FrobeniusReport((0,), ()),
+        MackeyReport((0,), (1,), f, f, ()),
+    ]
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+def test_fields_are_read_only(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("cls", [ClassFunction, VirtualCharacter])
+def test_value_records_compare_and_hash_by_group_and_values(cls):
+    a, b = cls("A2", (1, -1, 1)), cls("A2", (1, -1, 1))
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(("A2", (1, -1, 1)))
+    assert len({a, b}) == 1
+    assert a != cls("B2", (1, -1, 1))
+    assert a != cls("A2", (1, -1, 2))
+    # a record never equals a plain tuple or a record of the other class
+    assert a != ("A2", (1, -1, 1)) and ("A2", (1, -1, 1)) != a
+    assert ClassFunction("A2", (1,)) != VirtualCharacter("A2", (1,))
+
+
+@pytest.mark.parametrize("expr", ["2 * f", "v * 2", "2 * v"])
+def test_no_tuple_repetition(expr):
+    f = ClassFunction("A2", (1, 1, 1))
+    v = VirtualCharacter("A2", (1, 0, 0))
+    with pytest.raises(TypeError):
+        eval(expr)
+
+
+def test_pointwise_arithmetic_still_works():
+    f = ClassFunction("A2", (1, -1, 2))
+    assert f * f == ClassFunction("A2", (1, 1, 4))
+    assert f + f - f == f
+    v = VirtualCharacter("A2", (1, 0, -2))
+    assert v - v == VirtualCharacter("A2", (0, 0, 0))
+    assert -v + v == VirtualCharacter("A2", (0, 0, 0))
+
+
+def test_validated_records_check_replace_too():
+    W = build_weyl_group("B", 2)
+    with pytest.raises(InvalidType, match="crystallographic"):
+        W.cartan._replace(cartan_matrix=((2, -5), (-5, 2)))
+    with pytest.raises(InvalidType, match="max_group_order"):
+        Config()._replace(max_group_order=1)
+    assert Config(output_format="json")._replace(cache_dir=Path("x")).cache_dir == Path("x")
+
+
+def test_validation_survives_optimize(run_optimized):
+    code = (
+        "from weyl_dl import InvalidType\n"
+        "from weyl_dl.cli import Config\n"
+        "from weyl_dl.rootsys import CartanDatum\n"
+        "for make in (lambda: CartanDatum('X', 2, ((2, -5), (-5, 2))),\n"
+        "             lambda: Config(max_group_order=1),\n"
+        "             lambda: Config(output_format='xml')):\n"
+        "    try:\n"
+        "        make()\n"
+        "        print('accepted')\n"
+        "    except InvalidType:\n"
+        "        print('InvalidType')\n"
+    )
+    assert run_optimized(code) == "InvalidType\n" * 3
