@@ -36,7 +36,6 @@ from .errors import (
 )
 from .grp import (
     ConjugacyClasses,
-    ParabolicSubgroup,
     conjugacy_classes,
     double_cosets,
     parabolic,
@@ -45,10 +44,8 @@ from .grp import (
 from .indres import (
     frobenius_check,
     induce,
-    induce_between,
     mackey_check,
     restrict,
-    restrict_between,
 )
 from .rootsys import (
     CartanDatum,
@@ -60,5 +57,7 @@ from .rootsys import (
     enumerate_group,
     fundamental_degrees,
 )
+
+ParabolicSubgroup = ConjugacyClasses  # the one subgroup type, under its former name
 
 __all__ = [name for name in dir() if not name.startswith("_")]

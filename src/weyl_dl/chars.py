@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
@@ -53,23 +53,24 @@ class ClassFunction(NamedTuple):
     group_id: str
     values: tuple[int | Fraction, ...]
 
-    def _check(self, other: "ClassFunction") -> None:
+    def _pointwise(self, other, op) -> "ClassFunction":
+        """op on matching values; NotImplemented for an operand of another type."""
+        if type(other) is not ClassFunction:
+            return NotImplemented
         if self.group_id != other.group_id:
             raise GroupMismatch(
                 f"class functions on {self.group_id} and {other.group_id}"
             )
+        return ClassFunction(self.group_id, tuple(map(op, self.values, other.values)))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group_id, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, add)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group_id, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, sub)
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group_id, tuple(a * b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, mul)
 
     __rmul__ = _refuse
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
@@ -85,20 +86,21 @@ class VirtualCharacter(NamedTuple):
     group_id: str
     coeffs: tuple[int, ...]
 
-    def _check(self, other: "VirtualCharacter") -> None:
+    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
+        if type(other) is not VirtualCharacter:
+            return NotImplemented
         if self.group_id != other.group_id:
             raise GroupMismatch(
                 f"virtual characters on {self.group_id} and {other.group_id}"
             )
-
-    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        self._check(other)
         return VirtualCharacter(self.group_id, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "VirtualCharacter":
         return VirtualCharacter(self.group_id, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
+        if type(other) is not VirtualCharacter:
+            return NotImplemented
         return self + (-other)
 
     __mul__ = __rmul__ = _refuse

@@ -24,12 +24,13 @@ from .errors import (
     GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite, NotVirtual, SizeLimit,
 )
 from .grp import ConjugacyClasses, conjugacy_classes, parabolic
-from .indres import frobenius_check, induce, induce_between, mackey_check
+from .indres import frobenius_check, induce, mackey_check
 from .rootsys import (
     DEFAULT_MAX_ORDER,
     WeylGroup,
     build_cartan,
     build_root_system,
+    check_group_order,
     enumerate_group,
     fundamental_degrees,
 )
@@ -221,6 +222,7 @@ def load_or_compute_table(
 
 def build_group(cfg: Config, type_label: str, rank: int) -> tuple[WeylGroup, ConjugacyClasses]:
     cartan = build_cartan(type_label, rank)
+    check_group_order(cartan, cfg.max_group_order)  # before the root closure
     W = enumerate_group(build_root_system(cartan), max_order=cfg.max_group_order)
     return W, conjugacy_classes(W)
 
@@ -280,9 +282,7 @@ def run_type_checks(
         bad = 0
         first = ""
         for I in dlmod.subsets(W.rank):
-            P = parabolic(W, I)
-            sub_table = character_table(W, P.classes)
-            report = frobenius_check(W, P, table, sub_table)
+            report = frobenius_check(table, character_table(W, parabolic(W, I)))
             if not report.ok:
                 bad += len(report.violations)
                 first = first or report.violations[0]
@@ -292,8 +292,7 @@ def run_type_checks(
         bad = 0
         first = ""
         for I in dlmod.subsets(W.rank):
-            P = parabolic(W, I)
-            sub_table = character_table(W, P.classes)
+            sub_table = character_table(W, parabolic(W, I))
             for J in dlmod.subsets(W.rank):
                 for chi in sub_table.irreducibles:
                     report = mackey_check(W, I, J, chi)
@@ -305,16 +304,13 @@ def run_type_checks(
         bad = 0
         for J in dlmod.subsets(W.rank):
             PJ = parabolic(W, J)
-            tj = character_table(W, PJ.classes)
+            tj = character_table(W, PJ)
             for I in dlmod.subsets(W.rank):
                 if not set(J) <= set(I):
                     continue
                 PI = parabolic(W, I)
                 for chi in tj.irreducibles:
-                    step = induce_between(W, PJ.classes, PI.classes, chi)
-                    via = induce(step, PI, W)
-                    direct = induce(chi, PJ, W)
-                    if via.values != direct.values:
+                    if induce(induce(chi, PJ, PI), PI, classes) != induce(chi, PJ, classes):
                         bad += 1
         add(CheckItem("induction-transitivity", bad == 0))
 

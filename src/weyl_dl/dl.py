@@ -73,7 +73,7 @@ def _alternating_matrix(W: WeylGroup, table: CharacterTable, signs: dict[int, in
         acc = [0] * len(chi.values)
         for subset in subsets(W.rank):
             P = parabolic(W, subset)
-            term = induce(restrict(chi, P), P, W)
+            term = induce(restrict(chi, P, classes), P, classes)
             s = signs[len(subset)]
             acc = [a + s * t for a, t in zip(acc, term.values)]
         image = decompose(table, type(chi)(table.group_id, tuple(acc)))

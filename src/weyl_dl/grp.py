@@ -1,9 +1,11 @@
 """Conjugacy structure of a Weyl group and of its subgroups.
 
-Subgroups are carried around as sorted tuples of element indices of the ambient
-group; a ConjugacyClasses value bundles the class partition of one such member
-set.  Standard parabolic subgroups additionally record how their classes fuse
-into the ambient classes.
+One type, ConjugacyClasses, carries every group the engine meets: W itself,
+its standard parabolic subgroups W_I, and the explicit intersections
+W_J n x W_I x^-1 of Mackey's formula.  Members are element indices of W, so
+an inclusion of subgroups is the identity on indices, and a class of a
+subgroup fuses into the class of its representative in any supergroup.
+Each value is built once and cached on W.
 
 Orbits come from the index maps of the group: W and its parabolic subgroups
 conjugate by the simple reflections that generate them, an explicit subgroup
@@ -20,11 +22,14 @@ from .rootsys import WeylGroup
 
 
 class ConjugacyClasses:
-    """Partition of a member set into conjugation orbits.
+    """A subgroup of W, given by its members, partitioned into conjugation orbits.
 
-    Representatives are canonical: each is the smallest element index in its
-    class, and classes are listed in order of their representatives.
-    class_of_arr has one entry per ambient element, -1 for non-members.
+    generators lists the simple reflections that generate the subgroup (all of
+    them for W), or is None for an explicit subgroup.  Representatives are
+    canonical: each is the smallest element index in its class, and classes
+    are listed in order of their representatives.  class_of_arr has one entry
+    per element of W, -1 for non-members.  counts[G.group_id] keeps the
+    induction counts from this subgroup up to a supergroup G (indres).
     """
 
     def __init__(
@@ -35,6 +40,7 @@ class ConjugacyClasses:
         sizes: tuple[int, ...],
         class_of_arr: tuple[int, ...],
         inverse_class: tuple[int, ...],
+        generators: tuple[int, ...] | None,
     ):
         self.group_id = group_id
         self.members = members
@@ -42,6 +48,8 @@ class ConjugacyClasses:
         self.sizes = sizes
         self.class_of_arr = class_of_arr
         self.inverse_class = inverse_class
+        self.generators = generators
+        self.counts: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     @property
     def order(self) -> int:
@@ -63,15 +71,18 @@ class ConjugacyClasses:
 
 
 def _classes_of_members(
-    W: WeylGroup, members: Sequence[int], group_id: str, simple: Sequence[int] | None
+    W: WeylGroup, members: Sequence[int], group_id: str, generators: tuple[int, ...] | None
 ) -> ConjugacyClasses:
     """Conjugation orbits of a subgroup given by its members.
 
-    simple lists the simple reflections that generate the subgroup, whose
-    conjugation maps then span each orbit breadth-first; None means an explicit
-    subgroup, whose orbits are swept by conjugating with every member.
+    The conjugation maps of the generators span each orbit breadth-first; an
+    explicit subgroup (generators None) sweeps each orbit by conjugating with
+    every member.  The order must divide |W|, and every element must lie in
+    the W-class of its representative.
     """
     members = sorted(members)
+    if W.order % len(members):
+        raise InternalError(f"the order {len(members)} of {group_id} does not divide |W| = {W.order}")
     maps = W.conjugation_maps
     class_of = [-1] * W.order
     reps: list[int] = []
@@ -82,9 +93,9 @@ def _classes_of_members(
         c = len(reps)
         class_of[e] = c
         orbit = [e]
-        if simple is not None:
+        if generators is not None:
             for y in orbit:
-                for i in simple:
+                for i in generators:
                     z = maps[i][y]
                     if class_of[z] < 0:
                         class_of[z] = c
@@ -101,6 +112,10 @@ def _classes_of_members(
         raise InternalError(
             f"class sizes of {group_id} sum to {sum(sizes)}, not to its order {len(members)}"
         )
+    fused = class_of if len(members) == W.order else conjugacy_classes(W).class_of_arr
+    for e in members:
+        if fused[e] != fused[reps[class_of[e]]]:
+            raise InternalError(f"class of element {e} in {group_id} does not fuse")
     return ConjugacyClasses(
         group_id=group_id,
         members=tuple(members),
@@ -108,6 +123,7 @@ def _classes_of_members(
         sizes=tuple(sizes),
         class_of_arr=tuple(class_of),
         inverse_class=tuple(class_of[W.inv(r)] for r in reps),
+        generators=generators,
     )
 
 
@@ -115,87 +131,44 @@ def conjugacy_classes(W: WeylGroup) -> ConjugacyClasses:
     """Classes of the full group, cached on the group."""
     key = "conjugacy_classes"
     if key not in W.cache:
-        W.cache[key] = _classes_of_members(W, range(W.order), W.group_id, range(W.rank))
+        W.cache[key] = _classes_of_members(
+            W, range(W.order), W.group_id, tuple(range(W.rank))
+        )
     return W.cache[key]
 
 
-def _closure(W: WeylGroup, simple: Sequence[int]) -> tuple[int, ...]:
-    """Members of the subgroup generated by the simple reflections listed in simple."""
-    seen = [False] * W.order
-    seen[W.identity_index] = True
-    found = [W.identity_index]
-    for x in found:
-        for i in simple:
-            y = W.right_maps[i][x]
-            if not seen[y]:
-                seen[y] = True
-                found.append(y)
-    return tuple(sorted(found))
-
-
-def subgroup_classes(W: WeylGroup, members: Sequence[int]) -> ConjugacyClasses:
-    """Classes of an explicit subgroup, with a digest-based identifier."""
-    import hashlib  # kept off the import path: it loads OpenSSL
-
-    members = tuple(sorted(members))
-    digest = hashlib.sha1(",".join(map(str, members)).encode()).hexdigest()[:10]
-    return _classes_of_members(W, members, f"{W.group_id}/sub-{digest}", None)
-
-
-class ParabolicSubgroup:
-    """The subgroup generated by the simple reflections indexed by subset_I.
-
-    Elements are indices into the ambient group, so the embedding is the
-    identity on indices.  fusion[c] is the ambient class containing class c.
-    """
-
-    def __init__(
-        self,
-        ambient_group_id: str,
-        subset_I: tuple[int, ...],
-        classes: ConjugacyClasses,
-        fusion: tuple[int, ...],
-    ):
-        self.ambient_group_id = ambient_group_id
-        self.subset_I = subset_I
-        self.classes = classes
-        self.fusion = fusion
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.classes.members
-
-    @property
-    def order(self) -> int:
-        return self.classes.order
-
-
-def parabolic(W: WeylGroup, subset: Iterable[int]) -> ParabolicSubgroup:
-    """Standard parabolic subgroup for a subset of {0..rank-1}, cached on W."""
+def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
+    """The standard parabolic subgroup generated by the simple reflections in subset, cached on W."""
     subset = tuple(sorted(set(subset)))
     for i in subset:
         if not 0 <= i < W.rank:
             raise InvalidType(f"simple reflection index {i} is outside 0..{W.rank - 1}")
     key = ("parabolic", subset)
-    if key in W.cache:
-        return W.cache[key]
+    if key not in W.cache:
+        seen = [False] * W.order
+        seen[W.identity_index] = True
+        members = [W.identity_index]
+        for x in members:
+            for i in subset:
+                y = W.right_maps[i][x]
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+        tag = ",".join(str(i + 1) for i in subset)
+        W.cache[key] = _classes_of_members(W, members, f"{W.group_id}|I=[{tag}]", subset)
+    return W.cache[key]
 
-    members = _closure(W, subset)
-    tag = ",".join(str(i + 1) for i in subset)
-    classes = _classes_of_members(W, members, f"{W.group_id}|I=[{tag}]", subset)
-    ambient = conjugacy_classes(W)
-    if W.order % classes.order:
-        raise InternalError(f"|W_I| = {classes.order} does not divide |W| = {W.order}")
 
-    fusion = tuple(ambient.class_of(rep) for rep in classes.reps)
-    # every element of a subgroup class lands in the ambient class of its representative
-    for e in members:
-        if ambient.class_of(e) != fusion[classes.class_of(e)]:
-            raise InternalError(f"class of element {e} in {classes.group_id} does not fuse")
+def subgroup_classes(W: WeylGroup, members: Sequence[int]) -> ConjugacyClasses:
+    """An explicit subgroup given by its members, with a digest-based identifier; cached on W."""
+    members = tuple(sorted(members))
+    key = ("subgroup_classes", members)
+    if key not in W.cache:
+        import hashlib  # kept off the import path: it loads OpenSSL
 
-    P = ParabolicSubgroup(W.group_id, subset, classes, fusion)
-    W.cache[key] = P
-    return P
+        digest = hashlib.sha1(",".join(map(str, members)).encode()).hexdigest()[:10]
+        W.cache[key] = _classes_of_members(W, members, f"{W.group_id}/sub-{digest}", None)
+    return W.cache[key]
 
 
 def double_cosets(
@@ -208,7 +181,7 @@ def double_cosets(
     """
     PJ = parabolic(W, left_subset)
     PI = parabolic(W, right_subset)
-    key = ("double_cosets", PJ.subset_I, PI.subset_I)
+    key = ("double_cosets", PJ.generators, PI.generators)
     if key in W.cache:
         return W.cache[key]
     right, inv = W.right_maps, W.inv
@@ -226,8 +199,8 @@ def double_cosets(
         while stack:
             y = stack.pop()
             yi = inv(y)
-            neighbours = [inv(right[j][yi]) for j in PJ.subset_I]
-            neighbours += [right[i][y] for i in PI.subset_I]
+            neighbours = [inv(right[j][yi]) for j in PJ.generators]
+            neighbours += [right[i][y] for i in PI.generators]
             for z in neighbours:
                 if not seen[z]:
                     seen[z] = True

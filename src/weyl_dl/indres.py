@@ -1,15 +1,17 @@
 """Induction and restriction of class functions along subgroup inclusions.
 
-Restriction is a fusion lookup.  Induction uses the conjugation-count formula
-(ind f)(w) = (1/|H|) * sum over x in K of f(x w x^-1) taken over the x with
-x w x^-1 in H, evaluated once per class representative.  The counts come from
-the two class partitions alone: x -> x w x^-1 hits each element of the class
-C of w exactly |K|/|C| times, so #{x in K : x w x^-1 in c} = |C n c| * |K|/|C|,
-tallied in one pass over the members of H (Geck-Pfeiffer 2000).  The sum is
-an integer for an integer f, and the division by |H| is exact; a value is a
-Fraction only when f has Fraction values and the quotient is non-integral.
-For parabolic subgroups the counts are cached, making repeated inductions a
-small integer matrix product.
+Every group here is a ConjugacyClasses of one W, and H <= G when H's members
+are among G's.  Restriction is a fusion lookup: a class of H takes the value
+of f on the G-class of its representative.  Induction uses the
+conjugation-count formula (ind f)(w) = (1/|H|) * sum over x in G of
+f(x w x^-1) taken over the x with x w x^-1 in H, evaluated once per class
+representative of G.  The counts come from the two class partitions alone:
+x -> x w x^-1 hits each element of the G-class C of w exactly |G|/|C| times,
+so #{x in G : x w x^-1 in c} = |C n c| * |G|/|C|, tallied in one pass over the
+members of H (Geck-Pfeiffer 2000) and cached on H per supergroup, making
+repeated inductions a small integer matrix product.  The sum is an integer
+for an integer f, and the division by |H| is exact; a value is a Fraction only
+when f has Fraction values and the quotient is non-integral.
 """
 from __future__ import annotations
 
@@ -17,88 +19,58 @@ from typing import NamedTuple
 
 from .chars import CharacterTable, ClassFunction, exact_quotient, inner_product
 from .errors import GroupMismatch
-from .grp import (
-    ConjugacyClasses,
-    ParabolicSubgroup,
-    conjugacy_classes,
-    double_cosets,
-    parabolic,
-    subgroup_classes,
-)
+from .grp import ConjugacyClasses, conjugacy_classes, double_cosets, parabolic, subgroup_classes
 from .rootsys import WeylGroup
 
 
-def restrict(f: ClassFunction, P: ParabolicSubgroup) -> ClassFunction:
-    """Pull a class function on the ambient group back to a parabolic subgroup."""
-    if f.group_id != P.ambient_group_id:
-        raise GroupMismatch(f"{f.group_id} is not on the ambient group {P.ambient_group_id}")
-    vals = tuple(f.values[c] for c in P.fusion)
-    return ClassFunction(P.classes.group_id, vals)
-
-
-def restrict_between(
-    sup: ConjugacyClasses, sub: ConjugacyClasses, f: ClassFunction
-) -> ClassFunction:
-    """Restriction along an inclusion of explicit subgroups."""
-    if f.group_id != sup.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {sup.group_id}")
-    vals = tuple(f.values[sup.class_of(rep)] for rep in sub.reps)
-    return ClassFunction(sub.group_id, vals)
+def restrict(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
+    """Pull a class function on G back to its subgroup H through the fusion of H's classes."""
+    if f.group_id != G.group_id:
+        raise GroupMismatch(f"{f.group_id} does not live on {G.group_id}")
+    return ClassFunction(H.group_id, tuple(f.values[G.class_of(rep)] for rep in H.reps))
 
 
 Counts = tuple[tuple[int, ...], ...]
 
 
-def _conjugation_counts(sup: ConjugacyClasses, sub: ConjugacyClasses) -> Counts:
-    """counts[r][c] = #{x in sup : x w_r x^-1 lies in class c of sub}, w_r the r-th rep of sup.
+def induction_counts(G: ConjugacyClasses, H: ConjugacyClasses) -> Counts:
+    """counts[r][c] = #{x in G : x w_r x^-1 lies in class c of H}, w_r the r-th rep of G.
 
-    Each member of sub is tallied under its (sup class, sub class) pair; row r
-    is then scaled by the centralizer order |sup|/|C_r|.
+    Each member of H is tallied under its (G class, H class) pair; row r is
+    then scaled by the centralizer order |G|/|C_r|.  Cached in H.counts.
     """
-    tally = [[0] * sub.n_classes for _ in range(sup.n_classes)]
-    for h in sub.members:
-        tally[sup.class_of(h)][sub.class_of(h)] += 1
-    return tuple(
-        tuple(n * (sup.order // size) for n in row) for row, size in zip(tally, sup.sizes)
-    )
+    counts = H.counts.get(G.group_id)
+    if counts is None:
+        tally = [[0] * H.n_classes for _ in range(G.n_classes)]
+        for h in H.members:
+            tally[G.class_of(h)][H.class_of(h)] += 1
+        counts = H.counts[G.group_id] = tuple(
+            tuple(n * (G.order // size) for n in row) for row, size in zip(tally, G.sizes)
+        )
+    return counts
 
 
-def _induce_with(
-    counts: Counts, sub: ConjugacyClasses, group_id: str, f: ClassFunction
-) -> ClassFunction:
+def induce(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
+    """Induce a class function on H up to its supergroup G."""
+    if f.group_id != H.group_id:
+        raise GroupMismatch(f"{f.group_id} does not live on {H.group_id}")
     fv = f.values
     vals = tuple(
-        exact_quotient(sum(n * v for n, v in zip(row, fv)), sub.order) for row in counts
+        exact_quotient(sum(n * v for n, v in zip(row, fv)), H.order)
+        for row in induction_counts(G, H)
     )
-    return ClassFunction(group_id, vals)
-
-
-def induction_counts(W: WeylGroup, P: ParabolicSubgroup) -> Counts:
-    """counts[r][c] = #{x in W : x w_r x^-1 lies in subgroup class c}, cached."""
-    key = ("induction_counts", P.subset_I)
-    if key not in W.cache:
-        W.cache[key] = _conjugation_counts(conjugacy_classes(W), P.classes)
-    return W.cache[key]
-
-
-def induce(f: ClassFunction, P: ParabolicSubgroup, W: WeylGroup) -> ClassFunction:
-    """Induce a class function from a parabolic subgroup up to the full group."""
-    if f.group_id != P.classes.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {P.classes.group_id}")
-    return _induce_with(induction_counts(W, P), P.classes, W.group_id, f)
+    return ClassFunction(G.group_id, vals)
 
 
 def induce_between(
     W: WeylGroup, sub: ConjugacyClasses, sup: ConjugacyClasses, f: ClassFunction
 ) -> ClassFunction:
-    """Induction along an inclusion of explicit subgroups of W."""
-    if f.group_id != sub.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {sub.group_id}")
-    return _induce_with(_conjugation_counts(sup, sub), sub, sup.group_id, f)
+    """induce(f, sub, sup) under its former name and argument order."""
+    return induce(f, sub, sup)
 
 
 class FrobeniusReport(NamedTuple):
-    subset_I: tuple[int, ...]
+    group_id: str
     violations: tuple[str, ...]
 
     @property
@@ -106,26 +78,26 @@ class FrobeniusReport(NamedTuple):
         return not self.violations
 
 
-def frobenius_check(
-    W: WeylGroup,
-    P: ParabolicSubgroup,
-    table_W: CharacterTable,
-    table_sub: CharacterTable,
-) -> FrobeniusReport:
-    """<ind chi, psi> = <chi, res psi> for all irreducible pairs, exactly."""
+def frobenius_check(table_G: CharacterTable, table_H: CharacterTable) -> FrobeniusReport:
+    """<ind chi, psi> = <chi, res psi> for all irreducible pairs, exactly.
+
+    table_H is the table of a subgroup H of the group of table_G.  Induction
+    goes through the members' tally and restriction through fusion, so the
+    two sides are computed independently.
+    """
+    G, H = table_G.classes, table_H.classes
     violations = []
-    ambient = conjugacy_classes(W)
-    restrictions = [restrict(psi, P) for psi in table_W.irreducibles]
-    for a, chi in enumerate(table_sub.irreducibles):
-        ind_chi = induce(chi, P, W)
-        for b, psi in enumerate(table_W.irreducibles):
-            lhs = inner_product(ambient, ind_chi, psi)
-            rhs = inner_product(P.classes, chi, restrictions[b])
+    restrictions = [restrict(psi, H, G) for psi in table_G.irreducibles]
+    for a, chi in enumerate(table_H.irreducibles):
+        ind_chi = induce(chi, H, G)
+        for b, psi in enumerate(table_G.irreducibles):
+            lhs = inner_product(G, ind_chi, psi)
+            rhs = inner_product(H, chi, restrictions[b])
             if lhs != rhs:
                 violations.append(
-                    f"I={P.subset_I} chi#{a} psi#{b}: <ind chi, psi>={lhs} != <chi, res psi>={rhs}"
+                    f"{H.group_id} chi#{a} psi#{b}: <ind chi, psi>={lhs} != <chi, res psi>={rhs}"
                 )
-    return FrobeniusReport(P.subset_I, tuple(violations))
+    return FrobeniusReport(H.group_id, tuple(violations))
 
 
 class MackeyReport(NamedTuple):
@@ -140,13 +112,6 @@ class MackeyReport(NamedTuple):
         return not self.violations
 
 
-def _intersection_classes(W: WeylGroup, members: tuple[int, ...]) -> ConjugacyClasses:
-    key = ("subgroup_classes", members)
-    if key not in W.cache:
-        W.cache[key] = subgroup_classes(W, members)
-    return W.cache[key]
-
-
 def mackey_check(
     W: WeylGroup,
     subset_I: tuple[int, ...],
@@ -159,24 +124,19 @@ def mackey_check(
     the coset representative x into the intersection W_J n x W_I x^-1 and
     induces up to W_J.
     """
+    cc = conjugacy_classes(W)
     PI = parabolic(W, subset_I)
     PJ = parabolic(W, subset_J)
-    if f.group_id != PI.classes.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {PI.classes.group_id}")
+    left = restrict(induce(f, PI, cc), PJ, cc)
 
-    left = restrict(induce(f, PI, W), PJ)
-
-    right_vals = [0] * PJ.classes.n_classes
+    right_vals = [0] * PJ.n_classes
     for x, inter_members in double_cosets(W, subset_J, subset_I):
-        inter = _intersection_classes(W, inter_members)
+        inter = subgroup_classes(W, inter_members)
         xi = W.inv(x)
-        transported = tuple(
-            f.values[PI.classes.class_of(W.conjugate(xi, rep))] for rep in inter.reps
-        )
-        g = ClassFunction(inter.group_id, transported)
-        term = induce_between(W, inter, PJ.classes, g)
+        transported = tuple(f.values[PI.class_of(W.conjugate(xi, rep))] for rep in inter.reps)
+        term = induce(ClassFunction(inter.group_id, transported), inter, PJ)
         right_vals = [a + b for a, b in zip(right_vals, term.values)]
-    right = ClassFunction(PJ.classes.group_id, tuple(right_vals))
+    right = ClassFunction(PJ.group_id, tuple(right_vals))
 
     violations = ()
     if left.values != right.values:

@@ -215,6 +215,18 @@ def _is_standard(cartan: CartanDatum) -> bool:
         return False
 
 
+def check_group_order(cartan: CartanDatum, max_order: int) -> int:
+    """The group order the fundamental degrees give for the type of cartan.
+
+    SizeLimit if a standard Cartan matrix gives more than max_order elements;
+    nothing of the order's size is built, so this can run before the closure.
+    """
+    expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
+    if _is_standard(cartan) and expected > max_order:
+        raise SizeLimit(f"{cartan.label} has order {expected}, more than the limit of {max_order}")
+    return expected
+
+
 def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
@@ -395,11 +407,7 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
     y, which become the group's right_maps.
     """
     cartan = rootsystem.cartan
-    expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
-    if _is_standard(cartan) and expected > max_order:
-        raise SizeLimit(
-            f"{cartan.label} has order {expected}, more than the limit of {max_order}"
-        )
+    expected = check_group_order(cartan, max_order)
     n_roots = len(rootsystem.roots)
     if n_roots > 256:
         # keys hold root indices in bytes; every such group has over 10^11 elements
@@ -470,4 +478,5 @@ def build_weyl_group(
 ) -> WeylGroup:
     """Convenience: cartan -> root system -> enumerated group."""
     cartan = build_cartan(type_label, rank, central_rank)
+    check_group_order(cartan, max_order)
     return enumerate_group(build_root_system(cartan), max_order=max_order)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -87,21 +88,22 @@ def test_root_count_limit_exits_3(cache_dir, capsys):
     assert "A200 has 40200 roots" in capsys.readouterr().err
 
 
-def test_group_order_limit_exits_3_before_enumerating(
-    cache_dir, capsys, monkeypatch, without_generators
-):
+def test_group_order_limit_exits_3_before_enumerating(cache_dir, capsys, monkeypatch):
     built = []
 
     def build_root_system(cartan, *args, **kwargs):
-        # every product the search forms reads a simple reflection of the root system
         built.append(cartan.label)
-        return without_generators(rootsys.build_root_system(cartan, *args, **kwargs))
+        return rootsys.build_root_system(cartan, *args, **kwargs)
 
     monkeypatch.setattr(cli, "build_root_system", build_root_system)
     code, _ = run_cli(["table", "A", "9", "--cache-dir", str(cache_dir)])
     assert code == 3
-    assert built == ["A9"]
     assert "A9 has order 3628800, more than the limit of 2000000" in capsys.readouterr().err
+    # A99 has 9900 roots, under the root limit; its order is 100!
+    code, _ = run_cli(["table", "A", "99", "--cache-dir", str(cache_dir)])
+    assert code == 3
+    assert f"A99 has order {factorial(100)}, more than the limit of 2000000" in capsys.readouterr().err
+    assert built == []
 
 
 def test_huge_rank_exits_3_before_any_matrix(cache_dir, capsys, monkeypatch):

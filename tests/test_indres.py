@@ -11,18 +11,16 @@ from weyl_dl import (
     double_cosets,
     frobenius_check,
     induce,
-    induce_between,
     inner_product,
     mackey_check,
     parabolic,
     reflection,
     restrict,
-    restrict_between,
     sign,
     subgroup_classes,
     trivial,
 )
-from weyl_dl.indres import induction_counts
+from weyl_dl.indres import induce_between, induction_counts
 
 
 def subsets(rank):
@@ -34,16 +32,16 @@ def subsets(rank):
 def test_restrict_trivial(tables):
     W, cc, _ = tables("A", 2)
     P = parabolic(W, (0,))
-    assert restrict(trivial(cc), P).values == (Fraction(1), Fraction(1))
+    assert restrict(trivial(cc), P, cc).values == (Fraction(1), Fraction(1))
 
 
 def test_restrict_reflection(tables):
     W, cc, _ = tables("A", 2)
     P = parabolic(W, (0,))
-    res = restrict(reflection(W, cc), P)
+    res = restrict(reflection(W, cc), P, cc)
     assert res.values == (Fraction(2), Fraction(0))
     # equals trivial + sign of the subgroup
-    expected = trivial(P.classes) + sign(W, P.classes)
+    expected = trivial(P) + sign(W, P)
     assert res.values == expected.values
 
 
@@ -51,24 +49,26 @@ def test_restrict_full_is_identity(tables):
     W, cc, _ = tables("A", 2)
     P = parabolic(W, (0, 1))
     f = reflection(W, cc)
-    assert restrict(f, P).values == f.values
+    assert restrict(f, P, cc).values == f.values
 
 
 def test_restrict_group_mismatch(tables):
-    W, _, _ = tables("A", 2)
+    W, cc, _ = tables("A", 2)
     W3, cc3, _ = tables("A", 3)
     P = parabolic(W, (0,))
     with pytest.raises(GroupMismatch):
-        restrict(trivial(cc3), P)
+        restrict(trivial(cc3), P, cc)
+    with pytest.raises(GroupMismatch):
+        induce(trivial(cc), P, cc)
 
 
 def test_induce_examples(tables):
     W, cc, t = tables("A", 2)
     P = parabolic(W, (0,))
-    ind_triv = induce(trivial(P.classes), P, W)
+    ind_triv = induce(trivial(P), P, cc)
     assert ind_triv.values == (Fraction(3), Fraction(1), Fraction(0))
     assert decompose(t, ind_triv).coeffs == (1, 0, 1)  # trivial + reflection
-    ind_sgn = induce(sign(W, P.classes), P, W)
+    ind_sgn = induce(sign(W, P), P, cc)
     assert ind_sgn.values == (Fraction(3), Fraction(-1), Fraction(0))
     assert decompose(t, ind_sgn).coeffs == (0, 1, 1)  # sign + reflection
 
@@ -76,38 +76,39 @@ def test_induce_examples(tables):
 def test_induce_from_trivial_subgroup_is_regular(tables):
     W, cc, _ = tables("A", 2)
     P = parabolic(W, ())
-    ind = induce(trivial(P.classes), P, W)
+    ind = induce(trivial(P), P, cc)
     expected = [Fraction(0)] * cc.n_classes
     expected[cc.identity_class] = Fraction(W.order)
     assert ind.values == tuple(expected)
 
 
 def test_induce_preserves_virtual(tables):
-    W, _, t = tables("B", 3)
+    W, cc, t = tables("B", 3)
     for I in subsets(3):
         P = parabolic(W, I)
-        sub_table = character_table(W, P.classes)
+        sub_table = character_table(W, P)
         for chi in sub_table.irreducibles:
-            decompose(t, induce(chi, P, W))  # NotVirtual would raise
+            decompose(t, induce(chi, P, cc))  # NotVirtual would raise
 
 
 def test_frobenius_a2(tables):
     W, cc, t = tables("A", 2)
     P = parabolic(W, (0,))
-    tp = character_table(W, P.classes)
-    report = frobenius_check(W, P, t, tp)
+    tp = character_table(W, P)
+    report = frobenius_check(t, tp)
     assert report.ok
+    assert report.group_id == "A2|I=[1]"
     # <ind triv, reflection> = 1 = <triv, res reflection>
     refl = reflection(W, cc)
-    lhs = inner_product(cc, induce(trivial(P.classes), P, W), refl)
-    rhs = inner_product(P.classes, trivial(P.classes), restrict(refl, P))
+    lhs = inner_product(cc, induce(trivial(P), P, cc), refl)
+    rhs = inner_product(P, trivial(P), restrict(refl, P, cc))
     assert lhs == rhs == 1
 
 
 def test_frobenius_empty_subset_pairs_degrees(tables):
     W, cc, t = tables("A", 2)
     P = parabolic(W, ())
-    ind = induce(trivial(P.classes), P, W)
+    ind = induce(trivial(P), P, cc)
     for i, psi in enumerate(t.irreducibles):
         assert inner_product(cc, ind, psi) == t.degrees[i]
 
@@ -116,15 +117,32 @@ def test_frobenius_all_subsets(tables):
     for key in [("A", 3), ("B", 3), ("G", 2)]:
         W, _, t = tables(*key)
         for I in subsets(W.rank):
-            P = parabolic(W, I)
-            tp = character_table(W, P.classes)
-            assert frobenius_check(W, P, t, tp).ok
+            assert frobenius_check(t, character_table(W, parabolic(W, I))).ok
+
+
+@pytest.mark.parametrize("type_label, rank, count", [("A", 3, 8), ("B", 3, 8), ("G", 2, 4)])
+def test_frobenius_on_intersections(tables, type_label, rank, count):
+    """Each distinct W_J n x W_I x^-1 against W and against W_J, with its own table."""
+    W, _, t = tables(type_label, rank)
+    seen = set()
+    for J in subsets(rank):
+        tj = character_table(W, parabolic(W, J))
+        for I in subsets(rank):
+            for _, members in double_cosets(W, J, I):
+                H = subgroup_classes(W, members)
+                assert H.generators is None
+                th = character_table(W, H)
+                assert frobenius_check(tj, th).ok
+                if members not in seen:
+                    seen.add(members)
+                    assert frobenius_check(t, th).ok
+    assert len(seen) == count
 
 
 def test_mackey_a2_worked_example(tables):
     W, _, t = tables("A", 2)
     P = parabolic(W, (0,))
-    report = mackey_check(W, (0,), (0,), trivial(P.classes))
+    report = mackey_check(W, (0,), (0,), trivial(P))
     assert report.ok
     assert report.left.values == (Fraction(3), Fraction(1))  # 2*trivial + sign
 
@@ -132,16 +150,17 @@ def test_mackey_a2_worked_example(tables):
 def test_mackey_empty_and_full(tables):
     W, _, _ = tables("B", 2)
     P0 = parabolic(W, ())
-    assert mackey_check(W, (), (0,), trivial(P0.classes)).ok
+    assert mackey_check(W, (), (0,), trivial(P0)).ok
     P1 = parabolic(W, (0,))
-    assert mackey_check(W, (0,), (0, 1), sign(W, P1.classes)).ok
+    assert mackey_check(W, (0,), (0, 1), sign(W, P1)).ok
+    with pytest.raises(GroupMismatch):
+        mackey_check(W, (0,), (1,), trivial(P0))
 
 
 def test_mackey_all_pairs_a3(tables):
     W, _, _ = tables("A", 3)
     for I in subsets(3):
-        P = parabolic(W, I)
-        sub_table = character_table(W, P.classes)
+        sub_table = character_table(W, parabolic(W, I))
         for J in subsets(3):
             for chi in sub_table.irreducibles:
                 assert mackey_check(W, I, J, chi).ok
@@ -149,26 +168,26 @@ def test_mackey_all_pairs_a3(tables):
 
 def test_transitivity_chains(tables):
     for key in [("A", 3), ("B", 3)]:
-        W, _, _ = tables(*key)
+        W, cc, _ = tables(*key)
         for J in subsets(W.rank):
             PJ = parabolic(W, J)
-            tj = character_table(W, PJ.classes)
+            tj = character_table(W, PJ)
             for I in subsets(W.rank):
                 if not set(J) <= set(I):
                     continue
                 PI = parabolic(W, I)
                 for chi in tj.irreducibles:
-                    step = induce_between(W, PJ.classes, PI.classes, chi)
-                    assert induce(step, PI, W).values == induce(chi, PJ, W).values
+                    assert induce(induce(chi, PJ, PI), PI, cc) == induce(chi, PJ, cc)
+                    assert induce_between(W, PJ, PI, chi) == induce(chi, PJ, PI)
 
 
 def test_restrict_between_matches_parabolic_path(tables):
     W, cc, _ = tables("B", 3)
     P = parabolic(W, (0, 1))
     f = reflection(W, cc)
-    via_parabolic = restrict(f, P)
-    via_generic = restrict_between(cc, P.classes, f)
-    assert via_parabolic.values == via_generic.values
+    explicit = subgroup_classes(W, P.members)
+    assert (P.generators, explicit.generators) == ((0, 1), None)
+    assert restrict(f, P, cc).values == restrict(f, explicit, cc).values
 
 
 def indicator(classes, c):
@@ -191,8 +210,9 @@ def brute_force_counts(W, sup, sub):
 
 def assert_induce_between_matches_sweep(W, sub, sup):
     counts = brute_force_counts(W, sup, sub)
+    assert induction_counts(sup, sub) == counts
     for c in range(sub.n_classes):
-        induced = induce_between(W, sub, sup, indicator(sub, c))
+        induced = induce(indicator(sub, c), sub, sup)
         assert induced.values == tuple(Fraction(row[c], sub.order) for row in counts)
 
 
@@ -201,7 +221,9 @@ def test_induction_counts_match_sweep(tables, type_label, rank):
     W, cc, _ = tables(type_label, rank)
     for I in subsets(rank):
         P = parabolic(W, I)
-        assert induction_counts(W, P) == brute_force_counts(W, cc, P.classes)
+        counts = induction_counts(cc, P)
+        assert counts == brute_force_counts(W, cc, P)
+        assert induction_counts(cc, P) is counts is P.counts[cc.group_id]
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
@@ -211,7 +233,7 @@ def test_induce_between_matches_sweep(tables, type_label, rank):
         PI = parabolic(W, I)
         for J in subsets(rank):
             if set(J) <= set(I):
-                assert_induce_between_matches_sweep(W, parabolic(W, J).classes, PI.classes)
+                assert_induce_between_matches_sweep(W, parabolic(W, J), PI)
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
@@ -221,4 +243,4 @@ def test_induce_between_matches_sweep_on_intersections(tables, type_label, rank)
         for J in subsets(rank):
             PJ = parabolic(W, J)
             for _, members in double_cosets(W, J, I):
-                assert_induce_between_matches_sweep(W, subgroup_classes(W, members), PJ.classes)
+                assert_induce_between_matches_sweep(W, subgroup_classes(W, members), PJ)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from weyl_dl import InvalidType, build_weyl_group
+from weyl_dl import GroupMismatch, InvalidType, build_weyl_group
 from weyl_dl.chars import ClassFunction, VirtualCharacter
 from weyl_dl.cli import CheckItem, Config, TableCacheEntry
 from weyl_dl.dl import InvolutionReport, ShiftLedger, SignTwistReport, SpringerLabel
@@ -25,7 +25,7 @@ def records():
         SpringerLabel(0, "(3)"),
         SignTwistReport((0,), ()),
         InvolutionReport(()),
-        FrobeniusReport((0,), ()),
+        FrobeniusReport("A2|I=[1]", ()),
         MackeyReport((0,), (1,), f, f, ()),
     ]
 
@@ -50,7 +50,11 @@ def test_value_records_compare_and_hash_by_group_and_values(cls):
     assert ClassFunction("A2", (1,)) != VirtualCharacter("A2", (1,))
 
 
-@pytest.mark.parametrize("expr", ["2 * f", "v * 2", "2 * v"])
+@pytest.mark.parametrize("expr", [
+    "2 * f", "v * 2", "2 * v",
+    # an operand that is no record of the same class is refused, not read as one
+    "f * 2", "f + (1, 2)", "f - 3", "f + v", "v + 1", "v - 1", "v + f",
+])
 def test_no_tuple_repetition(expr):
     f = ClassFunction("A2", (1, 1, 1))
     v = VirtualCharacter("A2", (1, 0, 0))
@@ -65,6 +69,10 @@ def test_pointwise_arithmetic_still_works():
     v = VirtualCharacter("A2", (1, 0, -2))
     assert v - v == VirtualCharacter("A2", (0, 0, 0))
     assert -v + v == VirtualCharacter("A2", (0, 0, 0))
+    g, w = ClassFunction("B2", (1, -1, 2)), VirtualCharacter("B2", (1, 0, -2))
+    for expr in ("f + g", "f - g", "f * g", "v + w", "v - w"):
+        with pytest.raises(GroupMismatch):
+            eval(expr)
 
 
 def test_validated_records_check_replace_too():

@@ -199,6 +199,18 @@ def test_size_limit_raised_before_any_product(without_generators):
         enumerate_group(without_generators(build_root_system(build_cartan("A", 2))))
 
 
+def test_size_limit_raised_before_the_root_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the roots were closed")
+
+    monkeypatch.setattr(rootsys, "build_root_system", no_closure)
+    # A99 has 9900 roots, under the root limit, and order 100!
+    with pytest.raises(SizeLimit, match="A99 has order 9332621544"):
+        build_weyl_group("A", 99)
+    with pytest.raises(SizeLimit, match="F4 has order 1152, more than the limit of 1151"):
+        build_weyl_group("F", 4, max_order=1151)
+
+
 def test_more_than_256_roots_is_size_limit():
     # A16 has 272 roots and order 17!, so only an explicit max_order lets the search start
     with pytest.raises(SizeLimit, match="A16 has 272 roots, more than the 256 a search key holds"):
