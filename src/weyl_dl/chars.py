@@ -42,12 +42,19 @@ def _refuse(self, other):
     return NotImplemented
 
 
+def _refuse_concatenation(self, other):
+    """tuple + record: tuple.__add__ would concatenate after a NotImplemented, so raise here."""
+    raise TypeError(
+        f"unsupported operand type(s) for +: '{type(other).__name__}' and '{type(self).__name__}'"
+    )
+
+
 class ClassFunction(NamedTuple):
     """Exact function on the conjugacy classes of one group.
 
     Values are Python ints; a Fraction only where a value is non-integral.
     Equal, and hashed, by (group_id, values).  The arithmetic is pointwise,
-    and n * f is refused rather than repeating the tuple.
+    and n * f and t + f are refused rather than repeating or joining tuples.
     """
 
     group_id: str
@@ -73,14 +80,15 @@ class ClassFunction(NamedTuple):
         return self._pointwise(other, mul)
 
     __rmul__ = _refuse
+    __radd__ = _refuse_concatenation
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
 
 class VirtualCharacter(NamedTuple):
     """Integer vector over the canonical irreducible basis of one group.
 
-    Equal, and hashed, by (group_id, coeffs); n * v and v * n are refused
-    rather than repeating the tuple.
+    Equal, and hashed, by (group_id, coeffs); n * v, v * n and t + v are
+    refused rather than repeating or joining tuples.
     """
 
     group_id: str
@@ -104,6 +112,7 @@ class VirtualCharacter(NamedTuple):
         return self + (-other)
 
     __mul__ = __rmul__ = _refuse
+    __radd__ = _refuse_concatenation
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
 
@@ -380,16 +389,26 @@ def character_table(W: WeylGroup, classes: ConjugacyClasses | None = None) -> Ch
     p = split_prime(classes.order)
     vectors = _split_eigenvectors(W, classes, p)
     rows = canonical_rows(classes, [_lift_to_character(classes, v, p) for v in vectors])
+    table = W.cache[key] = table_from_rows(W, classes, rows)
+    return table
+
+
+def table_from_rows(
+    W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]
+) -> CharacterTable:
+    """The table whose irreducibles are rows, in the order given, once certify_characters proves them.
+
+    Degrees are read at the identity class and labels come from table_labels;
+    IrrationalityError if the rows are not the irreducible characters.
+    """
     certify_characters(W, classes, rows)
-    table = CharacterTable(
+    return CharacterTable(
         group_id=classes.group_id,
         classes=classes,
-        irreducibles=tuple(ClassFunction(classes.group_id, row) for row in rows),
+        irreducibles=tuple(ClassFunction(classes.group_id, tuple(row)) for row in rows),
         degrees=tuple(row[classes.identity_class] for row in rows),
         labels=table_labels(W, classes, rows),
     )
-    W.cache[key] = table
-    return table
 
 
 def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:

@@ -13,13 +13,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import dl as dlmod
-from .chars import (
-    CharacterTable, ClassFunction, canonical_rows, certify_characters, character_table,
-    orthogonality, table_labels,
-)
+from .chars import CharacterTable, canonical_rows, character_table, orthogonality, table_from_rows
 from .errors import (
     GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite, NotVirtual, SizeLimit,
 )
@@ -154,52 +151,29 @@ def load_cache_entry(
     return entry
 
 
-def _entry_is_consistent(entry: TableCacheEntry, W: WeylGroup, classes: ConjugacyClasses) -> bool:
-    """Whether the entry is the table character_table would compute for these classes.
-
-    Class words and sizes must match, the rows pass character_table's
-    certificate in canonical order, and the degrees and labels derive from them.
-    """
-    words = tuple(W.word_str(r) for r in classes.reps)
-    if entry.class_words != words or entry.class_sizes != classes.sizes:
-        return False
-    rows = list(entry.values)
-    try:
-        certify_characters(W, classes, rows)
-        return (
-            rows == canonical_rows(classes, rows)
-            and entry.degrees == tuple(row[classes.identity_class] for row in rows)
-            and entry.labels == table_labels(W, classes, rows)
-        )
-    except IrrationalityError:
-        return False
-
-
-def _table_from_entry(entry: TableCacheEntry, classes: ConjugacyClasses) -> CharacterTable:
-    irreducibles = tuple(ClassFunction(classes.group_id, row) for row in entry.values)
-    return CharacterTable(
-        group_id=classes.group_id,
-        classes=classes,
-        irreducibles=irreducibles,
-        degrees=entry.degrees,
-        labels=entry.labels,
-    )
-
-
 def load_or_compute_table(
     cfg: Config, W: WeylGroup, classes: ConjugacyClasses
 ) -> tuple[CharacterTable, bool]:
     """Cached table if it round-trips and verifies, else a fresh computation.
 
+    A hit needs these classes' words and sizes, and rows that table_from_rows
+    certifies, in canonical order, with the degrees and labels derived from them.
     A cache file that cannot be written costs only the saving: the fresh table
     is still returned, with a warning on stderr.
     """
     cartan = W.cartan
     path = cache_path(cfg, cartan.type_label, cartan.rank, cartan.central_rank)
+    words = tuple(W.word_str(r) for r in classes.reps)
     entry = load_cache_entry(path, cartan.type_label, cartan.rank, cartan.central_rank)
     if entry is not None:
-        if _entry_is_consistent(entry, W, classes):
-            return _table_from_entry(entry, classes), True
+        try:
+            if (entry.class_words, entry.class_sizes) == (words, classes.sizes):
+                table = table_from_rows(W, classes, entry.values)
+                if (list(entry.values) == canonical_rows(classes, entry.values)
+                        and (entry.degrees, entry.labels) == (table.degrees, table.labels)):
+                    return table, True
+        except IrrationalityError:
+            pass
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
     table = character_table(W)
     entry = TableCacheEntry(
@@ -207,7 +181,7 @@ def load_or_compute_table(
         type_label=cartan.type_label,
         rank=cartan.rank,
         central_rank=cartan.central_rank,
-        class_words=tuple(W.word_str(r) for r in classes.reps),
+        class_words=words,
         class_sizes=classes.sizes,
         degrees=table.degrees,
         labels=table.labels,
@@ -236,9 +210,7 @@ class CheckItem(NamedTuple):
     detail: str = ""
 
 
-def run_type_checks(
-    cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable
-) -> list[CheckItem]:
+def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> list[CheckItem]:
     """The full invariant suite for one type; the heavier identities are rank-gated."""
     checks: list[CheckItem] = []
     add = checks.append
@@ -314,19 +286,12 @@ def run_type_checks(
                         bad += 1
         add(CheckItem("induction-transitivity", bad == 0))
 
-    twist = dlmod.verify_sign_twist(W, table)
-    add(CheckItem("sign-twist", twist.ok, twist.violations[0] if twist.violations else ""))
-
-    invrep = dlmod.verify_involution(W, table)
-    add(CheckItem("involution", invrep.ok, invrep.violations[0] if invrep.violations else ""))
-
-    matrix = dlmod.dl_matrix(W, table)
+    *dl_rows, agreement = _dl_checks(W, table)
+    checks += dl_rows
     add(CheckItem("dl-unit-images", all(
-        sorted(col) == [0] * (k - 1) + [1] for col in matrix
+        sorted(col) == [0] * (k - 1) + [1] for col in dlmod.dl_matrix(W, table)
     )))
-
-    inverse_same = matrix == dlmod.dl_inverse_matrix(W, table)
-    add(CheckItem("dl-inverse-agreement", inverse_same))
+    add(agreement)
 
     if cartan.type_label == "A":
         pairs = dlmod.springer_table(W, table)
@@ -339,24 +304,36 @@ def run_type_checks(
         add(CheckItem("springer-transpose", transposed,
                       "; ".join(f"{a.display}->{b.display}" for a, b in pairs[:3])))
 
-    parity = all(
-        dlmod.ShiftLedger(central, W.rank).parity_identity_holds(size)
-        for central in range(4)
-        for size in range(W.rank + 1)
-    )
-    add(CheckItem("shift-parity-ledger", parity))
+    add(CheckItem("shift-parity-ledger", _parity_ledger_holds([W.rank])))
 
     return checks
 
 
-def global_parity_checks() -> list[CheckItem]:
-    ok = all(
+def _dl_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
+    """The sign-twist, involution and dl-inverse-agreement rows, for dl and verify alike."""
+    twist = dlmod.verify_sign_twist(W, table)
+    invrep = dlmod.verify_involution(W, table)
+    agree = dlmod.dl_matrix(W, table) == dlmod.dl_inverse_matrix(W, table)
+    return [
+        CheckItem("sign-twist", twist.ok, twist.violations[0] if twist.violations else ""),
+        CheckItem("involution", invrep.ok, invrep.violations[0] if invrep.violations else ""),
+        CheckItem("dl-inverse-agreement", agree),
+    ]
+
+
+def _parity_ledger_holds(sigmas: Iterable[int]) -> bool:
+    """The ledger's parity identity for central rank 0..3, each sigma, and every layer 0..sigma."""
+    return all(
         dlmod.ShiftLedger(central, sigma).parity_identity_holds(size)
         for central in range(4)
-        for sigma in range(7)
+        for sigma in sigmas
         for size in range(sigma + 1)
     )
-    return [CheckItem("shift-parity-ledger-sweep", ok, "central<=3, sigma<=6")]
+
+
+def global_parity_checks() -> list[CheckItem]:
+    return [CheckItem("shift-parity-ledger-sweep", _parity_ledger_holds(range(7)),
+                      "central<=3, sigma<=6")]
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +489,7 @@ def render_verify_single(
         lines = [_csv_row(["name", "passed", "detail"])]
         lines += [_csv_row([c.name, "true" if c.passed else "false", c.detail]) for c in checks]
         return "\n".join(lines)
-    passed = sum(1 for c in checks if c.passed)
-    lines = [f"# verify {W.cartan.label}"]
-    for c in checks:
-        suffix = f"  [{c.detail}]" if c.detail else ""
-        lines.append(f"{'ok' if c.passed else 'FAIL'} {c.name}{suffix}")
-    lines.append(f"# {passed}/{len(checks)} checks passed")
-    return "\n".join(lines)
+    return _verify_text([(W.cartan.label, checks)])
 
 
 def render_verify_all(cfg: Config, results: list[tuple[str, list[CheckItem]]]) -> str:
@@ -538,6 +509,11 @@ def render_verify_all(cfg: Config, results: list[tuple[str, list[CheckItem]]]) -
             lines += [_csv_row([label, c.name, "true" if c.passed else "false", c.detail])
                       for c in checks]
         return "\n".join(lines)
+    return _verify_text(results)
+
+
+def _verify_text(results: list[tuple[str, list[CheckItem]]]) -> str:
+    """The text report of verify: each target's rows under its header, then the tally."""
     lines = []
     total = passed = 0
     for label, checks in results:
@@ -562,21 +538,10 @@ def cmd_table(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
     return render_table(cfg, W, classes, table), 0
 
 
-def _dl_checks(cfg: Config, W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
-    twist = dlmod.verify_sign_twist(W, table)
-    invrep = dlmod.verify_involution(W, table)
-    agree = dlmod.dl_matrix(W, table) == dlmod.dl_inverse_matrix(W, table)
-    return [
-        CheckItem("sign-twist", twist.ok, twist.violations[0] if twist.violations else ""),
-        CheckItem("involution", invrep.ok, invrep.violations[0] if invrep.violations else ""),
-        CheckItem("dl-inverse-agreement", agree),
-    ]
-
-
 def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
     W, classes = build_group(cfg, type_label, rank)
     table, _ = load_or_compute_table(cfg, W, classes)
-    checks = _dl_checks(cfg, W, table)
+    checks = _dl_checks(W, table)
     code = 0 if all(c.passed for c in checks) else 1
     return render_dl(cfg, W, classes, table, checks), code
 
@@ -587,7 +552,7 @@ def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
         for type_label, rank in ROSTER:
             W, classes = build_group(cfg, type_label, rank)
             table, _ = load_or_compute_table(cfg, W, classes)
-            results.append((W.cartan.label, run_type_checks(cfg, W, classes, table)))
+            results.append((W.cartan.label, run_type_checks(W, classes, table)))
         results.append(("ledger", global_parity_checks()))
         ok = all(c.passed for _, checks in results for c in checks)
         return render_verify_all(cfg, results), 0 if ok else 1
@@ -599,7 +564,7 @@ def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
             raise InvalidType(f"rank must be an integer, got {rank_str!r}")
         W, classes = build_group(cfg, type_label, rank)
         table, _ = load_or_compute_table(cfg, W, classes)
-        checks = run_type_checks(cfg, W, classes, table)
+        checks = run_type_checks(W, classes, table)
         code = 0 if all(c.passed for c in checks) else 1
         return render_verify_single(cfg, W, classes, table, checks), code
     raise InvalidType("verify expects 'TYPE RANK' or 'all'")

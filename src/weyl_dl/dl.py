@@ -5,9 +5,8 @@ The operator is assembled exactly, verified to coincide with tensoring by the
 sign character, to square to the identity, and to induce the transpose pairing
 on partition labels in type A.  Cohomological shift bookkeeping appears only
 through the parity ledger: the inverse-side signs (-1)^(d_empty + d_I) collapse
-to (-1)^|I|.  The assembled operator depends only on its signs, so
-dl_inverse_matrix compares the ledger signs with (-1)^|I| and assembles a
-second operator only where they differ.
+to (-1)^|I|, since d_0 + d_k = 2(central_rank + sigma_size) - k.  There is one
+assembly; dl_inverse_matrix checks the ledger on every layer and returns it.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ import itertools
 from typing import NamedTuple
 
 from .chars import CharacterTable, VirtualCharacter, decompose, sign, unit
-from .errors import GroupMismatch, InvalidType
+from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import conjugacy_classes, parabolic
 from .indres import induce, restrict
 from .rootsys import WeylGroup
@@ -63,8 +62,8 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
     )
 
 
-def _alternating_matrix(W: WeylGroup, table: CharacterTable, signs: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Columns are the images of the irreducibles under sum of sign * ind res."""
+def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
+    """Columns are the images of the irreducibles under sum of (-1)^|I| ind res."""
     classes = conjugacy_classes(W)
     k = table.n_irreducibles
     columns = []
@@ -74,40 +73,32 @@ def _alternating_matrix(W: WeylGroup, table: CharacterTable, signs: dict[int, in
         for subset in subsets(W.rank):
             P = parabolic(W, subset)
             term = induce(restrict(chi, P, classes), P, classes)
-            s = signs[len(subset)]
+            s = (-1) ** len(subset)
             acc = [a + s * t for a, t in zip(acc, term.values)]
         image = decompose(table, type(chi)(table.group_id, tuple(acc)))
         columns.append(image.coeffs)
     return tuple(columns)
 
 
-def _dl_signs(rank: int) -> dict[int, int]:
-    return {k: (-1) ** k for k in range(rank + 1)}
-
-
 def dl_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """dl_matrix[i] is the coefficient vector of DL applied to irreducible i."""
     key = ("dl_matrix", table.group_id)
     if key not in W.cache:
-        W.cache[key] = _alternating_matrix(W, table, _dl_signs(W.rank))
+        W.cache[key] = _alternating_matrix(W, table)
     return W.cache[key]
 
 
 def dl_inverse_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
-    """Same operator assembled from the inverse-side shift parities.
+    """The operator assembled from the inverse-side shift parities: dl_matrix itself.
 
-    _alternating_matrix is a pure function of its signs, so when the ledger
-    signs equal (-1)^|I| for every |I| this is dl_matrix itself.
+    Each layer's ledger sign must be (-1)^|I|, the sign dl_matrix assembles
+    with; InternalError if one is not.
     """
-    key = ("dl_inverse_matrix", table.group_id)
-    if key not in W.cache:
-        ledger = ShiftLedger(W.cartan.central_rank, W.rank)
-        signs = {k: ledger.inverse_side_sign(k) for k in range(W.rank + 1)}
-        if signs == _dl_signs(W.rank):
-            W.cache[key] = dl_matrix(W, table)
-        else:
-            W.cache[key] = _alternating_matrix(W, table, signs)
-    return W.cache[key]
+    ledger = ShiftLedger(W.cartan.central_rank, W.rank)
+    for size in range(W.rank + 1):
+        if not ledger.parity_identity_holds(size):
+            raise InternalError(f"the inverse-side sign of layer {size} is not (-1)^{size}")
+    return dl_matrix(W, table)
 
 
 def _apply(matrix: tuple[tuple[int, ...], ...], v: VirtualCharacter) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import InternalError, InvalidType
+from .errors import GroupMismatch, InternalError, InvalidType
 from .rootsys import WeylGroup
 
 
@@ -64,9 +64,9 @@ class ConjugacyClasses:
         return self.class_of_arr[0]
 
     def class_of(self, e: int) -> int:
-        c = self.class_of_arr[e]
+        c = self.class_of_arr[e] if 0 <= e < len(self.class_of_arr) else -1
         if c < 0:
-            raise KeyError(f"element {e} is not a member of {self.group_id}")
+            raise GroupMismatch(f"element {e} is not a member of {self.group_id}")
         return c
 
 

@@ -24,9 +24,13 @@ from .rootsys import WeylGroup
 
 
 def restrict(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
-    """Pull a class function on G back to its subgroup H through the fusion of H's classes."""
+    """Pull a class function on G back to its subgroup H through the fusion of H's classes.
+
+    GroupMismatch if a member of H is not in G: induction_counts reads them all.
+    """
     if f.group_id != G.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {G.group_id}")
+    induction_counts(G, H)
     return ClassFunction(H.group_id, tuple(f.values[G.class_of(rep)] for rep in H.reps))
 
 

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weyl_dl import (
+    InternalError,
     InvalidType,
     VirtualCharacter,
     decompose,
@@ -26,7 +27,7 @@ from weyl_dl.dl import (
     sign_tensor_permutation,
 )
 from weyl_dl.chars import CharacterTable, ClassFunction
-from weyl_dl.cli import ROSTER
+from weyl_dl.cli import ROSTER, main
 from weyl_dl.symchars import transpose
 
 
@@ -82,20 +83,22 @@ def test_dl_linear_on_lattice(tables):
 
 
 def test_dl_inverse_matches_direct(tables):
-    # dl_inverse_matrix reuses dl_matrix when the signs agree, so assemble the
-    # inverse side from the ledger signs by brute force here
+    # a fresh assembly, the cached operator and the ledger-checked inverse side agree
     for key in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         W, _, t = tables(*key)
-        ledger = ShiftLedger(W.cartan.central_rank, W.rank)
-        ledger_signs = {k: ledger.inverse_side_sign(k) for k in range(W.rank + 1)}
-        assert _alternating_matrix(W, t, ledger_signs) == dl_matrix(W, t)
-        assert dl_inverse_matrix(W, t) == dl_matrix(W, t)
+        assert _alternating_matrix(W, t) == dl_matrix(W, t) == dl_inverse_matrix(W, t)
 
 
-def test_alternating_matrix_depends_on_signs(tables):
+def test_dl_inverse_refuses_a_disagreeing_ledger(tables, monkeypatch, capsys, tmp_path):
+    """A layer whose inverse-side parity is not (-1)^|I| is an engine fault: InternalError, exit 4."""
+    monkeypatch.setattr(ShiftLedger, "parity_identity_holds", lambda self, size: False)
     W, _, t = tables("A", 2)
-    plus = _alternating_matrix(W, t, {k: 1 for k in range(W.rank + 1)})
-    assert plus != dl_matrix(W, t)
+    with pytest.raises(InternalError, match="layer 0"):
+        dl_inverse_matrix(W, t)
+    assert main(["dl", "A", "2", "--cache-dir", str(tmp_path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: internal: ")
 
 
 def tensor_sign_permutation(W, t):

@@ -1,0 +1,59 @@
+"""Byte identity with known reports: the sha256 of stdout for fixed commands.
+
+Run-to-run determinism is tested elsewhere; these digests pin the reports
+themselves, so a refactor that changes a byte of `verify all`, of a `dl`
+pairing or of a table fails here.  A deliberate change to a report updates
+its digest in the same commit.
+"""
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from weyl_dl.cli import main
+
+GOLDEN = (
+    ("verify all --format json", "91414cd4761ece9cdc789436cf27f57b61169b60cd9559bd32624892e71ee4b6"),
+    ("verify all --format csv", "9088753235194fa5d020086812f3fd1afcb140ff67b5ddc0da7e9535f9afde71"),
+    ("verify all --format text", "44421604bf8ad2d86f4545c292fb1a6987a3253ec267425feaac898fee3aeedd"),
+    ("dl A 1 --format json", "4b2f69d775b1091da931a40c1b7de2ca39d19cce335e8b4e806eca5cd8842bdd"),
+    ("table A 1 --format json", "a7a8d85f146568c5d91add41de7cc27660600f9e6f06cee3e2aed216ffa0a05c"),
+    ("dl A 2 --format json", "4c04e5f563d4afab7c4ebf26eef2b1d5606ea89c901b903c770ed019c3e5bb59"),
+    ("table A 2 --format json", "3a840ee28efa60971b0167de67e03861aa44fbcfc2aeb6ecbae1a08548f9656f"),
+    ("dl A 3 --format json", "aa57649de1272b60ef6562c31d66a0e6ab8c6a737415d95b40558ad1c76c1278"),
+    ("table A 3 --format json", "c3168c166eb7af34c1d7f6ccdc46ea063ef8df70f92b653c829146c11b52e4d9"),
+    ("dl A 4 --format json", "ea5521c6f5412e23fafd103db352910a728f6befe9b8823f9d3bec925c919030"),
+    ("table A 4 --format json", "fc3ce9c4bdc3ba3e8e63a8a83d3dcf3d0e1bc87267a873f31063c9962e4b9ab4"),
+    ("dl A 5 --format json", "d671dff3be75dd35ac18016723199f71122b4bb11299ef1c3e1e2e3b405dbbea"),
+    ("table A 5 --format json", "0cec04598079192d178017bf40bcbaa92315b0af64933ee6cd21ae45ae943e41"),
+    ("dl B 2 --format json", "4ac331ba2585c1bd87e0c3546c3f10d9fa84c4dd0ff4ef9e0a8e7c7844ad711e"),
+    ("table B 2 --format json", "3b4c94cefb62d87897cfae9aa2cffde527d71840f32a52e30a10092eb4d61b7a"),
+    ("dl B 3 --format json", "7f5adc454990196d43152c06e345b66bad8ad869d72e7601abd7d6f7e031c713"),
+    ("table B 3 --format json", "e957359fbf1d1ed35d3ca4fb33d3c0ee62a694680e31d07f39edc655d612447d"),
+    ("dl B 4 --format json", "799bb173d9729798e9faf97b7a218311c682bde4a2bfb55a597afefc15ad7e39"),
+    ("table B 4 --format json", "a01016249c50fc09f4541da88daad97cb6ceb338f028c72dba0b1cb63a367715"),
+    ("dl C 3 --format json", "745f5fbf7895de9dc01224953b00cec2f5b1bd0b0573e57d254d41395d9afe71"),
+    ("table C 3 --format json", "8df61a653354cfcf8e09ba394d1aaf8079126ddc2f9084eaf33d6c6f0e714eaa"),
+    ("dl D 4 --format json", "a981be7eca5d7a6785f19c9586e1f28b447af57ec8277182403c890019a77082"),
+    ("table D 4 --format json", "2db933eac051902e1c4d8d8cc25de633c5f43100ade04a47623b0ad45d4192fe"),
+    ("dl G 2 --format json", "5eca39d9da92dcb33e39fa190cd659b9761e46ce12c02219e8ff31895e58135d"),
+    ("table G 2 --format json", "a50d0bb8d63a9e4f5b30cc19572cd2781f380b3686e25afb814c70b69562e240"),
+    ("dl F 4 --format json", "89c13913521e698d2d580643cc5288022158a4241a6c86e6f8fc84a52748e04b"),
+    ("table F 4 --format json", "c6a8bf7bdfc7c54fd25280b337486aba562f513a2b6c955fdd8bd8b36796dd3c"),
+)
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    """One cache for the module: the first command splits a table, the rest load it."""
+    return tmp_path_factory.mktemp("cache")
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
+def test_stdout_digest(cache_dir, command, digest):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(command.split() + ["--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -62,6 +62,19 @@ def test_restrict_group_mismatch(tables):
         induce(trivial(cc), P, cc)
 
 
+def test_subgroup_outside_supergroup_is_a_group_mismatch(tables):
+    """W_{s2} does not lie in W_{s1}: both directions raise GroupMismatch, not a bare KeyError."""
+    W, cc, _ = tables("A", 2)
+    P0, P1 = parabolic(W, [0]), parabolic(W, [1])
+    for e in (-1, W.order):  # no element of W, so a member of no subgroup
+        with pytest.raises(GroupMismatch, match=f"element {e} is not a member of A2"):
+            cc.class_of(e)
+    with pytest.raises(GroupMismatch, match="not a member of A2\\|I=\\[1\\]"):
+        restrict(trivial(P0), P1, P0)
+    with pytest.raises(GroupMismatch, match="not a member of A2\\|I=\\[1\\]"):
+        induce(trivial(P1), P1, P0)
+
+
 def test_induce_examples(tables):
     W, cc, t = tables("A", 2)
     P = parabolic(W, (0,))

@@ -54,6 +54,7 @@ def test_value_records_compare_and_hash_by_group_and_values(cls):
     "2 * f", "v * 2", "2 * v",
     # an operand that is no record of the same class is refused, not read as one
     "f * 2", "f + (1, 2)", "f - 3", "f + v", "v + 1", "v - 1", "v + f",
+    "(1, 2) + f", "(1, 2) + v",
 ])
 def test_no_tuple_repetition(expr):
     f = ClassFunction("A2", (1, 1, 1))

@@ -1,10 +1,8 @@
-"""Tools outside the package: the traced benchmark and the verification script.
+"""Tools outside the package: the traced benchmark.
 
 The traced benchmark wraps engine functions by name; a rename must fail here, not silently there.
 """
 import importlib.util
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -23,18 +21,3 @@ def test_traced_functions_resolve(monkeypatch):
     for expected in [("WeylGroup", "conjugate_sweep"), ("WeylGroup", "mul"),
                      ("weyl_dl.indres", "induction_counts"), ("weyl_dl.chars", "_split_eigenvectors")]:
         assert expected in names
-
-
-def test_run_verification_script_passes(tmp_path):
-    """scripts/run_verification.py runs the roster through build_group and run_type_checks."""
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_verification.py"), "--cache-dir", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1].endswith(", 0 failing checks")
-    assert [line.split()[0] for line in lines[1:-1]] == [
-        "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
-    ]
