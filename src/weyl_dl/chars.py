@@ -160,11 +160,8 @@ def inner_product(classes: ConjugacyClasses, f: ClassFunction, g: ClassFunction)
     """<f, g> = (1/|G|) sum over classes of |C| f(C) g(C^-1-class)."""
     if f.group_id != classes.group_id or g.group_id != classes.group_id:
         raise GroupMismatch("class functions do not live on the given classes")
-    fv, gv = f.values, g.values
-    total = sum(
-        size * fv[c] * gv[i]
-        for c, (size, i) in enumerate(zip(classes.sizes, classes.inverse_class))
-    )
+    weighted = map(mul, classes.sizes, f.values)
+    total = sum(map(mul, weighted, map(g.values.__getitem__, classes.inverse_class)))
     return exact_quotient(total, classes.order)
 
 
@@ -198,11 +195,18 @@ def regular(classes: ConjugacyClasses) -> ClassFunction:
     return ClassFunction(classes.group_id, tuple(vals))
 
 
-def _class_matrix(W: WeylGroup, classes: ConjugacyClasses, i: int) -> list[list[int]]:
+ClassMatrix = tuple[tuple[int, ...], ...]
+
+
+def _class_matrix(W: WeylGroup, classes: ConjugacyClasses, i: int) -> ClassMatrix:
     """A[j][m] = #{x in C_i : x^-1 z_m in C_j} for class representatives z_m.
 
     Each x^-1 z_m is a walk of x^-1 through right_maps along the word of z_m.
+    Cached on W, so the split and the certificate tally each matrix once.
     """
+    key = ("class_matrix", classes.group_id, i)
+    if key in W.cache:
+        return W.cache[key]
     class_of = classes.class_of_arr
     inverses = [W.inv(x) for x in classes.members if class_of[x] == i]
     A = [[0] * classes.n_classes for _ in classes.reps]
@@ -213,14 +217,15 @@ def _class_matrix(W: WeylGroup, classes: ConjugacyClasses, i: int) -> list[list[
             products = [right[y] for y in products]
         for j, count in Counter(map(class_of.__getitem__, products)).items():
             A[j][m] = count
-    return A
+    W.cache[key] = tuple(map(tuple, A))
+    return W.cache[key]
 
 
-def _mat_vec(A: list[list[int]], v: Sequence[int]) -> list[int]:
+def _mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in A]
 
 
-def _eigenvalues(A: list[list[int]], ident: int, p: int) -> list[int]:
+def _eigenvalues(A: ClassMatrix, ident: int, p: int) -> list[int]:
     """Distinct eigenvalues of a class matrix mod p: the roots of the minimal polynomial of e_ident.
 
     e_ident = sum over chi of (chi(1)^2/|H|) omega_chi with no coefficient 0 mod p,
@@ -296,15 +301,15 @@ def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> t
     if len(rows) != k or any(len(row) != k for row in rows):
         return False, False
     order, sizes, inv = classes.order, classes.sizes, classes.inverse_class
-    weighted = [[sizes[c] * row[inv[c]] for c in range(k)] for row in rows]
+    weighted = [list(map(mul, sizes, map(row.__getitem__, inv))) for row in rows]
     rows_ok = all(
-        sum(a * b for a, b in zip(rows[i], weighted[j])) == (order if i == j else 0)
+        sum(map(mul, rows[i], weighted[j])) == (order if i == j else 0)
         for i in range(k)
         for j in range(k)
     )
     cols = list(zip(*rows))
     cols_ok = all(
-        sum(a * b for a, b in zip(cols[c], cols[inv[d]])) == (order // sizes[c] if c == d else 0)
+        sum(map(mul, cols[c], cols[inv[d]])) == (order // sizes[c] if c == d else 0)
         for c in range(k)
         for d in range(k)
     )

@@ -171,6 +171,7 @@ def load_or_compute_table(
                 table = table_from_rows(W, classes, entry.values)
                 if (list(entry.values) == canonical_rows(classes, entry.values)
                         and (entry.degrees, entry.labels) == (table.degrees, table.labels)):
+                    W.cache[("character_table", W.group_id)] = table  # character_table(W) reads it
                     return table, True
         except IrrationalityError:
             pass
@@ -547,7 +548,9 @@ def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
 
 
 def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
-    if len(targets) == 1 and targets[0] == "all":
+    if targets[:1] == ["all"] and len(targets) > 1:
+        raise InvalidType("verify all takes no further arguments")
+    if targets == ["all"]:
         results = []
         for type_label, rank in ROSTER:
             W, classes = build_group(cfg, type_label, rank)
@@ -557,7 +560,7 @@ def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
         ok = all(c.passed for _, checks in results for c in checks)
         return render_verify_all(cfg, results), 0 if ok else 1
     if len(targets) == 2:
-        type_label, rank_str = targets
+        type_label, rank_str = targets[0].upper(), targets[1]
         try:
             rank = int(rank_str)
         except ValueError:
@@ -610,10 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "dl":
             text, code = cmd_dl(cfg, args.type_label.upper(), args.rank)
         elif args.command == "verify":
-            targets = args.targets
-            if len(targets) == 2:
-                targets = [targets[0].upper(), targets[1]]
-            text, code = cmd_verify(cfg, targets)
+            text, code = cmd_verify(cfg, args.targets)
         else:
             raise InvalidType(f"unknown command {args.command}")
     except (InvalidType, NonFinite, GroupMismatch, NotVirtual) as exc:

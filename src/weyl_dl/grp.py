@@ -29,7 +29,8 @@ class ConjugacyClasses:
     canonical: each is the smallest element index in its class, and classes
     are listed in order of their representatives.  class_of_arr has one entry
     per element of W, -1 for non-members.  counts[G.group_id] keeps the
-    induction counts from this subgroup up to a supergroup G (indres).
+    nonzero induction counts from this subgroup up to a supergroup G, as
+    (G class, class, count) triples (indres).
     """
 
     def __init__(
@@ -49,7 +50,7 @@ class ConjugacyClasses:
         self.class_of_arr = class_of_arr
         self.inverse_class = inverse_class
         self.generators = generators
-        self.counts: dict[str, tuple[tuple[int, ...], ...]] = {}
+        self.counts: dict[str, tuple[tuple[int, int, int], ...]] = {}
 
     @property
     def order(self) -> int:
@@ -138,11 +139,17 @@ def conjugacy_classes(W: WeylGroup) -> ConjugacyClasses:
 
 
 def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
-    """The standard parabolic subgroup generated by the simple reflections in subset, cached on W."""
+    """The standard parabolic subgroup generated by the simple reflections in subset, cached on W.
+
+    W_S, for subset all of S, is W's own classes: the same object, so W's table
+    and counts serve it too.
+    """
     subset = tuple(sorted(set(subset)))
     for i in subset:
         if not 0 <= i < W.rank:
             raise InvalidType(f"simple reflection index {i} is outside 0..{W.rank - 1}")
+    if len(subset) == W.rank:
+        return conjugacy_classes(W)
     key = ("parabolic", subset)
     if key not in W.cache:
         seen = [False] * W.order

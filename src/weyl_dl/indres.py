@@ -8,13 +8,15 @@ f(x w x^-1) taken over the x with x w x^-1 in H, evaluated once per class
 representative of G.  The counts come from the two class partitions alone:
 x -> x w x^-1 hits each element of the G-class C of w exactly |G|/|C| times,
 so #{x in G : x w x^-1 in c} = |C n c| * |G|/|C|, tallied in one pass over the
-members of H (Geck-Pfeiffer 2000) and cached on H per supergroup, making
-repeated inductions a small integer matrix product.  The sum is an integer
-for an integer f, and the division by |H| is exact; a value is a Fraction only
-when f has Fraction values and the quotient is non-integral.
+members of H (Geck-Pfeiffer 2000, ch. 2) and cached on H per supergroup.  Each
+class of H fuses into exactly one class of G, so only one count per class of H
+is nonzero, and an induction is a scatter of one term per subgroup class.  The
+sum is an integer for an integer f, and the division by |H| is exact; a value
+is a Fraction only when f has Fraction values and the quotient is non-integral.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .chars import CharacterTable, ClassFunction, exact_quotient, inner_product
@@ -34,22 +36,22 @@ def restrict(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> Clas
     return ClassFunction(H.group_id, tuple(f.values[G.class_of(rep)] for rep in H.reps))
 
 
-Counts = tuple[tuple[int, ...], ...]
+Counts = tuple[tuple[int, int, int], ...]
 
 
 def induction_counts(G: ConjugacyClasses, H: ConjugacyClasses) -> Counts:
-    """counts[r][c] = #{x in G : x w_r x^-1 lies in class c of H}, w_r the r-th rep of G.
+    """Nonzero (r, c, n): n = #{x in G : x w_r x^-1 lies in class c of H}, w_r the r-th rep of G.
 
-    Each member of H is tallied under its (G class, H class) pair; row r is
-    then scaled by the centralizer order |G|/|C_r|.  Cached in H.counts.
+    Each member of H is tallied under its (G class, H class) pair, and each
+    tally is scaled by the centralizer order |G|/|C_r|.  A class c of H lies
+    in one class r of G, so there is one triple per class of H, in the order
+    of the G-classes, then the H-classes.  Cached in H.counts.
     """
     counts = H.counts.get(G.group_id)
     if counts is None:
-        tally = [[0] * H.n_classes for _ in range(G.n_classes)]
-        for h in H.members:
-            tally[G.class_of(h)][H.class_of(h)] += 1
+        tally = Counter((G.class_of(h), H.class_of(h)) for h in H.members)
         counts = H.counts[G.group_id] = tuple(
-            tuple(n * (G.order // size) for n in row) for row, size in zip(tally, G.sizes)
+            (r, c, n * (G.order // G.sizes[r])) for (r, c), n in sorted(tally.items())
         )
     return counts
 
@@ -59,11 +61,11 @@ def induce(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassF
     if f.group_id != H.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {H.group_id}")
     fv = f.values
-    vals = tuple(
-        exact_quotient(sum(n * v for n, v in zip(row, fv)), H.order)
-        for row in induction_counts(G, H)
-    )
-    return ClassFunction(G.group_id, vals)
+    sums = [0] * G.n_classes
+    for r, c, n in induction_counts(G, H):
+        sums[r] += n * fv[c]
+    order = H.order
+    return ClassFunction(G.group_id, tuple(exact_quotient(t, order) for t in sums))
 
 
 def induce_between(
@@ -116,6 +118,25 @@ class MackeyReport(NamedTuple):
         return not self.violations
 
 
+def _mackey_terms(
+    W: WeylGroup, PJ: ConjugacyClasses, PI: ConjugacyClasses
+) -> tuple[tuple[ConjugacyClasses, tuple[int, ...]], ...]:
+    """Each double coset's intersection and its transport into W_I, cached on W per (J, I).
+
+    For the coset W_J x W_I: the classes of W_J n x W_I x^-1, and for each of
+    them the class of W_I that holds x^-1 rep x.
+    """
+    key = ("mackey_terms", PJ.generators, PI.generators)
+    if key not in W.cache:
+        terms = []
+        for x, members in double_cosets(W, PJ.generators, PI.generators):
+            inter = subgroup_classes(W, members)
+            xi = W.inv(x)
+            terms.append((inter, tuple(PI.class_of(W.conjugate(xi, rep)) for rep in inter.reps)))
+        W.cache[key] = tuple(terms)
+    return W.cache[key]
+
+
 def mackey_check(
     W: WeylGroup,
     subset_I: tuple[int, ...],
@@ -134,10 +155,8 @@ def mackey_check(
     left = restrict(induce(f, PI, cc), PJ, cc)
 
     right_vals = [0] * PJ.n_classes
-    for x, inter_members in double_cosets(W, subset_J, subset_I):
-        inter = subgroup_classes(W, inter_members)
-        xi = W.inv(x)
-        transported = tuple(f.values[PI.class_of(W.conjugate(xi, rep))] for rep in inter.reps)
+    for inter, transport in _mackey_terms(W, PJ, PI):
+        transported = tuple(map(f.values.__getitem__, transport))
         term = induce(ClassFunction(inter.group_id, transported), inter, PJ)
         right_vals = [a + b for a, b in zip(right_vals, term.values)]
     right = ClassFunction(PJ.group_id, tuple(right_vals))

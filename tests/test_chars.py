@@ -105,6 +105,14 @@ def test_eigenvalues_are_central_characters_mod_p(groups, type_label, rank, subs
         assert _eigenvalues(_class_matrix(W, cc, i), ident, p) == sorted({q % p for q, _ in central})
 
 
+def test_class_matrix_is_tallied_once(groups):
+    """The split and the certificate share one cached class matrix."""
+    W = groups("B", 3)
+    cc = parabolic(W, (0, 1))
+    for i in range(cc.n_classes):
+        assert _class_matrix(W, cc, i) is _class_matrix(W, cc, i)
+
+
 def bipartition_degrees(n, type_d):
     """Degrees of B_n (or D_n) from bipartitions (lam, mu): C(n, |lam|) f^lam f^mu.
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import weyl_dl
-from weyl_dl import InternalError, InvalidType, IrrationalityError, cli, rootsys
+from weyl_dl import InternalError, InvalidType, IrrationalityError, chars, cli, rootsys
 from weyl_dl.cli import (
     Config,
     TableCacheEntry,
@@ -300,6 +300,28 @@ def test_verify_bad_target(cache_dir):
     assert code == 2
     code, _ = run_cli(["verify", "A", "2", "3", "--cache-dir", str(cache_dir)])
     assert code == 2
+
+
+def test_verify_all_takes_no_further_arguments(cache_dir, capsys):
+    code, out = run_cli(["verify", "all", "extra", "--cache-dir", str(cache_dir)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: verify all takes no further arguments\n"
+
+
+def test_warm_verify_splits_only_proper_parabolics(cache_dir, monkeypatch):
+    """W's table comes from the cache and also serves W_S; each proper W_I is split once."""
+    assert run_cli(["verify", "B", "3", "--cache-dir", str(cache_dir)])[0] == 0
+    split = chars._split_eigenvectors
+    orders = []
+
+    def counted(W, classes, p):
+        orders.append(classes.order)
+        return split(W, classes, p)
+
+    monkeypatch.setattr(chars, "_split_eigenvectors", counted)
+    assert run_cli(["verify", "B", "3", "--cache-dir", str(cache_dir)])[0] == 0
+    assert len(orders) == 2 ** 3 - 1
+    assert all(order < 48 for order in orders)
 
 
 def test_unwritable_cache_dir_still_prints_table(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import weyl_dl
 from weyl_dl import InvalidType, conjugacy_classes, double_cosets, parabolic, subgroup_classes
+from weyl_dl.cli import ROSTER
 
 
 def subsets(rank):
@@ -153,6 +154,20 @@ def test_parabolic_rejects_bad_index(groups, subset, bad):
     W = groups("A", 3)
     with pytest.raises(InvalidType, match=f"index {bad} is outside"):
         parabolic(W, subset)
+
+
+@pytest.mark.parametrize("type_label, rank", ROSTER)
+def test_parabolic_of_all_of_s_is_w(groups, type_label, rank):
+    """W_S is W's own classes, so W's table and counts serve it."""
+    W = groups(type_label, rank)
+    assert parabolic(W, range(W.rank)) is conjugacy_classes(W)
+
+
+def test_parabolic_shortcut_comes_after_validation(groups):
+    W = groups("A", 2)
+    assert parabolic(W, [0, 0, 1]) is conjugacy_classes(W)
+    with pytest.raises(InvalidType, match="index 5 is outside"):
+        parabolic(W, [0, 5])
 
 
 def test_parabolic_rejects_bad_index_under_optimize(run_optimized):

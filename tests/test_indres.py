@@ -221,9 +221,18 @@ def brute_force_counts(W, sup, sub):
     return tuple(counts)
 
 
+def dense(counts, G, H):
+    """The full |classes(G)| x |classes(H)| matrix of the nonzero (r, c, n) triples, zeros included."""
+    matrix = [[0] * H.n_classes for _ in range(G.n_classes)]
+    for r, c, n in counts:
+        assert n > 0 and matrix[r][c] == 0
+        matrix[r][c] = n
+    return tuple(map(tuple, matrix))
+
+
 def assert_induce_between_matches_sweep(W, sub, sup):
     counts = brute_force_counts(W, sup, sub)
-    assert induction_counts(sup, sub) == counts
+    assert dense(induction_counts(sup, sub), sup, sub) == counts
     for c in range(sub.n_classes):
         induced = induce(indicator(sub, c), sub, sup)
         assert induced.values == tuple(Fraction(row[c], sub.order) for row in counts)
@@ -235,8 +244,19 @@ def test_induction_counts_match_sweep(tables, type_label, rank):
     for I in subsets(rank):
         P = parabolic(W, I)
         counts = induction_counts(cc, P)
-        assert counts == brute_force_counts(W, cc, P)
+        assert dense(counts, cc, P) == brute_force_counts(W, cc, P)
         assert induction_counts(cc, P) is counts is P.counts[cc.group_id]
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_induction_counts_into_w_have_one_triple_per_subgroup_class(tables, type_label, rank):
+    """Each class of H lies in one class of W, so it appears in exactly one triple."""
+    W, cc, _ = tables(type_label, rank)
+    for I in subsets(rank):
+        P = parabolic(W, I)
+        counts = induction_counts(cc, P)
+        assert sorted(c for _, c, _ in counts) == list(range(P.n_classes))
+        assert all(r == cc.class_of(P.reps[c]) for r, c, _ in counts)
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])
