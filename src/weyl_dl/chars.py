@@ -14,7 +14,7 @@ is exact; a Fraction appears only where a value really is non-integral.
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -121,7 +121,8 @@ class CharacterTable:
 
     Canonical order: ascending degree, then value lists compared high-to-low,
     which puts the trivial character first.  labels is per-row partition labels
-    for irreducible type A, else None.
+    for irreducible type A, else None.  orthogonal is the (rows, columns)
+    orthogonality its certificate proved, or None for an uncertified table.
     """
 
     def __init__(
@@ -131,12 +132,14 @@ class CharacterTable:
         irreducibles: tuple[ClassFunction, ...],
         degrees: tuple[int, ...],
         labels: tuple[tuple[int, ...], ...] | None = None,
+        orthogonal: tuple[bool, bool] | None = None,
     ):
         self.group_id = group_id
         self.classes = classes
         self.irreducibles = irreducibles
         self.degrees = degrees
         self.labels = labels
+        self.orthogonal = orthogonal
 
     @property
     def n_irreducibles(self) -> int:
@@ -144,6 +147,14 @@ class CharacterTable:
 
     def values_row(self, i: int) -> tuple[int, ...]:
         return self.irreducibles[i].values
+
+    @cached_property
+    def weighted_conjugates(self) -> tuple[tuple[int, ...], ...]:
+        """Per irreducible chi, |C| chi(C^-1) over the classes C: <f, chi> = sum(f * it) / |G|."""
+        sizes, inv = self.classes.sizes, self.classes.inverse_class
+        return tuple(
+            tuple(map(mul, sizes, map(chi.values.__getitem__, inv))) for chi in self.irreducibles
+        )
 
 
 def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
@@ -316,7 +327,9 @@ def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> t
     return rows_ok, cols_ok
 
 
-def certify_characters(W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> None:
+def certify_characters(
+    W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]
+) -> tuple[bool, bool]:
     """Prove over Z that rows are the irreducible characters; IrrationalityError if not.
 
     Rows and columns must be orthogonal, and the degree squares sum to |H|.
@@ -325,8 +338,10 @@ def certify_characters(W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[S
     differ; independent rows then span lines that every class matrix
     preserves, so w is a central character and its norm fixes the scale.
     (A_i w)[ident] = w_i, so the eigenvalue can only be w_i / w_ident.
+    Returns the orthogonality it proved.
     """
-    if not all(orthogonality(classes, rows)):
+    proved = orthogonality(classes, rows)
+    if not all(proved):
         raise IrrationalityError("row or column orthogonality fails")
     ident = classes.identity_class
     if sum(row[ident] ** 2 for row in rows) != classes.order:
@@ -340,7 +355,7 @@ def certify_characters(W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[S
                 raise IrrationalityError(f"row {r} is not an eigenvector of class matrix {i}")
         eigenvalues = [e + (w[i] // w[ident],) for e, w in zip(eigenvalues, ws)]
         if len(set(eigenvalues)) == len(rows):
-            return
+            return proved
     raise IrrationalityError("the class matrices do not separate the rows")
 
 
@@ -406,13 +421,14 @@ def table_from_rows(
     Degrees are read at the identity class and labels come from table_labels;
     IrrationalityError if the rows are not the irreducible characters.
     """
-    certify_characters(W, classes, rows)
+    orthogonal = certify_characters(W, classes, rows)
     return CharacterTable(
         group_id=classes.group_id,
         classes=classes,
         irreducibles=tuple(ClassFunction(classes.group_id, tuple(row)) for row in rows),
         degrees=tuple(row[classes.identity_class] for row in rows),
         labels=table_labels(W, classes, rows),
+        orthogonal=orthogonal,
     )
 
 
@@ -421,8 +437,8 @@ def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:
     if f.group_id != table.group_id:
         raise GroupMismatch(f"{f.group_id} vs table on {table.group_id}")
     coeffs = []
-    for chi in table.irreducibles:
-        c = inner_product(table.classes, f, chi)
+    for weighted in table.weighted_conjugates:
+        c = exact_quotient(sum(map(mul, f.values, weighted)), table.classes.order)
         if not isinstance(c, int):
             raise NotVirtual(f"pairing {c} with an irreducible is not an integer")
         coeffs.append(c)

@@ -91,9 +91,10 @@ def cache_path(cfg: Config, type_label: str, rank: int, central_rank: int) -> Pa
 
 
 def save_cache_entry(path: Path, entry: TableCacheEntry) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    import tempfile  # only a cache miss writes; a warm command never loads it
+    """Atomic write: a new mode-0600 temp file in the target directory, then rename.
 
+    The temp name holds the pid and random bytes; O_EXCL makes a clash an OSError.
+    """
     payload = {
         "schema_version": str(entry.schema_version),
         "type_label": entry.type_label,
@@ -106,7 +107,8 @@ def save_cache_entry(path: Path, entry: TableCacheEntry) -> None:
         "values": [[str(v) for v in row] for row in entry.values],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -220,7 +222,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
     add(CheckItem("group-order-degrees", W.order == expected, f"order={W.order}"))
 
-    agree = all(W.lengths[e] == W.inversions(e) for e in range(W.order))
+    agree = W.lengths == tuple(map(W.inversions, range(W.order)))
     add(CheckItem("length-inversions", agree))
 
     npos = W.rootsystem.n_positive
@@ -240,7 +242,10 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     k = classes.n_classes
     add(CheckItem("table-integer-values",
                   all(isinstance(v, int) for chi in table.irreducibles for v in chi.values)))
-    rows_ok, cols_ok = orthogonality(classes, [chi.values for chi in table.irreducibles])
+    # a certified table carries the orthogonality its certificate proved
+    rows_ok, cols_ok = table.orthogonal or orthogonality(
+        classes, [chi.values for chi in table.irreducibles]
+    )
     add(CheckItem("row-orthonormality", rows_ok))
     add(CheckItem("column-orthogonality", cols_ok))
 
@@ -252,38 +257,41 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
         add(CheckItem("type-a-partition-labels", bool(labels_ok)))
 
     if W.rank <= 4:
+        subsets = dlmod.subsets(W.rank)
+        sub_tables = {I: character_table(W, parabolic(W, I)) for I in subsets}
         bad = 0
         first = ""
-        for I in dlmod.subsets(W.rank):
-            report = frobenius_check(table, character_table(W, parabolic(W, I)))
+        for sub_table in sub_tables.values():
+            report = frobenius_check(table, sub_table)
             if not report.ok:
                 bad += len(report.violations)
                 first = first or report.violations[0]
         add(CheckItem("frobenius-reciprocity", bad == 0, first or f"subsets={2 ** W.rank}"))
 
     if W.rank <= 3:
+        # ind_{W_I}^W chi, once per (I, chi), for Mackey's left side and the direct side below
+        induced = {I: [induce(chi, t.classes, classes) for chi in t.irreducibles]
+                   for I, t in sub_tables.items()}
         bad = 0
         first = ""
-        for I in dlmod.subsets(W.rank):
-            sub_table = character_table(W, parabolic(W, I))
-            for J in dlmod.subsets(W.rank):
-                for chi in sub_table.irreducibles:
-                    report = mackey_check(W, I, J, chi)
+        for I in subsets:
+            for J in subsets:
+                for chi, ind_chi in zip(sub_tables[I].irreducibles, induced[I]):
+                    report = mackey_check(W, I, J, chi, ind_chi)
                     if not report.ok:
                         bad += 1
                         first = first or report.violations[0]
         add(CheckItem("mackey-decomposition", bad == 0, first))
 
         bad = 0
-        for J in dlmod.subsets(W.rank):
-            PJ = parabolic(W, J)
-            tj = character_table(W, PJ)
-            for I in dlmod.subsets(W.rank):
+        for J in subsets:
+            PJ = sub_tables[J].classes
+            for I in subsets:
                 if not set(J) <= set(I):
                     continue
-                PI = parabolic(W, I)
-                for chi in tj.irreducibles:
-                    if induce(induce(chi, PJ, PI), PI, classes) != induce(chi, PJ, classes):
+                PI = sub_tables[I].classes
+                for chi, direct in zip(sub_tables[J].irreducibles, induced[J]):
+                    if induce(induce(chi, PJ, PI), PI, classes) != direct:
                         bad += 1
         add(CheckItem("induction-transitivity", bad == 0))
 

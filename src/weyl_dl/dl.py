@@ -11,9 +11,10 @@ assembly; dl_inverse_matrix checks the ledger on every layer and returns it.
 from __future__ import annotations
 
 import itertools
+from operator import add, sub
 from typing import NamedTuple
 
-from .chars import CharacterTable, VirtualCharacter, decompose, sign, unit
+from .chars import CharacterTable, ClassFunction, VirtualCharacter, decompose, sign, unit
 from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import conjugacy_classes, parabolic
 from .indres import induce, restrict
@@ -63,21 +64,18 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
 
 
 def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
-    """Columns are the images of the irreducibles under sum of (-1)^|I| ind res."""
+    """Columns are the images of the irreducibles under sum of (-1)^|I| ind res, layer by layer."""
     classes = conjugacy_classes(W)
-    k = table.n_irreducibles
-    columns = []
-    for i in range(k):
-        chi = table.irreducibles[i]
-        acc = [0] * len(chi.values)
-        for subset in subsets(W.rank):
-            P = parabolic(W, subset)
+    sums = [[0] * classes.n_classes for _ in table.irreducibles]
+    for subset in subsets(W.rank):
+        P = parabolic(W, subset)
+        op = sub if len(subset) % 2 else add
+        for i, chi in enumerate(table.irreducibles):
             term = induce(restrict(chi, P, classes), P, classes)
-            s = (-1) ** len(subset)
-            acc = [a + s * t for a, t in zip(acc, term.values)]
-        image = decompose(table, type(chi)(table.group_id, tuple(acc)))
-        columns.append(image.coeffs)
-    return tuple(columns)
+            sums[i] = list(map(op, sums[i], term.values))
+    return tuple(
+        decompose(table, ClassFunction(table.group_id, tuple(acc))).coeffs for acc in sums
+    )
 
 
 def dl_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:

@@ -30,7 +30,8 @@ class ConjugacyClasses:
     are listed in order of their representatives.  class_of_arr has one entry
     per element of W, -1 for non-members.  counts[G.group_id] keeps the
     nonzero induction counts from this subgroup up to a supergroup G, as
-    (G class, class, count) triples (indres).
+    (G class, class, count) triples, and fusion[G.group_id] the G-class of
+    each class (indres).
     """
 
     def __init__(
@@ -51,6 +52,7 @@ class ConjugacyClasses:
         self.inverse_class = inverse_class
         self.generators = generators
         self.counts: dict[str, tuple[tuple[int, int, int], ...]] = {}
+        self.fusion: dict[str, tuple[int, ...]] = {}
 
     @property
     def order(self) -> int:
@@ -142,15 +144,19 @@ def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
     """The standard parabolic subgroup generated by the simple reflections in subset, cached on W.
 
     W_S, for subset all of S, is W's own classes: the same object, so W's table
-    and counts serve it too.
+    and counts serve it too.  Only a checked, sorted subset becomes a key, so a
+    subset found as given needs no check.
     """
+    subset = tuple(subset)
+    if ("parabolic", subset) in W.cache:
+        return W.cache["parabolic", subset]
     subset = tuple(sorted(set(subset)))
     for i in subset:
         if not 0 <= i < W.rank:
             raise InvalidType(f"simple reflection index {i} is outside 0..{W.rank - 1}")
-    if len(subset) == W.rank:
-        return conjugacy_classes(W)
     key = ("parabolic", subset)
+    if len(subset) == W.rank:
+        W.cache[key] = conjugacy_classes(W)
     if key not in W.cache:
         seen = [False] * W.order
         seen[W.identity_index] = True

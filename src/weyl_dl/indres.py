@@ -13,27 +13,40 @@ class of H fuses into exactly one class of G, so only one count per class of H
 is nonzero, and an induction is a scatter of one term per subgroup class.  The
 sum is an integer for an integer f, and the division by |H| is exact; a value
 is a Fraction only when f has Fraction values and the quotient is non-integral.
+The fusion maps are cached on H per supergroup too, and Mackey's double-coset
+side is one sparse operator of the same kind per (J, I), cached on W.
 """
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from itertools import repeat
+from operator import floordiv, mod, mul
+from typing import NamedTuple, Sequence
 
-from .chars import CharacterTable, ClassFunction, exact_quotient, inner_product
+from .chars import CharacterTable, ClassFunction, exact_quotient
 from .errors import GroupMismatch
 from .grp import ConjugacyClasses, conjugacy_classes, double_cosets, parabolic, subgroup_classes
 from .rootsys import WeylGroup
 
 
-def restrict(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
-    """Pull a class function on G back to its subgroup H through the fusion of H's classes.
+def fusion(H: ConjugacyClasses, G: ConjugacyClasses) -> tuple[int, ...]:
+    """The G-class of each class of H, read from its representative; cached in H.fusion.
 
     GroupMismatch if a member of H is not in G: induction_counts reads them all.
+    The map itself never reads the counts, so restriction stays independent of them.
     """
+    fused = H.fusion.get(G.group_id)
+    if fused is None:
+        induction_counts(G, H)
+        fused = H.fusion[G.group_id] = tuple(map(G.class_of, H.reps))
+    return fused
+
+
+def restrict(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
+    """Pull a class function on G back to its subgroup H through the fusion of H's classes."""
     if f.group_id != G.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {G.group_id}")
-    induction_counts(G, H)
-    return ClassFunction(H.group_id, tuple(f.values[G.class_of(rep)] for rep in H.reps))
+    return ClassFunction(H.group_id, tuple(map(f.values.__getitem__, fusion(H, G))))
 
 
 Counts = tuple[tuple[int, int, int], ...]
@@ -56,16 +69,23 @@ def induction_counts(G: ConjugacyClasses, H: ConjugacyClasses) -> Counts:
     return counts
 
 
+def _scatter(counts: Counts, values: Sequence, n_classes: int, denominator: int) -> tuple:
+    """(sum over the triples (r, c, n) of n * values[c]) / denominator, for each r, exactly."""
+    sums = [0] * n_classes
+    for r, c, n in counts:
+        sums[r] += n * values[c]
+    if any(map(mod, sums, repeat(denominator))):
+        return tuple(exact_quotient(t, denominator) for t in sums)
+    return tuple(map(floordiv, sums, repeat(denominator)))
+
+
 def induce(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
     """Induce a class function on H up to its supergroup G."""
     if f.group_id != H.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {H.group_id}")
-    fv = f.values
-    sums = [0] * G.n_classes
-    for r, c, n in induction_counts(G, H):
-        sums[r] += n * fv[c]
-    order = H.order
-    return ClassFunction(G.group_id, tuple(exact_quotient(t, order) for t in sums))
+    return ClassFunction(
+        G.group_id, _scatter(induction_counts(G, H), f.values, G.n_classes, H.order)
+    )
 
 
 def induce_between(
@@ -89,17 +109,21 @@ def frobenius_check(table_G: CharacterTable, table_H: CharacterTable) -> Frobeni
 
     table_H is the table of a subgroup H of the group of table_G.  Induction
     goes through the members' tally and restriction through fusion, so the
-    two sides are computed independently.
+    two sides are computed independently.  Each side is a sum against a
+    table's weighted conjugates, and lhs_total / |G| = rhs_total / |H| is
+    compared as lhs_total * |H| = rhs_total * |G|.
     """
     G, H = table_G.classes, table_H.classes
+    g, h = G.order, H.order
     violations = []
-    restrictions = [restrict(psi, H, G) for psi in table_G.irreducibles]
-    for a, chi in enumerate(table_H.irreducibles):
-        ind_chi = induce(chi, H, G)
-        for b, psi in enumerate(table_G.irreducibles):
-            lhs = inner_product(G, ind_chi, psi)
-            rhs = inner_product(H, chi, restrictions[b])
-            if lhs != rhs:
+    restrictions = [restrict(psi, H, G).values for psi in table_G.irreducibles]
+    for a, (chi, chi_weighted) in enumerate(zip(table_H.irreducibles, table_H.weighted_conjugates)):
+        ind_chi = induce(chi, H, G).values
+        for b, (psi_weighted, res_psi) in enumerate(zip(table_G.weighted_conjugates, restrictions)):
+            lhs_total = sum(map(mul, ind_chi, psi_weighted))
+            rhs_total = sum(map(mul, chi_weighted, res_psi))
+            if lhs_total * h != rhs_total * g:
+                lhs, rhs = exact_quotient(lhs_total, g), exact_quotient(rhs_total, h)
                 violations.append(
                     f"{H.group_id} chi#{a} psi#{b}: <ind chi, psi>={lhs} != <chi, res psi>={rhs}"
                 )
@@ -118,23 +142,27 @@ class MackeyReport(NamedTuple):
         return not self.violations
 
 
-def _mackey_terms(
-    W: WeylGroup, PJ: ConjugacyClasses, PI: ConjugacyClasses
-) -> tuple[tuple[ConjugacyClasses, tuple[int, ...]], ...]:
-    """Each double coset's intersection and its transport into W_I, cached on W per (J, I).
+def mackey_operator(W: WeylGroup, PJ: ConjugacyClasses, PI: ConjugacyClasses) -> Counts:
+    """The double-coset side of Mackey's formula as (r, c, n): (sum of n f(c)) / |W_J| at class r of W_J.
 
-    For the coset W_J x W_I: the classes of W_J n x W_I x^-1, and for each of
-    them the class of W_I that holds x^-1 rep x.
+    For each coset W_J x W_I, the intersection W_J n x W_I x^-1 has induction
+    triples (r, c', n') up to W_J; its class c' is transported to the class c
+    of W_I that holds x^-1 rep x, and n' is scaled by |W_J| / |W_J n x W_I x^-1|
+    so that every coset shares the denominator |W_J|.  Cached on W per (J, I).
     """
-    key = ("mackey_terms", PJ.generators, PI.generators)
-    if key not in W.cache:
-        terms = []
+    key = ("mackey_operator", PJ.generators, PI.generators)
+    operator = W.cache.get(key)
+    if operator is None:
+        total: Counter[tuple[int, int]] = Counter()
         for x, members in double_cosets(W, PJ.generators, PI.generators):
             inter = subgroup_classes(W, members)
             xi = W.inv(x)
-            terms.append((inter, tuple(PI.class_of(W.conjugate(xi, rep)) for rep in inter.reps)))
-        W.cache[key] = tuple(terms)
-    return W.cache[key]
+            transport = [PI.class_of(W.conjugate(xi, rep)) for rep in inter.reps]
+            scale = PJ.order // inter.order
+            for r, c, n in induction_counts(PJ, inter):
+                total[r, transport[c]] += n * scale
+        operator = W.cache[key] = tuple((r, c, n) for (r, c), n in sorted(total.items()))
+    return operator
 
 
 def mackey_check(
@@ -142,24 +170,24 @@ def mackey_check(
     subset_I: tuple[int, ...],
     subset_J: tuple[int, ...],
     f: ClassFunction,
+    induced: ClassFunction | None = None,
 ) -> MackeyReport:
     """res_J ind_I f against its double-coset decomposition, exactly.
 
     The right-hand side runs over W_J \\ W / W_I; each term transports f along
     the coset representative x into the intersection W_J n x W_I x^-1 and
-    induces up to W_J.
+    induces up to W_J, all through mackey_operator.  induced is ind_I f on W
+    when the caller already has it.
     """
     cc = conjugacy_classes(W)
     PI = parabolic(W, subset_I)
     PJ = parabolic(W, subset_J)
-    left = restrict(induce(f, PI, cc), PJ, cc)
-
-    right_vals = [0] * PJ.n_classes
-    for inter, transport in _mackey_terms(W, PJ, PI):
-        transported = tuple(map(f.values.__getitem__, transport))
-        term = induce(ClassFunction(inter.group_id, transported), inter, PJ)
-        right_vals = [a + b for a, b in zip(right_vals, term.values)]
-    right = ClassFunction(PJ.group_id, tuple(right_vals))
+    if f.group_id != PI.group_id:
+        raise GroupMismatch(f"{f.group_id} does not live on {PI.group_id}")
+    left = restrict(induce(f, PI, cc) if induced is None else induced, PJ, cc)
+    right = ClassFunction(
+        PJ.group_id, _scatter(mackey_operator(W, PJ, PI), f.values, PJ.n_classes, PJ.order)
+    )
 
     violations = ()
     if left.values != right.values:

@@ -284,7 +284,7 @@ def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -
 
 def _compose(a: Perm, b: Perm) -> Perm:
     """a after b."""
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 class WeylGroup:
@@ -369,9 +369,19 @@ class WeylGroup:
         return y
 
     def conjugate_sweep(self, w: int, xs: Sequence[int] | None = None) -> list[int]:
-        """Indices of x*w*x^-1 for every x in xs (all elements by default)."""
-        xs = range(self.order) if xs is None else xs
-        return [self.conjugate(x, w) for x in xs]
+        """Indices of x*w*x^-1 for every x in xs (all elements by default).
+
+        Over all of W, in index order: x = s_i*y for the first letter i of x, with
+        y = (x^-1*s_i)^-1 shorter, so x*w*x^-1 = s_i*(y*w*y^-1)*s_i is one lookup.
+        """
+        if xs is not None:
+            return [self.conjugate(x, w) for x in xs]
+        maps, right, inv = self.conjugation_maps, self.right_maps, self._inverses
+        out = [w]
+        for x in range(1, self.order):
+            i = self.words[x][0]
+            out.append(maps[i][out[inv[right[i][inv[x]]]]])
+        return out
 
     def word_str(self, e: int) -> str:
         """Reduced word of an element, e.g. 's1*s2'; the identity is 'e'."""
@@ -382,9 +392,8 @@ class WeylGroup:
 
     def inversions(self, e: int) -> int:
         """Number of positive roots sent to negative roots."""
-        p = self.elements[e]
         npos = self.rootsystem.n_positive
-        return sum(1 for r in range(npos) if p[r] >= npos)
+        return sum(map(npos.__le__, self.elements[e][:npos]))
 
     @cached_property
     def longest_element(self) -> int:

@@ -1,8 +1,10 @@
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stdout
 from math import factorial
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import weyl_dl
-from weyl_dl import InternalError, InvalidType, IrrationalityError, chars, cli, rootsys
+from weyl_dl import InternalError, InvalidType, IrrationalityError, chars, cli, indres, rootsys
 from weyl_dl.cli import (
     Config,
     TableCacheEntry,
@@ -461,3 +463,78 @@ def test_closed_stdout_keeps_exit_code(warm_f4_cache, command):
     proc.stderr.close()
     assert proc.wait() == 0
     assert stderr == b""
+
+
+def _tamper_mackey(monkeypatch):
+    operator = indres.mackey_operator
+
+    def tampered(W, PJ, PI):
+        (r, c, n), *rest = operator(W, PJ, PI)
+        return ((r, c, n + PJ.order), *rest)
+
+    monkeypatch.setattr(indres, "mackey_operator", tampered)
+
+
+def _tamper_frobenius(monkeypatch):
+    weighted = chars.CharacterTable.weighted_conjugates.func
+
+    def tampered(table):
+        rows = weighted(table)
+        if "|I=" not in table.group_id:
+            return rows  # W's own table, which DL reads, stays as it is
+        first = list(rows[0])
+        first[table.classes.identity_class] += 1
+        return (tuple(first), *rows[1:])
+
+    monkeypatch.setattr(chars.CharacterTable, "weighted_conjugates", property(tampered))
+
+
+@pytest.mark.parametrize("tamper, row", [(_tamper_mackey, "mackey-decomposition"),
+                                         (_tamper_frobenius, "frobenius-reciprocity")])
+def test_verify_reports_a_failing_check(cache_dir, monkeypatch, tamper, row):
+    """A batched check that sees wrong data fails its own row, and verify exits 1."""
+    tamper(monkeypatch)
+    code, out = run_cli(["verify", "A", "3", "--format", "json", "--cache-dir", str(cache_dir)])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [row]
+    assert "coset sum" in failed[0]["detail"] or "<ind chi, psi>" in failed[0]["detail"]
+
+
+def test_verify_all_leaves_no_group_alive(cache_dir, monkeypatch):
+    """Every per-pair cache lives on its W: after verify all, no W of the run is still reachable."""
+    build = cli.build_group
+    groups = []
+
+    def recorded(cfg, type_label, rank):
+        W, classes = build(cfg, type_label, rank)
+        groups.append(weakref.ref(W))
+        return W, classes
+
+    monkeypatch.setattr(cli, "build_group", recorded)
+    assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
+    gc.collect()
+    assert len(groups) == len(cli.ROSTER)
+    assert [ref() for ref in groups] == [None] * len(cli.ROSTER)
+
+
+def test_cache_write_loads_no_tempfile(tmp_path):
+    """A cold table writes its cache file without tempfile or the random it loads; mode 0600.
+
+    Run with -S, since an interpreter's site hooks may load tempfile themselves.
+    shutil is not asked about: argparse's help formatter loads it in every command.
+    """
+    cache = tmp_path / "cache"
+    code = (
+        "import contextlib, io, sys\n"
+        "from weyl_dl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main(['table', 'A', '2', '--cache-dir', {str(cache)!r}])\n"
+        "print(rc, sorted(m for m in ('tempfile', 'random') if m in sys.modules))\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    assert [(p.name, p.stat().st_mode & 0o777) for p in cache.iterdir()] == [("A2z0.v1.json", 0o600)]

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from weyl_dl import (
+    CharacterTable,
     ClassFunction,
     GroupMismatch,
+    build_weyl_group,
     character_table,
+    conjugacy_classes,
     decompose,
     double_cosets,
     frobenius_check,
@@ -20,7 +23,7 @@ from weyl_dl import (
     subgroup_classes,
     trivial,
 )
-from weyl_dl.indres import induce_between, induction_counts
+from weyl_dl.indres import fusion, induce_between, induction_counts, mackey_operator
 
 
 def subsets(rank):
@@ -277,3 +280,103 @@ def test_induce_between_matches_sweep_on_intersections(tables, type_label, rank)
             PJ = parabolic(W, J)
             for _, members in double_cosets(W, J, I):
                 assert_induce_between_matches_sweep(W, subgroup_classes(W, members), PJ)
+
+
+def frobenius_violations(table_G, table_H):
+    """The violations of Frobenius reciprocity pair by pair, through inner_product."""
+    G, H = table_G.classes, table_H.classes
+    out = []
+    for a, chi in enumerate(table_H.irreducibles):
+        for b, psi in enumerate(table_G.irreducibles):
+            lhs = inner_product(G, induce(chi, H, G), psi)
+            rhs = inner_product(H, chi, restrict(psi, H, G))
+            if lhs != rhs:
+                out.append(f"{H.group_id} chi#{a} psi#{b}: <ind chi, psi>={lhs} != <chi, res psi>={rhs}")
+    return tuple(out)
+
+
+def test_frobenius_holds_for_any_class_function(tables):
+    """Reciprocity is linear in chi: a table_H with a wrong row still passes."""
+    W, cc, t = tables("B", 3)
+    P = parabolic(W, (0, 1))
+    tp = character_table(W, P)
+    rows = list(tp.irreducibles)
+    rows[2] = ClassFunction(P.group_id, tuple(v + 1 for v in rows[2].values))
+    assert frobenius_check(t, CharacterTable(tp.group_id, P, tuple(rows), tp.degrees)).ok
+
+
+def test_frobenius_reports_a_tampered_weighted_row(tables):
+    """One wrong row of table_H's weighted conjugates |c| chi(c^-1) fails against every psi."""
+    W, cc, t = tables("B", 3)
+    P = parabolic(W, (0, 1))
+    tp = character_table(W, P)
+    tampered = CharacterTable(tp.group_id, P, tp.irreducibles, tp.degrees)
+    weighted = [list(row) for row in tp.weighted_conjugates]
+    weighted[2][P.identity_class] += 1  # adds psi(1) / |H| to <chi#2, res psi>
+    tampered.weighted_conjugates = tuple(map(tuple, weighted))
+    chi = tp.irreducibles[2]
+    expected = tuple(
+        f"{P.group_id} chi#2 psi#{b}: "
+        f"<ind chi, psi>={inner_product(cc, induce(chi, P, cc), psi)} != "
+        f"<chi, res psi>={inner_product(P, chi, restrict(psi, P, cc)) + Fraction(t.degrees[b], P.order)}"
+        for b, psi in enumerate(t.irreducibles)
+    )
+    assert frobenius_check(t, tampered).violations == expected
+
+
+def test_frobenius_reports_a_tampered_tally(monkeypatch):
+    """Counts that induce wrongly fail against the fusion-restricted side."""
+    W = build_weyl_group("A", 3)
+    cc = conjugacy_classes(W)
+    t, P = character_table(W), parabolic(W, (0,))
+    tp = character_table(W, P)
+    (r, c, n), *rest = induction_counts(cc, P)
+    monkeypatch.setitem(P.counts, cc.group_id, ((r, c, n + P.order), *rest))
+    report = frobenius_check(t, tp)
+    assert not report.ok
+    assert report.violations == frobenius_violations(t, tp)
+
+
+def test_mackey_reports_a_tampered_operator(monkeypatch):
+    W = build_weyl_group("B", 3)
+    PI, PJ = parabolic(W, (0, 2)), parabolic(W, (1, 2))
+    chi = character_table(W, PI).irreducibles[1]
+    assert mackey_check(W, (0, 2), (1, 2), chi).ok
+    (r, c, n), *rest = mackey_operator(W, PJ, PI)
+    monkeypatch.setitem(W.cache, ("mackey_operator", PJ.generators, PI.generators),
+                        ((r, c, n + PJ.order), *rest))
+    report = mackey_check(W, (0, 2), (1, 2), chi)
+    assert not report.ok
+    assert report.right.values[r] == report.left.values[r] + chi.values[c]
+    assert report.violations == (
+        f"I=(0, 2) J=(1, 2): res ind = {report.left.values} but coset sum = {report.right.values}",
+    )
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_mackey_operator_is_the_sum_of_coset_terms(tables, type_label, rank):
+    """Applied to each irreducible of W_I, the cached operator gives the sum of the coset inductions."""
+    W, _, _ = tables(type_label, rank)
+    for I in subsets(rank):
+        PI = parabolic(W, I)
+        for J in subsets(rank):
+            PJ = parabolic(W, J)
+            terms = []
+            for x, members in double_cosets(W, J, I):
+                inter = subgroup_classes(W, members)
+                transport = [PI.class_of(W.conjugate(W.inv(x), rep)) for rep in inter.reps]
+                terms.append((inter, transport))
+            for chi in character_table(W, PI).irreducibles:
+                total = [0] * PJ.n_classes
+                for inter, transport in terms:
+                    moved = ClassFunction(inter.group_id, tuple(chi.values[c] for c in transport))
+                    total = [a + b for a, b in zip(total, induce(moved, inter, PJ).values)]
+                assert mackey_check(W, I, J, chi).right.values == tuple(total)
+
+
+def test_fusion_is_cached_per_supergroup(tables):
+    W, cc, _ = tables("B", 3)
+    P = parabolic(W, (0, 1))
+    fused = fusion(P, cc)
+    assert fused == tuple(cc.class_of(rep) for rep in P.reps)
+    assert fusion(P, cc) is fused is P.fusion[cc.group_id]

@@ -1,12 +1,18 @@
-"""Tools outside the package: the traced benchmark.
+"""Tools outside the package: the traced benchmark and the benchmark runner.
 
 The traced benchmark wraps engine functions by name; a rename must fail here, not silently there.
+The runner checks every report it produces; a report change it rejects must fail here first.
 """
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED_CLI = PERFBENCH / "traced_cli.py"
 
 
 def test_traced_functions_resolve(monkeypatch):
@@ -21,3 +27,13 @@ def test_traced_functions_resolve(monkeypatch):
     for expected in [("WeylGroup", "conjugate_sweep"), ("WeylGroup", "mul"),
                      ("weyl_dl.indres", "induction_counts"), ("weyl_dl.chars", "_split_eigenvectors")]:
         assert expected in names
+
+
+@pytest.mark.parametrize("workload", ["tables_cold", "dl_warm", "verify_warm", "beyond_roster"])
+def test_benchmark_smoke_run_is_correct(workload):
+    """One smoke pass on A2 (results go to the ignored .perfbench_runs/): every output checked, none failed."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--smoke"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
