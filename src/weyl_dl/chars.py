@@ -121,8 +121,7 @@ class CharacterTable:
 
     Canonical order: ascending degree, then value lists compared high-to-low,
     which puts the trivial character first.  labels is per-row partition labels
-    for irreducible type A, else None.  orthogonal is the (rows, columns)
-    orthogonality its certificate proved, or None for an uncertified table.
+    for irreducible type A, else None.
     """
 
     def __init__(
@@ -132,14 +131,12 @@ class CharacterTable:
         irreducibles: tuple[ClassFunction, ...],
         degrees: tuple[int, ...],
         labels: tuple[tuple[int, ...], ...] | None = None,
-        orthogonal: tuple[bool, bool] | None = None,
     ):
         self.group_id = group_id
         self.classes = classes
         self.irreducibles = irreducibles
         self.degrees = degrees
         self.labels = labels
-        self.orthogonal = orthogonal
 
     @property
     def n_irreducibles(self) -> int:
@@ -327,9 +324,7 @@ def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> t
     return rows_ok, cols_ok
 
 
-def certify_characters(
-    W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]
-) -> tuple[bool, bool]:
+def certify_characters(W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> None:
     """Prove over Z that rows are the irreducible characters; IrrationalityError if not.
 
     Rows and columns must be orthogonal, and the degree squares sum to |H|.
@@ -338,10 +333,8 @@ def certify_characters(
     differ; independent rows then span lines that every class matrix
     preserves, so w is a central character and its norm fixes the scale.
     (A_i w)[ident] = w_i, so the eigenvalue can only be w_i / w_ident.
-    Returns the orthogonality it proved.
     """
-    proved = orthogonality(classes, rows)
-    if not all(proved):
+    if not all(orthogonality(classes, rows)):
         raise IrrationalityError("row or column orthogonality fails")
     ident = classes.identity_class
     if sum(row[ident] ** 2 for row in rows) != classes.order:
@@ -355,7 +348,7 @@ def certify_characters(
                 raise IrrationalityError(f"row {r} is not an eigenvector of class matrix {i}")
         eigenvalues = [e + (w[i] // w[ident],) for e, w in zip(eigenvalues, ws)]
         if len(set(eigenvalues)) == len(rows):
-            return proved
+            return
     raise IrrationalityError("the class matrices do not separate the rows")
 
 
@@ -421,14 +414,13 @@ def table_from_rows(
     Degrees are read at the identity class and labels come from table_labels;
     IrrationalityError if the rows are not the irreducible characters.
     """
-    orthogonal = certify_characters(W, classes, rows)
+    certify_characters(W, classes, rows)
     return CharacterTable(
         group_id=classes.group_id,
         classes=classes,
         irreducibles=tuple(ClassFunction(classes.group_id, tuple(row)) for row in rows),
         degrees=tuple(row[classes.identity_class] for row in rows),
         labels=table_labels(W, classes, rows),
-        orthogonal=orthogonal,
     )
 
 

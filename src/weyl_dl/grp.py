@@ -144,19 +144,15 @@ def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
     """The standard parabolic subgroup generated by the simple reflections in subset, cached on W.
 
     W_S, for subset all of S, is W's own classes: the same object, so W's table
-    and counts serve it too.  Only a checked, sorted subset becomes a key, so a
-    subset found as given needs no check.
+    and counts serve it too.
     """
-    subset = tuple(subset)
-    if ("parabolic", subset) in W.cache:
-        return W.cache["parabolic", subset]
     subset = tuple(sorted(set(subset)))
     for i in subset:
         if not 0 <= i < W.rank:
             raise InvalidType(f"simple reflection index {i} is outside 0..{W.rank - 1}")
-    key = ("parabolic", subset)
     if len(subset) == W.rank:
-        W.cache[key] = conjugacy_classes(W)
+        return conjugacy_classes(W)
+    key = ("parabolic", subset)
     if key not in W.cache:
         seen = [False] * W.order
         seen[W.identity_index] = True

@@ -170,21 +170,22 @@ def mackey_check(
     subset_I: tuple[int, ...],
     subset_J: tuple[int, ...],
     f: ClassFunction,
-    induced: ClassFunction | None = None,
+    induced: ClassFunction,
 ) -> MackeyReport:
     """res_J ind_I f against its double-coset decomposition, exactly.
 
-    The right-hand side runs over W_J \\ W / W_I; each term transports f along
-    the coset representative x into the intersection W_J n x W_I x^-1 and
-    induces up to W_J, all through mackey_operator.  induced is ind_I f on W
-    when the caller already has it.
+    induced is ind_{W_I}^W f, which the caller induces once for all J; the left
+    side is its restriction to W_J.  The right-hand side runs over W_J \\ W / W_I;
+    each term transports f along the coset representative x into the
+    intersection W_J n x W_I x^-1 and induces up to W_J, all through
+    mackey_operator.
     """
     cc = conjugacy_classes(W)
     PI = parabolic(W, subset_I)
     PJ = parabolic(W, subset_J)
     if f.group_id != PI.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {PI.group_id}")
-    left = restrict(induce(f, PI, cc) if induced is None else induced, PJ, cc)
+    left = restrict(induced, PJ, cc)
     right = ClassFunction(
         PJ.group_id, _scatter(mackey_operator(W, PJ, PI), f.values, PJ.n_classes, PJ.order)
     )

@@ -284,7 +284,7 @@ def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -
 
 def _compose(a: Perm, b: Perm) -> Perm:
     """a after b."""
-    return tuple(map(a.__getitem__, b))
+    return tuple(a[x] for x in b)
 
 
 class WeylGroup:
@@ -369,19 +369,9 @@ class WeylGroup:
         return y
 
     def conjugate_sweep(self, w: int, xs: Sequence[int] | None = None) -> list[int]:
-        """Indices of x*w*x^-1 for every x in xs (all elements by default).
-
-        Over all of W, in index order: x = s_i*y for the first letter i of x, with
-        y = (x^-1*s_i)^-1 shorter, so x*w*x^-1 = s_i*(y*w*y^-1)*s_i is one lookup.
-        """
-        if xs is not None:
-            return [self.conjugate(x, w) for x in xs]
-        maps, right, inv = self.conjugation_maps, self.right_maps, self._inverses
-        out = [w]
-        for x in range(1, self.order):
-            i = self.words[x][0]
-            out.append(maps[i][out[inv[right[i][inv[x]]]]])
-        return out
+        """Indices of x*w*x^-1 for every x in xs (all elements by default)."""
+        xs = range(self.order) if xs is None else xs
+        return [self.conjugate(x, w) for x in xs]
 
     def word_str(self, e: int) -> str:
         """Reduced word of an element, e.g. 's1*s2'; the identity is 'e'."""

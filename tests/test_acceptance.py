@@ -137,12 +137,12 @@ def test_mackey_decomposition(tables):
     for type_label, rank in ROSTER:
         if rank > 3:
             continue
-        W, _, _ = tables(type_label, rank)
+        W, cc, _ = tables(type_label, rank)
         for I in subsets(rank):
-            sub_table = character_table(W, parabolic(W, I))
+            P = parabolic(W, I)
             for J in subsets(rank):
-                for chi in sub_table.irreducibles:
-                    report = mackey_check(W, I, J, chi)
+                for chi in character_table(W, P).irreducibles:
+                    report = mackey_check(W, I, J, chi, induce(chi, P, cc))
                     assert report.ok, report.violations[:1]
     print("PASS mackey: double-coset decomposition exact for all pairs, rank <= 3")
 

@@ -287,15 +287,15 @@ def test_products_without_numpy():
     code = (
         "import sys\n"
         "from weyl_dl import build_weyl_group, conjugacy_classes, double_cosets, parabolic, trivial\n"
-        "from weyl_dl.indres import mackey_check\n"
+        "from weyl_dl.indres import induce, mackey_check\n"
         "from weyl_dl.dl import subsets\n"
         "W = build_weyl_group('B', 3)\n"
-        "conjugacy_classes(W)\n"
+        "cc = conjugacy_classes(W)\n"
         "for I in subsets(3):\n"
         "    P = parabolic(W, I)\n"
         "    for J in subsets(3):\n"
         "        double_cosets(W, J, I)\n"
-        "        assert mackey_check(W, I, J, trivial(P)).ok\n"
+        "        assert mackey_check(W, I, J, trivial(P), induce(trivial(P), P, cc)).ok\n"
         "W.mul(5, 7), W.conjugate_sweep(3)\n"
         "print('numpy' in sys.modules)\n"
     )

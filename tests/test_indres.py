@@ -156,30 +156,31 @@ def test_frobenius_on_intersections(tables, type_label, rank, count):
 
 
 def test_mackey_a2_worked_example(tables):
-    W, _, t = tables("A", 2)
+    W, cc, t = tables("A", 2)
     P = parabolic(W, (0,))
-    report = mackey_check(W, (0,), (0,), trivial(P))
+    report = mackey_check(W, (0,), (0,), trivial(P), induce(trivial(P), P, cc))
     assert report.ok
     assert report.left.values == (Fraction(3), Fraction(1))  # 2*trivial + sign
 
 
 def test_mackey_empty_and_full(tables):
-    W, _, _ = tables("B", 2)
+    W, cc, _ = tables("B", 2)
     P0 = parabolic(W, ())
-    assert mackey_check(W, (), (0,), trivial(P0)).ok
+    ind_trivial = induce(trivial(P0), P0, cc)
+    assert mackey_check(W, (), (0,), trivial(P0), ind_trivial).ok
     P1 = parabolic(W, (0,))
-    assert mackey_check(W, (0,), (0, 1), sign(W, P1)).ok
+    assert mackey_check(W, (0,), (0, 1), sign(W, P1), induce(sign(W, P1), P1, cc)).ok
     with pytest.raises(GroupMismatch):
-        mackey_check(W, (0,), (1,), trivial(P0))
+        mackey_check(W, (0,), (1,), trivial(P0), ind_trivial)
 
 
 def test_mackey_all_pairs_a3(tables):
-    W, _, _ = tables("A", 3)
+    W, cc, _ = tables("A", 3)
     for I in subsets(3):
-        sub_table = character_table(W, parabolic(W, I))
+        P = parabolic(W, I)
         for J in subsets(3):
-            for chi in sub_table.irreducibles:
-                assert mackey_check(W, I, J, chi).ok
+            for chi in character_table(W, P).irreducibles:
+                assert mackey_check(W, I, J, chi, induce(chi, P, cc)).ok
 
 
 def test_transitivity_chains(tables):
@@ -341,11 +342,12 @@ def test_mackey_reports_a_tampered_operator(monkeypatch):
     W = build_weyl_group("B", 3)
     PI, PJ = parabolic(W, (0, 2)), parabolic(W, (1, 2))
     chi = character_table(W, PI).irreducibles[1]
-    assert mackey_check(W, (0, 2), (1, 2), chi).ok
+    ind_chi = induce(chi, PI, conjugacy_classes(W))
+    assert mackey_check(W, (0, 2), (1, 2), chi, ind_chi).ok
     (r, c, n), *rest = mackey_operator(W, PJ, PI)
     monkeypatch.setitem(W.cache, ("mackey_operator", PJ.generators, PI.generators),
                         ((r, c, n + PJ.order), *rest))
-    report = mackey_check(W, (0, 2), (1, 2), chi)
+    report = mackey_check(W, (0, 2), (1, 2), chi, ind_chi)
     assert not report.ok
     assert report.right.values[r] == report.left.values[r] + chi.values[c]
     assert report.violations == (
@@ -356,7 +358,7 @@ def test_mackey_reports_a_tampered_operator(monkeypatch):
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_mackey_operator_is_the_sum_of_coset_terms(tables, type_label, rank):
     """Applied to each irreducible of W_I, the cached operator gives the sum of the coset inductions."""
-    W, _, _ = tables(type_label, rank)
+    W, cc, _ = tables(type_label, rank)
     for I in subsets(rank):
         PI = parabolic(W, I)
         for J in subsets(rank):
@@ -371,7 +373,8 @@ def test_mackey_operator_is_the_sum_of_coset_terms(tables, type_label, rank):
                 for inter, transport in terms:
                     moved = ClassFunction(inter.group_id, tuple(chi.values[c] for c in transport))
                     total = [a + b for a, b in zip(total, induce(moved, inter, PJ).values)]
-                assert mackey_check(W, I, J, chi).right.values == tuple(total)
+                report = mackey_check(W, I, J, chi, induce(chi, PI, cc))
+                assert report.right.values == tuple(total)
 
 
 def test_fusion_is_cached_per_supergroup(tables):
