@@ -215,7 +215,7 @@ def _class_matrix(W: WeylGroup, classes: ConjugacyClasses, i: int) -> ClassMatri
     key = ("class_matrix", classes.group_id, i)
     if key in W.cache:
         return W.cache[key]
-    class_of = classes.class_of_arr
+    class_of = classes.class_index
     inverses = [W.inv(x) for x in classes.members if class_of[x] == i]
     A = [[0] * classes.n_classes for _ in classes.reps]
     for m, rep in enumerate(classes.reps):

@@ -25,10 +25,7 @@ from .indres import frobenius_check, induce, mackey_check
 from .rootsys import (
     DEFAULT_MAX_ORDER,
     WeylGroup,
-    build_cartan,
-    build_root_system,
-    check_group_order,
-    enumerate_group,
+    build_weyl_group,
     fundamental_degrees,
 )
 from math import prod
@@ -198,9 +195,7 @@ def load_or_compute_table(
 
 
 def build_group(cfg: Config, type_label: str, rank: int) -> tuple[WeylGroup, ConjugacyClasses]:
-    cartan = build_cartan(type_label, rank)
-    check_group_order(cartan, cfg.max_group_order)  # before the root closure
-    W = enumerate_group(build_root_system(cartan), max_order=cfg.max_group_order)
+    W = build_weyl_group(type_label, rank, max_order=cfg.max_group_order)
     return W, conjugacy_classes(W)
 
 

@@ -10,8 +10,9 @@ Each value is built once and cached on W.
 Orbits come from the index maps of the group: W and its parabolic subgroups
 conjugate by the simple reflections that generate them, an explicit subgroup
 by its own members, each a product of simple-reflection conjugations along
-its reduced word.  Closures and double cosets walk y -> y*s_i, and
-s_j*y = (y^-1*s_j)^-1.
+its reduced word.  Closures walk y -> y*s_i.  Each double coset
+W_J x W_I has a unique shortest element (Geck-Pfeiffer 2000, Prop. 2.1.1),
+the x with no right descent in I and no left descent in J.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ class ConjugacyClasses:
     generators lists the simple reflections that generate the subgroup (all of
     them for W), or is None for an explicit subgroup.  Representatives are
     canonical: each is the smallest element index in its class, and classes
-    are listed in order of their representatives.  class_of_arr has one entry
-    per element of W, -1 for non-members.  counts[G.group_id] keeps the
+    are listed in order of their representatives.  class_index maps each
+    member, and only the members, to its class.  counts[G.group_id] keeps the
     nonzero induction counts from this subgroup up to a supergroup G, as
     (G class, class, count) triples, and fusion[G.group_id] the G-class of
     each class (indres).
@@ -40,7 +41,7 @@ class ConjugacyClasses:
         members: tuple[int, ...],
         reps: tuple[int, ...],
         sizes: tuple[int, ...],
-        class_of_arr: tuple[int, ...],
+        class_index: dict[int, int],
         inverse_class: tuple[int, ...],
         generators: tuple[int, ...] | None,
     ):
@@ -48,7 +49,7 @@ class ConjugacyClasses:
         self.members = members
         self.reps = reps
         self.sizes = sizes
-        self.class_of_arr = class_of_arr
+        self.class_index = class_index
         self.inverse_class = inverse_class
         self.generators = generators
         self.counts: dict[str, tuple[tuple[int, int, int], ...]] = {}
@@ -64,13 +65,13 @@ class ConjugacyClasses:
 
     @property
     def identity_class(self) -> int:
-        return self.class_of_arr[0]
+        return self.class_index[0]
 
     def class_of(self, e: int) -> int:
-        c = self.class_of_arr[e] if 0 <= e < len(self.class_of_arr) else -1
-        if c < 0:
-            raise GroupMismatch(f"element {e} is not a member of {self.group_id}")
-        return c
+        try:
+            return self.class_index[e]
+        except KeyError:
+            raise GroupMismatch(f"element {e} is not a member of {self.group_id}") from None
 
 
 def _classes_of_members(
@@ -87,11 +88,11 @@ def _classes_of_members(
     if W.order % len(members):
         raise InternalError(f"the order {len(members)} of {group_id} does not divide |W| = {W.order}")
     maps = W.conjugation_maps
-    class_of = [-1] * W.order
+    class_of: dict[int, int] = {}
     reps: list[int] = []
     sizes: list[int] = []
     for e in members:
-        if class_of[e] >= 0:
+        if e in class_of:
             continue
         c = len(reps)
         class_of[e] = c
@@ -100,13 +101,13 @@ def _classes_of_members(
             for y in orbit:
                 for i in generators:
                     z = maps[i][y]
-                    if class_of[z] < 0:
+                    if z not in class_of:
                         class_of[z] = c
                         orbit.append(z)
         else:
             for x in members:
                 z = W.conjugate(x, e)
-                if class_of[z] < 0:
+                if z not in class_of:
                     class_of[z] = c
                     orbit.append(z)
         reps.append(e)
@@ -115,7 +116,7 @@ def _classes_of_members(
         raise InternalError(
             f"class sizes of {group_id} sum to {sum(sizes)}, not to its order {len(members)}"
         )
-    fused = class_of if len(members) == W.order else conjugacy_classes(W).class_of_arr
+    fused = class_of if len(members) == W.order else conjugacy_classes(W).class_index
     for e in members:
         if fused[e] != fused[reps[class_of[e]]]:
             raise InternalError(f"class of element {e} in {group_id} does not fuse")
@@ -124,7 +125,7 @@ def _classes_of_members(
         members=tuple(members),
         reps=tuple(reps),
         sizes=tuple(sizes),
-        class_of_arr=tuple(class_of),
+        class_index=class_of,
         inverse_class=tuple(class_of[W.inv(r)] for r in reps),
         generators=generators,
     )
@@ -154,14 +155,13 @@ def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
         return conjugacy_classes(W)
     key = ("parabolic", subset)
     if key not in W.cache:
-        seen = [False] * W.order
-        seen[W.identity_index] = True
         members = [W.identity_index]
+        seen = set(members)
         for x in members:
             for i in subset:
                 y = W.right_maps[i][x]
-                if not seen[y]:
-                    seen[y] = True
+                if y not in seen:
+                    seen.add(y)
                     members.append(y)
         tag = ",".join(str(i + 1) for i in subset)
         W.cache[key] = _classes_of_members(W, members, f"{W.group_id}|I=[{tag}]", subset)
@@ -186,36 +186,22 @@ def double_cosets(
     """Transversal of W_J \\ W / W_I with the intersection subgroups.
 
     left_subset is J, right_subset is I.  Returns (x, members of W_J n x W_I x^-1)
-    per double coset; x is the smallest element index in its coset.  Cached on W.
+    per double coset; x is the coset's shortest element, so its smallest
+    index.  Cached on W.
     """
     PJ = parabolic(W, left_subset)
     PI = parabolic(W, right_subset)
     key = ("double_cosets", PJ.generators, PI.generators)
     if key in W.cache:
         return W.cache[key]
-    right, inv = W.right_maps, W.inv
-    in_I = [False] * W.order
-    for u in PI.members:
-        in_I[u] = True
-
-    seen = [False] * W.order
+    right, inv, lengths = W.right_maps, W.inv, W.lengths
+    in_I = PI.class_index
     out = []
     for x in range(W.order):
-        if seen[x]:
-            continue
-        stack = [x]
-        seen[x] = True
-        while stack:
-            y = stack.pop()
-            yi = inv(y)
-            neighbours = [inv(right[j][yi]) for j in PJ.generators]
-            neighbours += [right[i][y] for i in PI.generators]
-            for z in neighbours:
-                if not seen[z]:
-                    seen[z] = True
-                    stack.append(z)
-        xi = inv(x)
-        inter = tuple(u for u in PJ.members if in_I[W.conjugate(xi, u)])
-        out.append((x, inter))
+        xi, n = inv(x), lengths[x]
+        if all(lengths[right[i][x]] > n for i in PI.generators) and all(
+            lengths[right[j][xi]] > n for j in PJ.generators
+        ):
+            out.append((x, tuple(u for u in PJ.members if W.conjugate(xi, u) in in_I)))
     W.cache[key] = tuple(out)
     return W.cache[key]

@@ -49,9 +49,8 @@ def oracle_induce(W, P, ambient, f):
         total = Fraction(0)
         for x in range(W.order):
             y = W.mul(W.mul(x, rep), W.inv(x))
-            c = int(P.class_of_arr[y])
-            if c >= 0:
-                total += Fraction(f[c])
+            if y in P.class_index:
+                total += Fraction(f[P.class_index[y]])
         vals.append(total / P.order)
     return tuple(vals)
 

@@ -92,12 +92,13 @@ def test_root_count_limit_exits_3(cache_dir, capsys):
 
 def test_group_order_limit_exits_3_before_enumerating(cache_dir, capsys, monkeypatch):
     built = []
+    original = rootsys.build_root_system
 
     def build_root_system(cartan, *args, **kwargs):
         built.append(cartan.label)
-        return rootsys.build_root_system(cartan, *args, **kwargs)
+        return original(cartan, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_root_system", build_root_system)
+    monkeypatch.setattr(rootsys, "build_root_system", build_root_system)
     code, _ = run_cli(["table", "A", "9", "--cache-dir", str(cache_dir)])
     assert code == 3
     assert "A9 has order 3628800, more than the limit of 2000000" in capsys.readouterr().err
@@ -516,6 +517,24 @@ def test_verify_all_leaves_no_group_alive(cache_dir, monkeypatch):
     gc.collect()
     assert len(groups) == len(cli.ROSTER)
     assert [ref() for ref in groups] == [None] * len(cli.ROSTER)
+
+
+def test_parabolic_class_maps_hold_members_only(cache_dir, monkeypatch):
+    """After dl A 5, each cached proper parabolic maps its members, and only them, to classes."""
+    build = cli.build_group
+    groups = []
+
+    def recorded(cfg, type_label, rank):
+        W, classes = build(cfg, type_label, rank)
+        groups.append(W)
+        return W, classes
+
+    monkeypatch.setattr(cli, "build_group", recorded)
+    assert run_cli(["dl", "A", "5", "--cache-dir", str(cache_dir)])[0] == 0
+    [W] = groups
+    parabolics = [P for key, P in W.cache.items() if key[0] == "parabolic"]
+    assert len(parabolics) == 2 ** 5 - 1
+    assert all(len(P.class_index) == P.order < W.order for P in parabolics)
 
 
 def test_cache_write_loads_no_tempfile(tmp_path):

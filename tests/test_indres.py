@@ -219,8 +219,8 @@ def brute_force_counts(W, sup, sub):
     for rep in sup.reps:
         row = [0] * sub.n_classes
         for y in W.conjugate_sweep(rep, sup.members):
-            if sub.class_of_arr[y] >= 0:
-                row[sub.class_of_arr[y]] += 1
+            if y in sub.class_index:
+                row[sub.class_index[y]] += 1
         counts.append(tuple(row))
     return tuple(counts)
 
