@@ -1,18 +1,19 @@
 """Conjugacy structure of a Weyl group and of its subgroups.
 
-One type, ConjugacyClasses, carries every group the engine meets: W itself,
-its standard parabolic subgroups W_I, and the explicit intersections
-W_J n x W_I x^-1 of Mackey's formula.  Members are element indices of W, so
-an inclusion of subgroups is the identity on indices, and a class of a
-subgroup fuses into the class of its representative in any supergroup.
-Each value is built once and cached on W.
+One type, ConjugacyClasses, carries every group the engine meets: W itself
+and its standard parabolic subgroups W_I, Mackey's intersections included.
+Members are element indices of W, so an inclusion of subgroups is the
+identity on indices, and a class of a subgroup fuses into the class of its
+representative in any supergroup.  Each value is built once and cached on W.
 
 Orbits come from the index maps of the group: W and its parabolic subgroups
 conjugate by the simple reflections that generate them, an explicit subgroup
-by its own members, each a product of simple-reflection conjugations along
-its reduced word.  Closures walk y -> y*s_i.  Each double coset
-W_J x W_I has a unique shortest element (Geck-Pfeiffer 2000, Prop. 2.1.1),
-the x with no right descent in I and no left descent in J.
+(subgroup_classes, kept for callers) by its own members, each a product of
+simple-reflection conjugations along its reduced word.  Closures walk
+y -> y*s_i.  Each double coset W_J x W_I has a unique shortest element
+(Geck-Pfeiffer 2000, Prop. 2.1.1), the x with no right descent in I and no
+left descent in J, and W_J n x W_I x^-1 is then the parabolic W_K with
+K = J n x I x^-1 (Kilmoyer; Geck-Pfeiffer 2000, sec. 2.1).
 """
 from __future__ import annotations
 
@@ -26,13 +27,13 @@ class ConjugacyClasses:
     """A subgroup of W, given by its members, partitioned into conjugation orbits.
 
     generators lists the simple reflections that generate the subgroup (all of
-    them for W), or is None for an explicit subgroup.  Representatives are
-    canonical: each is the smallest element index in its class, and classes
-    are listed in order of their representatives.  class_index maps each
-    member, and only the members, to its class.  counts[G.group_id] keeps the
-    nonzero induction counts from this subgroup up to a supergroup G, as
-    (G class, class, count) triples, and fusion[G.group_id] the G-class of
-    each class (indres).
+    them for W), or is None for an explicit subgroup, which only callers of
+    subgroup_classes build.  Representatives are canonical: each is the
+    smallest element index in its class, and classes are listed in order of
+    their representatives.  class_index maps each member, and only the
+    members, to its class.  counts[G.group_id] keeps the nonzero induction
+    counts from this subgroup up to a supergroup G, as (G class, class,
+    count) triples, and fusion[G.group_id] the G-class of each class (indres).
     """
 
     def __init__(
@@ -185,23 +186,23 @@ def double_cosets(
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Transversal of W_J \\ W / W_I with the intersection subgroups.
 
-    left_subset is J, right_subset is I.  Returns (x, members of W_J n x W_I x^-1)
-    per double coset; x is the coset's shortest element, so its smallest
-    index.  Cached on W.
+    left_subset is J, right_subset is I.  Returns (x, K) per double coset: x is
+    its shortest element, so its smallest index, and W_J n x W_I x^-1 = W_K for
+    K, the j in J with x^-1 s_j x a simple reflection of I.  Cached on W.
     """
     PJ = parabolic(W, left_subset)
     PI = parabolic(W, right_subset)
     key = ("double_cosets", PJ.generators, PI.generators)
     if key in W.cache:
         return W.cache[key]
-    right, inv, lengths = W.right_maps, W.inv, W.lengths
-    in_I = PI.class_index
+    right, inv, lengths, gens = W.right_maps, W.inv, W.lengths, W.generator_indices
+    simple_I = {gens[i] for i in PI.generators}
     out = []
     for x in range(W.order):
         xi, n = inv(x), lengths[x]
         if all(lengths[right[i][x]] > n for i in PI.generators) and all(
             lengths[right[j][xi]] > n for j in PJ.generators
         ):
-            out.append((x, tuple(u for u in PJ.members if W.conjugate(xi, u) in in_I)))
+            out.append((x, tuple(j for j in PJ.generators if W.conjugate(xi, gens[j]) in simple_I)))
     W.cache[key] = tuple(out)
     return W.cache[key]

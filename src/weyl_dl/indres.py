@@ -14,7 +14,8 @@ is nonzero, and an induction is a scatter of one term per subgroup class.  The
 sum is an integer for an integer f, and the division by |H| is exact; a value
 is a Fraction only when f has Fraction values and the quotient is non-integral.
 The fusion maps are cached on H per supergroup too, and Mackey's double-coset
-side is one sparse operator of the same kind per (J, I), cached on W.
+side is one sparse operator of the same kind per (J, I), cached on W, over
+intersections that are parabolics W_K (Kilmoyer; see grp.double_cosets).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .chars import CharacterTable, ClassFunction, exact_quotient
 from .errors import GroupMismatch
-from .grp import ConjugacyClasses, conjugacy_classes, double_cosets, parabolic, subgroup_classes
+from .grp import ConjugacyClasses, conjugacy_classes, double_cosets, parabolic
 from .rootsys import WeylGroup
 
 
@@ -145,17 +146,18 @@ class MackeyReport(NamedTuple):
 def mackey_operator(W: WeylGroup, PJ: ConjugacyClasses, PI: ConjugacyClasses) -> Counts:
     """The double-coset side of Mackey's formula as (r, c, n): (sum of n f(c)) / |W_J| at class r of W_J.
 
-    For each coset W_J x W_I, the intersection W_J n x W_I x^-1 has induction
-    triples (r, c', n') up to W_J; its class c' is transported to the class c
-    of W_I that holds x^-1 rep x, and n' is scaled by |W_J| / |W_J n x W_I x^-1|
-    so that every coset shares the denominator |W_J|.  Cached on W per (J, I).
+    For each coset W_J x W_I, the intersection W_J n x W_I x^-1 is the parabolic
+    W_K of double_cosets, with induction triples (r, c', n') up to W_J; its
+    class c' is transported to the class c of W_I that holds x^-1 rep x, and n'
+    is scaled by |W_J| / |W_K| so that every coset shares the denominator |W_J|.
+    Cached on W per (J, I).
     """
     key = ("mackey_operator", PJ.generators, PI.generators)
     operator = W.cache.get(key)
     if operator is None:
         total: Counter[tuple[int, int]] = Counter()
-        for x, members in double_cosets(W, PJ.generators, PI.generators):
-            inter = subgroup_classes(W, members)
+        for x, K in double_cosets(W, PJ.generators, PI.generators):
+            inter = parabolic(W, K)
             xi = W.inv(x)
             transport = [PI.class_of(W.conjugate(xi, rep)) for rep in inter.reps]
             scale = PJ.order // inter.order

@@ -182,10 +182,6 @@ class RootSystem(_RootSystemFields):
     __slots__ an instance has the __dict__ its cached properties are kept in.
     """
 
-    @property
-    def positive_roots(self) -> tuple[Coords, ...]:
-        return self.roots[: self.n_positive]
-
     @cached_property
     def root_index(self) -> dict[Coords, int]:
         return {r: i for i, r in enumerate(self.roots)}

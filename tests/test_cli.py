@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import weyl_dl
-from weyl_dl import InternalError, InvalidType, IrrationalityError, chars, cli, indres, rootsys
+from weyl_dl import (
+    ConjugacyClasses, InternalError, InvalidType, IrrationalityError, chars, cli, indres, rootsys,
+)
 from weyl_dl.cli import (
     Config,
     TableCacheEntry,
@@ -438,6 +440,49 @@ def test_startup_imports_stay_light(warm_f4_cache):
     assert proc.returncode == 0, proc.stderr
     # the identifier is the one earlier releases gave this subgroup
     assert proc.stdout == "[]\n0 []\nTrue\nB3/sub-377474a7eb\n"
+
+
+@pytest.fixture(scope="module")
+def warm_b3_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("cache")
+    assert run_cli(["table", "B", "3", "--cache-dir", str(cache)])[0] == 0
+    return cache
+
+
+def test_warm_verify_imports_stay_light(warm_b3_cache):
+    """A warm verify, Mackey's checks included, loads no heavy module, hashlib included."""
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        f"heavy = {HEAVY_MODULES!r}\n"
+        "from weyl_dl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main(['verify', 'B', '3', '--cache-dir', {str(warm_b3_cache)!r}])\n"
+        "print(rc, sorted(m for m in heavy if m in set(sys.modules) - before))\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
+def test_warm_verify_builds_only_parabolics(warm_b3_cache, monkeypatch):
+    """Mackey's intersections are parabolics W_K, so verify caches no explicit subgroup on W."""
+    built = []
+
+    def build_and_keep(*args, **kwargs):
+        built.append(rootsys.build_weyl_group(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_weyl_group", build_and_keep)
+    assert run_cli(["verify", "B", "3", "--cache-dir", str(warm_b3_cache)])[0] == 0
+    (W,) = built
+    keys = {key[0] for key in W.cache if isinstance(key, tuple)}
+    assert {"parabolic", "double_cosets", "mackey_operator"} <= keys
+    assert "subgroup_classes" not in keys
+    subgroups = [v for v in W.cache.values() if isinstance(v, ConjugacyClasses)]
+    assert all(H.generators is not None for H in subgroups)
 
 
 @pytest.mark.parametrize("command", ["table", "dl"])

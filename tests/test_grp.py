@@ -98,8 +98,9 @@ def test_double_cosets_a2(groups):
     W = groups("A", 2)
     dc = double_cosets(W, (0,), (0,))
     assert len(dc) == 2
-    nontrivial = [m for x, m in dc if x != 0]
-    assert nontrivial == [(0,)]  # trivial intersection subgroup
+    nontrivial = [K for x, K in dc if x != 0]
+    assert nontrivial == [()]  # trivial intersection subgroup
+    assert parabolic(W, ()).members == (0,)
     assert len(double_cosets(W, (1,), (0,))) == 2
 
 
@@ -135,8 +136,8 @@ def test_coset_counting_identity(groups, I, J):
     W = groups("B", 3)
     PI, PJ = parabolic(W, I), parabolic(W, J)
     total = sum(
-        PJ.order * PI.order // len(members)
-        for _, members in double_cosets(W, tuple(J), tuple(I))
+        PJ.order * PI.order // parabolic(W, K).order
+        for _, K in double_cosets(W, tuple(J), tuple(I))
     )
     assert total == W.order
 
@@ -228,7 +229,8 @@ def test_intersection_subgroup_classes_match_oracle(groups, type_label, rank):
     W = groups(type_label, rank)
     for I in subsets(rank):
         for J in subsets(rank):
-            for _, members in double_cosets(W, J, I):
+            for _, K in double_cosets(W, J, I):
+                members = parabolic(W, K).members
                 assert_classes_match_oracle(W, subgroup_classes(W, members), members)
 
 
@@ -258,7 +260,7 @@ def test_simple_reflection_maps(groups):
             assert W.conjugation_maps[i][y] == index[compose(s, compose(p, s))]
 
 
-@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2)])
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
 def test_double_cosets_match_composition(groups, type_label, rank):
     W = groups(type_label, rank)
     index = W.element_index
@@ -267,7 +269,7 @@ def test_double_cosets_match_composition(groups, type_label, rank):
         for I in subsets(rank):
             WI = closure_by_composition(W, I)
             covered = set()
-            for x, inter in double_cosets(W, J, I):
+            for x, K in double_cosets(W, J, I):
                 px = W.elements[x]
                 px_inv = [0] * len(px)
                 for r, image in enumerate(px):
@@ -277,7 +279,7 @@ def test_double_cosets_match_composition(groups, type_label, rank):
                 assert x == min(coset)
                 covered |= coset
                 expected = sorted(index[u] for u in WJ if compose(compose(px_inv, u), px) in WI)
-                assert list(inter) == expected
+                assert list(parabolic(W, K).members) == expected
             assert covered == set(range(W.order))
 
 

@@ -144,7 +144,8 @@ def test_frobenius_on_intersections(tables, type_label, rank, count):
     for J in subsets(rank):
         tj = character_table(W, parabolic(W, J))
         for I in subsets(rank):
-            for _, members in double_cosets(W, J, I):
+            for _, K in double_cosets(W, J, I):
+                members = parabolic(W, K).members
                 H = subgroup_classes(W, members)
                 assert H.generators is None
                 th = character_table(W, H)
@@ -174,11 +175,13 @@ def test_mackey_empty_and_full(tables):
         mackey_check(W, (0,), (1,), trivial(P0), ind_trivial)
 
 
-def test_mackey_all_pairs_a3(tables):
-    W, cc, _ = tables("A", 3)
-    for I in subsets(3):
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("D", 4), ("F", 4)])
+def test_mackey_all_pairs(tables, type_label, rank):
+    """verify runs Mackey only up to rank 3; D4 and F4 check Kilmoyer's intersections at rank 4."""
+    W, cc, _ = tables(type_label, rank)
+    for I in subsets(rank):
         P = parabolic(W, I)
-        for J in subsets(3):
+        for J in subsets(rank):
             for chi in character_table(W, P).irreducibles:
                 assert mackey_check(W, I, J, chi, induce(chi, P, cc)).ok
 
@@ -279,8 +282,8 @@ def test_induce_between_matches_sweep_on_intersections(tables, type_label, rank)
     for I in subsets(rank):
         for J in subsets(rank):
             PJ = parabolic(W, J)
-            for _, members in double_cosets(W, J, I):
-                assert_induce_between_matches_sweep(W, subgroup_classes(W, members), PJ)
+            for _, K in double_cosets(W, J, I):
+                assert_induce_between_matches_sweep(W, parabolic(W, K), PJ)
 
 
 def frobenius_violations(table_G, table_H):
@@ -364,8 +367,8 @@ def test_mackey_operator_is_the_sum_of_coset_terms(tables, type_label, rank):
         for J in subsets(rank):
             PJ = parabolic(W, J)
             terms = []
-            for x, members in double_cosets(W, J, I):
-                inter = subgroup_classes(W, members)
+            for x, K in double_cosets(W, J, I):
+                inter = parabolic(W, K)
                 transport = [PI.class_of(W.conjugate(W.inv(x), rep)) for rep in inter.reps]
                 terms.append((inter, transport))
             for chi in character_table(W, PI).irreducibles:
