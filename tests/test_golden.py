@@ -44,6 +44,21 @@ GOLDEN = (
     # beyond the roster: DL over all 64 and 32 parabolics
     ("dl A 6 --format json", "7232a261d7717b349cc73bcda4a4c1122dce7795dc4557a8e1a518ef48167053"),
     ("dl D 5 --format json", "63881aebba1cec856be8a89611cbf6aa4e8f1c5642d54221ebf7168056ebea91"),
+    # verify of one type, and the csv and text reports of table and dl
+    ("verify A 3 --format json", "95e5fe8f27053bbad0e1c23188e8b577b0559155d3c70d957242fb4e97be1012"),
+    ("verify A 3 --format csv", "6c5c75a4b9648ab5ad8948ca16548d29b5122e18709815851a8f4b4c4336d005"),
+    ("verify A 3 --format text", "7d2cd2ac069978ad6b23b32d530b6dff67091642d3b8629616ebe065cf28454e"),
+    ("verify G 2 --format json", "c08b21d3cb718e808a96c0b96af2ef78b4841ebef59149ba61a8777c39fc3550"),
+    ("verify G 2 --format csv", "05618b87bcfc80410011f5f362a18619ad70e541864a012061822084dc977126"),
+    ("verify G 2 --format text", "c3d51c85ecdd2bbd3dd01c5202b537f83bddc02fd4636f5c7bc789c90de97c2c"),
+    ("table A 3 --format csv", "1dc6cca6c69054407e5892deeede15d21cd3e64fa2c96920ce66ca2db9f41a3e"),
+    ("table A 3 --format text", "4d701cba7e70b61078652e98319f20e6d0dc9e47b0cfd08081f6ec73b53be86c"),
+    ("dl A 3 --format csv", "7d0acd3b303e42944d2bd1472960438b9ca1cfff9bf95c08e4bee8ce154fea85"),
+    ("dl A 3 --format text", "6863ade58831a6c28fc3d504c62522bd26739e7f0ed0f91327c2146739cd18aa"),
+    ("table B 3 --format csv", "9acb0a50aad747e5930651bdea369b6090e6b6ec885e053ac536f9c51959b9f9"),
+    ("table B 3 --format text", "f4211bc28a412093c90cddfce5b22956893ede9adfcc427731544e9017810018"),
+    ("dl B 3 --format csv", "0bdcec4db7a1c5c348581ba83f2cfa9555c573771e3f6e24ec190c171578a7d4"),
+    ("dl B 3 --format text", "05b7bf46da1b9880c4e2ee33e96cd9fd796fc1e306536e6bcc1f4003db6e48c3"),
 )
 
 
