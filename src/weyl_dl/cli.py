@@ -231,7 +231,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
 
     reflections = set()
     for g in W.generator_indices:
-        reflections.update(int(x) for x in W.conjugate_sweep(g))
+        reflections.update(W.conjugate_sweep(g))
     add(CheckItem("reflection-count", len(reflections) == npos, f"count={len(reflections)}"))
 
     add(CheckItem("class-sizes-sum", sum(classes.sizes) == W.order,
@@ -347,30 +347,26 @@ def _ds(x) -> str:
     return str(int(x))
 
 
-def _cartan_payload(W: WeylGroup) -> list[list[str]]:
-    return [[_ds(v) for v in row] for row in W.cartan.cartan_matrix]
+def _rows(table: CharacterTable) -> list[list[str]]:
+    """One row per irreducible: its label, its degree, then its values."""
+    return [[lab.display, _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
+            for i, lab in enumerate(dlmod.irreducible_labels(table))]
 
 
-def _classes_payload(W: WeylGroup, classes: ConjugacyClasses) -> list[dict]:
-    return [
-        {"word": W.word_str(rep), "size": _ds(size)}
-        for rep, size in zip(classes.reps, classes.sizes)
-    ]
-
-
-def _irreducibles_payload(table: CharacterTable, extra=None) -> list[dict]:
-    out = []
-    names = [lab.display for lab in dlmod.irreducible_labels(table)]
-    for i in range(table.n_irreducibles):
-        item = {
-            "label": names[i],
-            "degree": _ds(table.degrees[i]),
-            "values": [_ds(v) for v in table.values_row(i)],
-        }
-        if extra:
-            item.update(extra[i])
-        out.append(item)
-    return out
+def _type_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
+                  extra: list[dict] | None = None) -> dict:
+    """The per-type JSON object that every report extends; extra adds keys per irreducible."""
+    irreducibles = [{"label": label, "degree": degree, "values": values}
+                    for label, degree, *values in _rows(table)]
+    for item, more in zip(irreducibles, extra or ()):
+        item.update(more)
+    return {
+        "label": W.cartan.label,
+        "cartan": [[_ds(v) for v in row] for row in W.cartan.cartan_matrix],
+        "classes": [{"word": W.word_str(rep), "size": _ds(size)}
+                    for rep, size in zip(classes.reps, classes.sizes)],
+        "irreducibles": irreducibles,
+    }
 
 
 def _checks_payload(checks: list[CheckItem], target: str | None = None) -> list[dict]:
@@ -399,34 +395,17 @@ def _csv_row(fields: list[str]) -> str:
 
 
 def render_table(cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> str:
-    words = [W.word_str(r) for r in classes.reps]
-    names = [lab.display for lab in dlmod.irreducible_labels(table)]
     if cfg.output_format == "json":
-        return _emit_json({
-            "label": W.cartan.label,
-            "order": _ds(W.order),
-            "cartan": _cartan_payload(W),
-            "classes": _classes_payload(W, classes),
-            "irreducibles": _irreducibles_payload(table),
-            "checks": [],
-        })
-    if cfg.output_format == "csv":
-        lines = [_csv_row(["label", "degree"] + words)]
-        for i in range(table.n_irreducibles):
-            lines.append(_csv_row(
-                [names[i], _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
-            ))
-        return "\n".join(lines)
-    header = [f"# {W.cartan.label}: |W| = {W.order}, {classes.n_classes} classes"]
-    header.append("# classes: " + ", ".join(
-        f"{w} (size {s})" for w, s in zip(words, classes.sizes)
-    ))
+        return _emit_json({**_type_payload(W, classes, table), "order": _ds(W.order), "checks": []})
+    words = [W.word_str(r) for r in classes.reps]
     cols = ["label", "degree"] + words
-    rows = [[names[i], _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
-            for i in range(table.n_irreducibles)]
+    rows = _rows(table)
+    if cfg.output_format == "csv":
+        return "\n".join(map(_csv_row, [cols, *rows]))
     widths = [max(len(col), *(len(r[j]) for r in rows)) for j, col in enumerate(cols)]
-    lines = header
-    lines.append("  ".join(col.ljust(widths[j]) for j, col in enumerate(cols)).rstrip())
+    lines = [f"# {W.cartan.label}: |W| = {W.order}, {classes.n_classes} classes",
+             "# classes: " + ", ".join(f"{w} (size {s})" for w, s in zip(words, classes.sizes)),
+             "  ".join(col.ljust(widths[j]) for j, col in enumerate(cols)).rstrip()]
     for r in rows:
         lines.append("  ".join(r[j].rjust(widths[j]) if j else r[j].ljust(widths[j])
                                for j in range(len(cols))).rstrip())
@@ -447,14 +426,9 @@ def render_dl(
             {"dl_image": names[perm[i]], "dl_image_index": _ds(perm[i])}
             for i in range(table.n_irreducibles)
         ]
-        return _emit_json({
-            "label": W.cartan.label,
-            "springer_convention": SPRINGER_CONVENTION,
-            "cartan": _cartan_payload(W),
-            "classes": _classes_payload(W, classes),
-            "irreducibles": _irreducibles_payload(table, extra=extra),
-            "checks": _checks_payload(checks),
-        })
+        return _emit_json({**_type_payload(W, classes, table, extra),
+                           "springer_convention": SPRINGER_CONVENTION,
+                           "checks": _checks_payload(checks)})
     pair_lines = []
     for i in range(table.n_irreducibles):
         if perm[i] == i:
@@ -482,13 +456,7 @@ def render_verify_single(
     checks: list[CheckItem],
 ) -> str:
     if cfg.output_format == "json":
-        return _emit_json({
-            "label": W.cartan.label,
-            "cartan": _cartan_payload(W),
-            "classes": _classes_payload(W, classes),
-            "irreducibles": _irreducibles_payload(table),
-            "checks": _checks_payload(checks),
-        })
+        return _emit_json({**_type_payload(W, classes, table), "checks": _checks_payload(checks)})
     if cfg.output_format == "csv":
         lines = [_csv_row(["name", "passed", "detail"])]
         lines += [_csv_row([c.name, "true" if c.passed else "false", c.detail]) for c in checks]
@@ -536,44 +504,50 @@ def _verify_text(results: list[tuple[str, list[CheckItem]]]) -> str:
 
 # Each command returns its output and its exit code; main prints the output.
 
-def cmd_table(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
+def _load_type(cfg: Config, type_label: str, rank: int
+               ) -> tuple[WeylGroup, ConjugacyClasses, CharacterTable]:
     W, classes = build_group(cfg, type_label, rank)
     table, _ = load_or_compute_table(cfg, W, classes)
-    return render_table(cfg, W, classes, table), 0
+    return W, classes, table
+
+
+def _exit_code(checks: Iterable[CheckItem]) -> int:
+    return 0 if all(c.passed for c in checks) else 1
+
+
+def cmd_table(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
+    return render_table(cfg, *_load_type(cfg, type_label, rank)), 0
 
 
 def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
-    W, classes = build_group(cfg, type_label, rank)
-    table, _ = load_or_compute_table(cfg, W, classes)
+    W, classes, table = _load_type(cfg, type_label, rank)
     checks = _dl_checks(W, table)
-    code = 0 if all(c.passed for c in checks) else 1
-    return render_dl(cfg, W, classes, table, checks), code
+    return render_dl(cfg, W, classes, table, checks), _exit_code(checks)
 
 
 def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
-    if targets[:1] == ["all"] and len(targets) > 1:
-        raise InvalidType("verify all takes no further arguments")
-    if targets == ["all"]:
-        results = []
-        for type_label, rank in ROSTER:
-            W, classes = build_group(cfg, type_label, rank)
-            table, _ = load_or_compute_table(cfg, W, classes)
-            results.append((W.cartan.label, run_type_checks(W, classes, table)))
-        results.append(("ledger", global_parity_checks()))
-        ok = all(c.passed for _, checks in results for c in checks)
-        return render_verify_all(cfg, results), 0 if ok else 1
-    if len(targets) == 2:
-        type_label, rank_str = targets[0].upper(), targets[1]
+    """verify T n or verify all: one loop that keeps only (label, checks) per type."""
+    if targets[:1] == ["all"]:
+        if len(targets) > 1:
+            raise InvalidType("verify all takes no further arguments")
+        types = ROSTER
+    elif len(targets) == 2:
         try:
-            rank = int(rank_str)
+            types = ((targets[0].upper(), int(targets[1])),)
         except ValueError:
-            raise InvalidType(f"rank must be an integer, got {rank_str!r}")
-        W, classes = build_group(cfg, type_label, rank)
-        table, _ = load_or_compute_table(cfg, W, classes)
-        checks = run_type_checks(W, classes, table)
-        code = 0 if all(c.passed for c in checks) else 1
-        return render_verify_single(cfg, W, classes, table, checks), code
-    raise InvalidType("verify expects 'TYPE RANK' or 'all'")
+            raise InvalidType(f"rank must be an integer, got {targets[1]!r}")
+    else:
+        raise InvalidType("verify expects 'TYPE RANK' or 'all'")
+    results = []
+    for type_label, rank in types:
+        W, classes, table = _load_type(cfg, type_label, rank)
+        results.append((W.cartan.label, run_type_checks(W, classes, table)))
+    if types is ROSTER:
+        results.append(("ledger", global_parity_checks()))
+        text = render_verify_all(cfg, results)
+    else:
+        text = render_verify_single(cfg, W, classes, table, results[0][1])
+    return text, _exit_code(c for _, checks in results for c in checks)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -300,11 +300,15 @@ def test_config_validation():
         Config(output_format="yaml")
 
 
-def test_verify_bad_target(cache_dir):
-    code, _ = run_cli(["verify", "A", "x", "--cache-dir", str(cache_dir)])
-    assert code == 2
-    code, _ = run_cli(["verify", "A", "2", "3", "--cache-dir", str(cache_dir)])
-    assert code == 2
+@pytest.mark.parametrize("targets, err", [
+    (["A"], "error: verify expects 'TYPE RANK' or 'all'\n"),
+    (["A", "x"], "error: rank must be an integer, got 'x'\n"),
+    (["A", "2", "3"], "error: verify expects 'TYPE RANK' or 'all'\n"),
+], ids=["A", "A-x", "A-2-3"])
+def test_verify_bad_target(cache_dir, capsys, targets, err):
+    code, out = run_cli(["verify", *targets, "--cache-dir", str(cache_dir)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == err
 
 
 def test_verify_all_takes_no_further_arguments(cache_dir, capsys):
@@ -538,13 +542,28 @@ def _tamper_frobenius(monkeypatch):
 @pytest.mark.parametrize("tamper, row", [(_tamper_mackey, "mackey-decomposition"),
                                          (_tamper_frobenius, "frobenius-reciprocity")])
 def test_verify_reports_a_failing_check(cache_dir, monkeypatch, tamper, row):
-    """A batched check that sees wrong data fails its own row, and verify exits 1."""
+    """A batched check that sees wrong data fails its own row, and verify exits 1.
+
+    verify all reports the row under each target, A3 among them, and no other row.
+    """
     tamper(monkeypatch)
-    code, out = run_cli(["verify", "A", "3", "--format", "json", "--cache-dir", str(cache_dir)])
+    for targets in (["A", "3"], ["all"]):
+        code, out = run_cli(["verify", *targets, "--format", "json", "--cache-dir", str(cache_dir)])
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert {c["name"] for c in failed} == {row}
+        [a3] = [c for c in failed if c.get("target", "A3") == "A3"]
+        assert "coset sum" in a3["detail"] or "<ind chi, psi>" in a3["detail"]
+
+
+def test_verify_all_counts_the_ledger_target(cache_dir, monkeypatch):
+    """A failing ledger row alone makes verify all exit 1."""
+    monkeypatch.setattr(cli, "global_parity_checks",
+                        lambda: [cli.CheckItem("shift-parity-ledger-sweep", False)])
+    code, out = run_cli(["verify", "all", "--format", "json", "--cache-dir", str(cache_dir)])
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == [row]
-    assert "coset sum" in failed[0]["detail"] or "<ind chi, psi>" in failed[0]["detail"]
+    assert [(c["target"], c["name"]) for c in failed] == [("ledger", "shift-parity-ledger-sweep")]
 
 
 def test_verify_all_leaves_no_group_alive(cache_dir, monkeypatch):
@@ -562,6 +581,35 @@ def test_verify_all_leaves_no_group_alive(cache_dir, monkeypatch):
     gc.collect()
     assert len(groups) == len(cli.ROSTER)
     assert [ref() for ref in groups] == [None] * len(cli.ROSTER)
+
+
+def test_verify_all_holds_one_type_at_a_time(cache_dir, monkeypatch):
+    """While verify all builds a type's group, at most one earlier type is still alive.
+
+    A type is alive while its group, its classes or its table is reachable; a
+    loop that kept every table would count 0, 1, 2, ... here.
+    """
+    build, load = cli.build_group, cli.load_or_compute_table
+    refs = []  # per type: weak references to its group, classes and table
+    alive = []
+
+    def recorded_build(cfg, type_label, rank):
+        gc.collect()
+        alive.append(sum(any(ref() is not None for ref in type_refs) for type_refs in refs))
+        W, classes = build(cfg, type_label, rank)
+        refs.append([weakref.ref(W), weakref.ref(classes)])
+        return W, classes
+
+    def recorded_load(cfg, W, classes):
+        table, hit = load(cfg, W, classes)
+        refs[-1].append(weakref.ref(table))
+        return table, hit
+
+    monkeypatch.setattr(cli, "build_group", recorded_build)
+    monkeypatch.setattr(cli, "load_or_compute_table", recorded_load)
+    assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
+    assert [len(type_refs) for type_refs in refs] == [3] * len(cli.ROSTER)
+    assert max(alive) <= 1, alive
 
 
 def test_parabolic_class_maps_hold_members_only(cache_dir, monkeypatch):
