@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import dl as dlmod
 from .chars import CharacterTable, canonical_rows, character_table, table_from_rows
@@ -69,7 +69,7 @@ class Config(_ConfigFields):
 # character-table cache
 
 class TableCacheEntry(NamedTuple):
-    """Everything needed to rebuild a table without the eigenspace computation."""
+    """Everything needed to rebuild a table without the eigenspace computation; central_rank is 0."""
 
     schema_version: int
     type_label: str
@@ -82,8 +82,8 @@ class TableCacheEntry(NamedTuple):
     values: tuple[tuple[int, ...], ...]
 
 
-def cache_path(cfg: Config, type_label: str, rank: int, central_rank: int) -> Path:
-    name = f"{type_label}{rank}z{central_rank}.v{SCHEMA_VERSION}.json"
+def cache_path(cfg: Config, type_label: str, rank: int) -> Path:
+    name = f"{type_label}{rank}z0.v{SCHEMA_VERSION}.json"
     return cfg.cache_dir.expanduser() / name
 
 
@@ -117,9 +117,7 @@ def save_cache_entry(path: Path, entry: TableCacheEntry) -> None:
         raise
 
 
-def load_cache_entry(
-    path: Path, type_label: str, rank: int, central_rank: int
-) -> TableCacheEntry | None:
+def load_cache_entry(path: Path, type_label: str, rank: int) -> TableCacheEntry | None:
     """Parse and fingerprint-check a cache file; any defect is a miss, never partial reuse."""
     try:
         with open(path) as fh:
@@ -144,7 +142,7 @@ def load_cache_entry(
         print(f"warning: ignoring corrupted or unreadable cache file {path}", file=sys.stderr)
         return None
     if (entry.schema_version, entry.type_label, entry.rank, entry.central_rank) != (
-        SCHEMA_VERSION, type_label, rank, central_rank,
+        SCHEMA_VERSION, type_label, rank, 0,
     ):
         return None
     return entry
@@ -161,9 +159,9 @@ def load_or_compute_table(
     is still returned, with a warning on stderr.
     """
     cartan = W.cartan
-    path = cache_path(cfg, cartan.type_label, cartan.rank, cartan.central_rank)
+    path = cache_path(cfg, cartan.type_label, cartan.rank)
     words = tuple(W.word_str(r) for r in classes.reps)
-    entry = load_cache_entry(path, cartan.type_label, cartan.rank, cartan.central_rank)
+    entry = load_cache_entry(path, cartan.type_label, cartan.rank)
     if entry is not None:
         try:
             if (entry.class_words, entry.class_sizes) == (words, classes.sizes):
@@ -180,7 +178,7 @@ def load_or_compute_table(
         schema_version=SCHEMA_VERSION,
         type_label=cartan.type_label,
         rank=cartan.rank,
-        central_rank=cartan.central_rank,
+        central_rank=0,
         class_words=words,
         class_sizes=classes.sizes,
         degrees=table.degrees,
@@ -206,6 +204,11 @@ class CheckItem(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
+
+
+def _row(name: str, violations: Sequence[str], detail: str = "") -> CheckItem:
+    """A row that passes when there are no violations; a failing row shows the first one."""
+    return CheckItem(name, not violations, violations[0] if violations else detail)
 
 
 def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> list[CheckItem]:
@@ -254,41 +257,27 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     if W.rank <= 4:
         subsets = dlmod.subsets(W.rank)
         sub_tables = {I: character_table(W, parabolic(W, I)) for I in subsets}
-        bad = 0
-        first = ""
-        for sub_table in sub_tables.values():
-            report = frobenius_check(table, sub_table)
-            if not report.ok:
-                bad += len(report.violations)
-                first = first or report.violations[0]
-        add(CheckItem("frobenius-reciprocity", bad == 0, first or f"subsets={2 ** W.rank}"))
+        violations = [v for sub_table in sub_tables.values()
+                      for v in frobenius_check(table, sub_table).violations]
+        add(_row("frobenius-reciprocity", violations, f"subsets={2 ** W.rank}"))
 
     if W.rank <= 3:
         # ind_{W_I}^W chi, once per (I, chi), for Mackey's left side and the direct side below
         induced = {I: [induce(chi, t.classes, classes) for chi in t.irreducibles]
                    for I, t in sub_tables.items()}
-        bad = 0
-        first = ""
-        for I in subsets:
-            for J in subsets:
-                for chi, ind_chi in zip(sub_tables[I].irreducibles, induced[I]):
-                    report = mackey_check(W, I, J, chi, ind_chi)
-                    if not report.ok:
-                        bad += 1
-                        first = first or report.violations[0]
-        add(CheckItem("mackey-decomposition", bad == 0, first))
+        violations = [v for I in subsets for J in subsets
+                      for chi, ind_chi in zip(sub_tables[I].irreducibles, induced[I])
+                      for v in mackey_check(W, I, J, chi, ind_chi).violations]
+        add(_row("mackey-decomposition", violations))
 
-        bad = 0
-        for J in subsets:
-            PJ = sub_tables[J].classes
-            for I in subsets:
-                if not set(J) <= set(I):
-                    continue
-                PI = sub_tables[I].classes
-                for chi, direct in zip(sub_tables[J].irreducibles, induced[J]):
-                    if induce(induce(chi, PJ, PI), PI, classes) != direct:
-                        bad += 1
-        add(CheckItem("induction-transitivity", bad == 0))
+        # a list, not a generator: every pair is induced even after a failure
+        transitive = all([
+            induce(induce(chi, sub_tables[J].classes, sub_tables[I].classes),
+                   sub_tables[I].classes, classes) == direct
+            for J in subsets for I in subsets if set(J) <= set(I)
+            for chi, direct in zip(sub_tables[J].irreducibles, induced[J])
+        ])
+        add(CheckItem("induction-transitivity", transitive))
 
     *dl_rows, agreement = _dl_checks(W, table)
     checks += dl_rows
@@ -319,8 +308,8 @@ def _dl_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
     invrep = dlmod.verify_involution(W, table)
     agree = dlmod.dl_matrix(W, table) == dlmod.dl_inverse_matrix(W, table)
     return [
-        CheckItem("sign-twist", twist.ok, twist.violations[0] if twist.violations else ""),
-        CheckItem("involution", invrep.ok, invrep.violations[0] if invrep.violations else ""),
+        _row("sign-twist", twist.violations),
+        _row("involution", invrep.violations),
         CheckItem("dl-inverse-agreement", agree),
     ]
 

@@ -1,12 +1,14 @@
 """The Deligne-Lusztig operator on the virtual-character lattice.
 
-DL(V) = sum over subsets I of the simple reflections of (-1)^|I| ind res V.
-The operator is assembled exactly, verified to coincide with tensoring by the
-sign character, to square to the identity, and to induce the transpose pairing
-on partition labels in type A.  Cohomological shift bookkeeping appears only
-through the parity ledger: the inverse-side signs (-1)^(d_empty + d_I) collapse
-to (-1)^|I|, since d_0 + d_k = 2(central_rank + sigma_size) - k.  There is one
-assembly; dl_inverse_matrix checks the ledger on every layer and returns it.
+DL(V) = sum over subsets I of J of (-1)^|I| ind res V, on the table of W_J,
+for W (J all simple reflections) or a standard parabolic (Alvis 1979; Curtis
+1980).  The operator is assembled exactly, verified to coincide with
+tensoring by the sign character, to square to the identity, and to induce the
+transpose pairing on partition labels in type A.  Cohomological shift
+bookkeeping appears only through the parity ledger: the inverse-side signs
+(-1)^(d_empty + d_I) collapse to (-1)^|I|, since d_0 + d_k = 2(central_rank +
+sigma_size) - k.  There is one assembly; dl_inverse_matrix checks the ledger
+on every layer and returns it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 from .chars import CharacterTable, ClassFunction, VirtualCharacter, decompose, sign, unit
 from .errors import GroupMismatch, InternalError, InvalidType
-from .grp import conjugacy_classes, parabolic
+from .grp import parabolic
 from .indres import induce, restrict
 from .rootsys import WeylGroup
 
@@ -64,14 +66,17 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
 
 
 def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
-    """Columns are the images of the irreducibles under sum of (-1)^|I| ind res, layer by layer."""
-    classes = conjugacy_classes(W)
-    sums = [[0] * classes.n_classes for _ in table.irreducibles]
-    for subset in subsets(W.rank):
+    """Columns are the images of the irreducibles of W_J under sum over I in J of (-1)^|I| ind res."""
+    G = table.classes
+    if G.generators is None or G.group_id.split("|")[0] != W.group_id:
+        raise GroupMismatch(f"table on {G.group_id} is not on {W.group_id} or a standard parabolic")
+    sums = [[0] * G.n_classes for _ in table.irreducibles]
+    for positions in subsets(len(G.generators)):
+        subset = tuple(G.generators[k] for k in positions)
         P = parabolic(W, subset)
         op = sub if len(subset) % 2 else add
         for i, chi in enumerate(table.irreducibles):
-            term = induce(restrict(chi, P, classes), P, classes)
+            term = induce(restrict(chi, P, G), P, G)
             sums[i] = list(map(op, sums[i], term.values))
     return tuple(
         decompose(table, ClassFunction(table.group_id, tuple(acc))).coeffs for acc in sums
@@ -89,14 +94,16 @@ def dl_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...
 def dl_inverse_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """The operator assembled from the inverse-side shift parities: dl_matrix itself.
 
-    Each layer's ledger sign must be (-1)^|I|, the sign dl_matrix assembles
-    with; InternalError if one is not.
+    On W_J the ledger is (rank - |J|, |J|).  Each layer's ledger sign must be
+    (-1)^|I|, the sign dl_matrix assembles with; InternalError if one is not.
     """
-    ledger = ShiftLedger(W.cartan.central_rank, W.rank)
-    for size in range(W.rank + 1):
+    matrix = dl_matrix(W, table)
+    sigma = len(table.classes.generators)
+    ledger = ShiftLedger(W.rank - sigma, sigma)
+    for size in range(sigma + 1):
         if not ledger.parity_identity_holds(size):
             raise InternalError(f"the inverse-side sign of layer {size} is not (-1)^{size}")
-    return dl_matrix(W, table)
+    return matrix
 
 
 def _apply(matrix: tuple[tuple[int, ...], ...], v: VirtualCharacter) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ Coords = tuple[int, ...]
 Perm = tuple[int, ...]
 
 DEFAULT_MAX_ORDER = 2_000_000
-DEFAULT_MAX_ROOTS = 10_000
+MAX_ROOTS = 10_000
 
 ACCEPTED_TYPES = "A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)"
 
@@ -96,19 +96,17 @@ class _CartanFields(NamedTuple):
     type_label: str
     rank: int
     cartan_matrix: tuple[Coords, ...]
-    central_rank: int
 
 
 class CartanDatum(_CartanFields):
-    """An irreducible Cartan matrix plus the rank of the central torus it sits over.
+    """An irreducible Cartan matrix with its type label and rank.
 
     Validated on every construction, _replace included.
     """
 
     __slots__ = ()
 
-    def __new__(cls, type_label: str, rank: int, cartan_matrix: tuple[Coords, ...],
-                central_rank: int = 0) -> CartanDatum:
+    def __new__(cls, type_label: str, rank: int, cartan_matrix: tuple[Coords, ...]) -> CartanDatum:
         m = cartan_matrix
         if len(m) != rank or any(len(row) != rank for row in m):
             raise InvalidType(f"Cartan matrix of {type_label}{rank} is not {rank}x{rank}")
@@ -123,7 +121,7 @@ class CartanDatum(_CartanFields):
                         f"Cartan matrix entries ({i},{j})={m[i][j]} and ({j},{i})={m[j][i]} "
                         "are not those of a crystallographic Coxeter bond"
                     )
-        return super().__new__(cls, type_label, rank, cartan_matrix, central_rank)
+        return super().__new__(cls, type_label, rank, cartan_matrix)
 
     @classmethod
     def _make(cls, iterable) -> CartanDatum:
@@ -133,37 +131,27 @@ class CartanDatum(_CartanFields):
     def label(self) -> str:
         return f"{self.type_label}{self.rank}"
 
-    @property
-    def group_id(self) -> str:
-        if self.central_rank:
-            return f"{self.label}+z{self.central_rank}"
-        return self.label
+
+def _check_root_count(label: str, n_roots: int) -> None:
+    if n_roots > MAX_ROOTS:
+        raise SizeLimit(f"{label} has {n_roots} roots, more than the limit of {MAX_ROOTS}")
 
 
-def _check_root_count(label: str, n_roots: int, max_roots: int) -> None:
-    if n_roots > max_roots:
-        raise SizeLimit(f"{label} has {n_roots} roots, more than the limit of {max_roots}")
-
-
-def build_cartan(
-    type_label: str, rank: int, central_rank: int = 0, max_roots: int = DEFAULT_MAX_ROOTS
-) -> CartanDatum:
+def build_cartan(type_label: str, rank: int) -> CartanDatum:
     """Standard Cartan datum for an irreducible pair, rejecting aliases (C2, D2, D3).
 
-    SizeLimit if the root system would have more than max_roots roots, raised
+    SizeLimit if the root system would have more than MAX_ROOTS roots, raised
     before the rank x rank matrix is built.
     """
     if not isinstance(rank, int) or rank < 1:
         raise InvalidType(f"rank must be a positive integer, got {rank!r}")
-    if central_rank < 0:
-        raise InvalidType(f"central_rank must be non-negative, got {central_rank}")
     if type_label == "E":
         raise InvalidType(
             f"type E is not enumerated at desk scale; accepted: {ACCEPTED_TYPES}"
         )
-    _check_root_count(f"{type_label}{rank}", rank * coxeter_number(type_label, rank), max_roots)
+    _check_root_count(f"{type_label}{rank}", rank * coxeter_number(type_label, rank))
     matrix = standard_cartan_matrix(type_label, rank)
-    return CartanDatum(type_label, rank, matrix, central_rank)
+    return CartanDatum(type_label, rank, matrix)
 
 
 class _RootSystemFields(NamedTuple):
@@ -223,17 +211,17 @@ def check_group_order(cartan: CartanDatum, max_order: int) -> int:
     return expected
 
 
-def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -> RootSystem:
+def build_root_system(cartan: CartanDatum) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
     A standard Cartan matrix has rank * h roots for its Coxeter number h; if
-    that exceeds max_roots, SizeLimit is raised before any closing.  Otherwise
-    NonFinite is raised if the closure exceeds max_roots, which only happens
+    that exceeds MAX_ROOTS, SizeLimit is raised before any closing.  Otherwise
+    NonFinite is raised if the closure exceeds MAX_ROOTS, which only happens
     for a Cartan matrix that is not of finite type.
     """
     rank = cartan.rank
     if _is_standard(cartan):
-        _check_root_count(cartan.label, rank * coxeter_number(cartan.type_label, rank), max_roots)
+        _check_root_count(cartan.label, rank * coxeter_number(cartan.type_label, rank))
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen: set[Coords] = set(simples)
     frontier = list(simples)
@@ -245,9 +233,9 @@ def build_root_system(cartan: CartanDatum, max_roots: int = DEFAULT_MAX_ROOTS) -
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
-        if len(seen) > max_roots:
+        if len(seen) > MAX_ROOTS:
             raise NonFinite(
-                f"root closure exceeded {max_roots} vectors; Cartan matrix is not finite type"
+                f"root closure exceeded {MAX_ROOTS} vectors; Cartan matrix is not finite type"
             )
         frontier = nxt
 
@@ -313,7 +301,7 @@ class WeylGroup:
         self.simple_images = simple_images
         self.identity_index = 0
         self.generator_indices = tuple(r[self.identity_index] for r in right_maps)
-        self.group_id = rootsystem.cartan.group_id
+        self.group_id = rootsystem.cartan.label
         self.cache: dict = {}
 
     @property
@@ -465,13 +453,8 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
     )
 
 
-def build_weyl_group(
-    type_label: str,
-    rank: int,
-    central_rank: int = 0,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> WeylGroup:
+def build_weyl_group(type_label: str, rank: int, *, max_order: int = DEFAULT_MAX_ORDER) -> WeylGroup:
     """Convenience: cartan -> root system -> enumerated group."""
-    cartan = build_cartan(type_label, rank, central_rank)
+    cartan = build_cartan(type_label, rank)
     check_group_order(cartan, max_order)
     return enumerate_group(build_root_system(cartan), max_order=max_order)

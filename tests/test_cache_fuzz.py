@@ -62,7 +62,7 @@ def fresh(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("fresh")
     code, out, _ = run(cache_dir)
     assert code == 0
-    return out, cache_path(Config(cache_dir=cache_dir), "G", 2, 0).read_bytes()
+    return out, cache_path(Config(cache_dir=cache_dir), "G", 2).read_bytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,7 +74,7 @@ def test_corrupted_cache_file_is_recomputed(fresh, how):
     fresh_out, valid = fresh
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = Path(tmp)
-        cache_path(Config(cache_dir=cache_dir), "G", 2, 0).write_bytes(corrupt(valid, how))
+        cache_path(Config(cache_dir=cache_dir), "G", 2).write_bytes(corrupt(valid, how))
         # an exception escaping main fails the test with its traceback
         code, out, err = run(cache_dir)
     assert code in range(5)

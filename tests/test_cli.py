@@ -13,7 +13,7 @@ import pytest
 
 import weyl_dl
 from weyl_dl import (
-    ConjugacyClasses, InternalError, InvalidType, IrrationalityError, chars, cli, indres, rootsys,
+    ConjugacyClasses, InternalError, InvalidType, IrrationalityError, chars, cli, dl, indres, rootsys,
 )
 from weyl_dl.cli import (
     Config,
@@ -181,7 +181,7 @@ def test_output_deterministic(cache_dir):
 
 def test_cache_populated_and_used(cache_dir):
     cfg = Config(cache_dir=cache_dir)
-    path = cache_path(cfg, "A", 3, 0)
+    path = cache_path(cfg, "A", 3)
     assert not path.exists()
     run_cli(["table", "A", "3", "--cache-dir", str(cache_dir)])
     assert path.exists()
@@ -206,17 +206,17 @@ def test_cache_roundtrip(cache_dir):
         values=((1, 1, 1), (1, -1, 1), (2, 0, -1)),
     )
     cfg = Config(cache_dir=cache_dir)
-    path = cache_path(cfg, "A", 2, 0)
+    path = cache_path(cfg, "A", 2)
     save_cache_entry(path, entry)
-    assert load_cache_entry(path, "A", 2, 0) == entry
+    assert load_cache_entry(path, "A", 2) == entry
     # fingerprint mismatch is a miss, never partial reuse
-    assert load_cache_entry(path, "A", 3, 0) is None
+    assert load_cache_entry(path, "A", 3) is None
 
 
 def test_corrupted_cache_recovers(cache_dir, capsys):
     run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
     cfg = Config(cache_dir=cache_dir)
-    path = cache_path(cfg, "A", 2, 0)
+    path = cache_path(cfg, "A", 2)
     path.write_text("{not json")
     code, out = run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
     assert code == 0
@@ -229,7 +229,7 @@ def test_deeply_nested_cache_recovers(tmp_path, capsys):
     code, fresh = run_cli(["table", "A", "2", "--cache-dir", str(tmp_path / "fresh")])
     assert code == 0
     cache_dir = tmp_path / "cache"
-    path = cache_path(Config(cache_dir=cache_dir), "A", 2, 0)
+    path = cache_path(Config(cache_dir=cache_dir), "A", 2)
     path.parent.mkdir(parents=True)
     path.write_text("[" * 200_000)
     capsys.readouterr()
@@ -282,7 +282,7 @@ def test_tampered_cache_values_recomputed(tmp_path, capsys, command, type_label,
     assert code == 0
     cache_dir = tmp_path / "cache"
     run_cli(["table", type_label, rank, "--cache-dir", str(cache_dir)])
-    path = cache_path(Config(cache_dir=cache_dir), type_label, int(rank), 0)
+    path = cache_path(Config(cache_dir=cache_dir), type_label, int(rank))
     payload = json.loads(path.read_text())
     tamper(payload)
     path.write_text(json.dumps(payload))
@@ -344,7 +344,7 @@ def test_unwritable_cache_dir_still_prints_table(tmp_path, capsys):
 
 
 def test_cache_path_that_is_a_directory_recomputes(cache_dir, capsys):
-    cache_path(Config(cache_dir=cache_dir), "A", 2, 0).mkdir(parents=True)
+    cache_path(Config(cache_dir=cache_dir), "A", 2).mkdir(parents=True)
     code, out = run_cli(["dl", "A", "2", "--cache-dir", str(cache_dir)])
     assert code == 0
     assert "(3) <-> (1,1,1)" in out
@@ -554,6 +554,77 @@ def test_verify_reports_a_failing_check(cache_dir, monkeypatch, tamper, row):
         assert {c["name"] for c in failed} == {row}
         [a3] = [c for c in failed if c.get("target", "A3") == "A3"]
         assert "coset sum" in a3["detail"] or "<ind chi, psi>" in a3["detail"]
+
+
+def _swap_first_two_dl_images(monkeypatch):
+    assemble = dl._alternating_matrix
+
+    def swapped(W, table):
+        first, second, *rest = assemble(W, table)
+        return (second, first, *rest)
+
+    monkeypatch.setattr(dl, "_alternating_matrix", swapped)
+
+
+def _failing_rows(command, cache_dir):
+    """Exit code, then the failing (name, detail) pairs of the json report and the failing csv lines."""
+    code, out = run_cli([*command, "--format", "json", "--cache-dir", str(cache_dir)])
+    failed = [(c["name"], c.get("detail", "")) for c in json.loads(out)["checks"] if not c["passed"]]
+    csv_code, csv = run_cli([*command, "--format", "csv", "--cache-dir", str(cache_dir)])
+    assert csv_code == code
+    return code, failed, [line for line in csv.splitlines() if ",FAILED," in line or ",false," in line]
+
+
+def test_dl_reports_a_wrong_dl_matrix(cache_dir, monkeypatch):
+    """Two swapped DL images break the sign twist and the involution of B2, and nothing else."""
+    _swap_first_two_dl_images(monkeypatch)
+    twist = "irreducible #0: DL image (0, 0, 1, 0, 0) != sign-tensor image (0, 0, 0, 1, 0)"
+    square = "column #0: DL^2 image is (0, 1, 0, 0, 0)"
+    assert _failing_rows(["dl", "B", "2"], cache_dir) == (
+        1, [("sign-twist", twist), ("involution", square)],
+        [f'sign-twist,FAILED,"{twist}"', f'involution,FAILED,"{square}"'],
+    )
+
+
+def test_verify_reports_a_wrong_dl_matrix(cache_dir, monkeypatch):
+    """In A3 the swap exchanges the images of a transposed pair: only the sign twist fails."""
+    _swap_first_two_dl_images(monkeypatch)
+    twist = "irreducible #0: DL image (1, 0, 0, 0, 0) != sign-tensor image (0, 1, 0, 0, 0)"
+    assert _failing_rows(["verify", "A", "3"], cache_dir) == (
+        1, [("sign-twist", twist)], [f'sign-twist,false,"{twist}"'],
+    )
+
+
+def test_verify_reports_a_wrong_induction_into_a_parabolic(cache_dir, monkeypatch):
+    """An induction into a proper parabolic that is off by one fails induction-transitivity alone."""
+    induce = cli.induce
+
+    def perturbed(f, H, G):
+        out = induce(f, H, G)
+        if G.order < 24:  # a proper parabolic of A3
+            return out._replace(values=(out.values[0] + 1, *out.values[1:]))
+        return out
+
+    monkeypatch.setattr(cli, "induce", perturbed)
+    assert _failing_rows(["verify", "A", "3"], cache_dir) == (
+        1, [("induction-transitivity", "")], ["induction-transitivity,false,"],
+    )
+
+
+def test_cache_file_of_another_central_rank_is_a_silent_miss(tmp_path, capsys):
+    """The file format's central rank is 0; a file with "1" is recomputed and rewritten, without a warning."""
+    code, fresh = run_cli(["table", "G", "2", "--cache-dir", str(tmp_path / "fresh")])
+    assert code == 0
+    cache_dir = tmp_path / "cache"
+    run_cli(["table", "G", "2", "--cache-dir", str(cache_dir)])
+    path = cache_dir / "G2z0.v1.json"
+    written = path.read_text()
+    assert '"central_rank": "0"' in written
+    path.write_text(written.replace('"central_rank": "0"', '"central_rank": "1"'))
+    capsys.readouterr()
+    code, out = run_cli(["table", "G", "2", "--cache-dir", str(cache_dir)])
+    assert (code, out, capsys.readouterr().err) == (0, fresh, "")
+    assert path.read_text() == written
 
 
 def test_verify_all_counts_the_ledger_target(cache_dir, monkeypatch):

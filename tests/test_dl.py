@@ -3,21 +3,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weyl_dl import (
+    GroupMismatch,
     InternalError,
     InvalidType,
     VirtualCharacter,
+    character_table,
     decompose,
     dl_inverse_operator,
     dl_operator,
+    parabolic,
     reflection,
     sign,
     springer_table,
+    subgroup_classes,
     tensor,
     trivial,
     unit,
     verify_involution,
     verify_sign_twist,
 )
+from weyl_dl import dl
 from weyl_dl.dl import (
     ShiftLedger,
     _alternating_matrix,
@@ -25,6 +30,7 @@ from weyl_dl.dl import (
     dl_matrix,
     sign_permutation,
     sign_tensor_permutation,
+    subsets,
 )
 from weyl_dl.chars import CharacterTable, ClassFunction
 from weyl_dl.cli import ROSTER, main
@@ -99,6 +105,49 @@ def test_dl_inverse_refuses_a_disagreeing_ledger(tables, monkeypatch, capsys, tm
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: internal: ")
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2), ("D", 4)], ids=["A3", "B3", "G2", "D4"])
+def test_dl_on_every_parabolic_table(groups, key):
+    """On the table of W_J, DL sums over the W_K, K in J: it is W_J's sign twist (Alvis-Curtis)."""
+    W = groups(*key)
+    for J in subsets(W.rank):
+        t = character_table(W, parabolic(W, J))
+        report = verify_sign_twist(W, t)
+        assert report.ok, (J, report.violations)
+        assert verify_involution(W, t).ok, J
+        assert dl_inverse_matrix(W, t) == dl_matrix(W, t)
+
+
+def test_dl_inverse_checks_the_ledger_of_the_parabolic(groups, monkeypatch):
+    """On W_J the ledger has central rank rank - |J| and sigma size |J|, one check per layer."""
+    seen = []
+
+    class Recorded(ShiftLedger):
+        def parity_identity_holds(self, size):
+            seen.append((tuple(self), size))
+            return super().parity_identity_holds(size)
+
+    monkeypatch.setattr(dl, "ShiftLedger", Recorded)
+    W = groups("B", 3)
+    dl_inverse_matrix(W, character_table(W, parabolic(W, (0, 2))))
+    assert seen == [((1, 2), 0), ((1, 2), 1), ((1, 2), 2)]
+    seen.clear()
+    dl_inverse_matrix(W, character_table(W))
+    assert seen == [((0, 3), size) for size in range(4)]
+
+
+def test_dl_refuses_a_table_of_another_group(tables):
+    """DL reads its layers from the table's group, which must be W or one of its standard parabolics."""
+    W, _, t_a2 = tables("A", 2)
+    _, _, t_b2 = tables("B", 2)
+    with pytest.raises(GroupMismatch):
+        dl_matrix(W, t_b2)
+    members = parabolic(W, (0,)).members
+    explicit = character_table(W, subgroup_classes(W, members))
+    with pytest.raises(GroupMismatch):
+        dl_matrix(W, explicit)
+    assert dl_matrix(W, t_a2)
 
 
 def tensor_sign_permutation(W, t):

@@ -75,3 +75,21 @@ def test_stdout_digest(cache_dir, command, digest):
         code = main(command.split() + ["--cache-dir", str(cache_dir)])
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# the cache file a cold `table` writes: its name, mode and bytes
+CACHE_FILES = (
+    ("A", "3", "A3z0.v1.json", "4cc25ccdf68027338d0f54ef97020c96aefeeba65b36d132123c4c20aa36e793"),
+    ("G", "2", "G2z0.v1.json", "21de42eee75f8fcf11163d0ac2ff235f6889fb1c803b9f9f1fc48f7b74e483e8"),
+)
+
+
+@pytest.mark.parametrize("type_label, rank, name, digest", CACHE_FILES,
+                         ids=[name for *_, name, _ in CACHE_FILES])
+def test_cache_file_digest(tmp_path, type_label, rank, name, digest):
+    with redirect_stdout(io.StringIO()):
+        assert main(["table", type_label, rank, "--cache-dir", str(tmp_path)]) == 0
+    [path] = tmp_path.iterdir()
+    assert path.name == name
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -65,8 +65,9 @@ def test_root_count_limit_checked_before_any_matrix(monkeypatch):
     monkeypatch.setattr(rootsys, "_chain", no_matrix)
     with pytest.raises(SizeLimit, match="A1000000 has 1000001000000 roots"):
         build_cartan("A", 1_000_000)
+    monkeypatch.setattr(rootsys, "MAX_ROOTS", 39)
     with pytest.raises(SizeLimit, match="D5 has 40 roots, more than the limit of 39"):
-        build_cartan("D", 5, max_roots=39)
+        build_cartan("D", 5)
 
 
 def test_roots_closed_under_negation():
@@ -76,11 +77,12 @@ def test_roots_closed_under_negation():
     assert len(roots) == 2 * rs.n_positive
 
 
-def test_non_finite_matrix_rejected():
+def test_non_finite_matrix_rejected(monkeypatch):
     # 3-cycle diagram: passes the entry invariants, but the closure never terminates
     bad = CartanDatum("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
-    with pytest.raises(NonFinite):
-        build_root_system(bad, max_roots=200)
+    monkeypatch.setattr(rootsys, "MAX_ROOTS", 200)
+    with pytest.raises(NonFinite, match="root closure exceeded 200 vectors"):
+        build_root_system(bad)
 
 
 @pytest.mark.parametrize("matrix,match", [
@@ -108,12 +110,14 @@ def test_cartan_datum_rejects_bad_matrix_under_optimize(run_optimized):
     assert "crystallographic" in run_optimized(code)
 
 
-def test_root_count_over_limit_is_size_limit():
+def test_root_count_over_limit_is_size_limit(monkeypatch):
     # A200 is of finite type with 40200 roots: a resource limit, not NonFinite
     with pytest.raises(SizeLimit, match="40200 roots"):
         build_root_system(build_cartan("A", 200))
+    d4 = build_cartan("D", 4)
+    monkeypatch.setattr(rootsys, "MAX_ROOTS", 20)  # read when called, after the datum is built
     with pytest.raises(SizeLimit, match="24 roots"):
-        build_root_system(build_cartan("D", 4), max_roots=20)
+        build_root_system(d4)
 
 
 @pytest.mark.parametrize("type_label,rank", [

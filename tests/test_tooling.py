@@ -5,11 +5,15 @@ The runner checks every report it produces; a report change it rejects must fail
 """
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from weyl_dl import build_weyl_group, parabolic
+from weyl_dl.dl import subsets
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACED_CLI = PERFBENCH / "traced_cli.py"
@@ -37,3 +41,20 @@ def test_benchmark_smoke_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
+
+
+@pytest.mark.parametrize("type_label, rank, frobenius, mackey", [("A", 3, 8, 176), ("G", 2, 4, 44)])
+def test_traced_verify_runs_every_check(tmp_path, type_label, rank, frobenius, mackey):
+    """verify T n on a fresh cache, traced: Frobenius on every W_I, Mackey on every (I, J, chi), DL once."""
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(TRACED_CLI), str(trace), "verify", type_label, str(rank),
+                           "--cache-dir", str(tmp_path / "cache")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(trace.read_text())["calls"]
+    W = build_weyl_group(type_label, rank)
+    irreducibles = sum(parabolic(W, I).n_classes for I in subsets(rank))  # |Irr(W_I)| = its class count
+    assert calls["indres.frobenius_check"] == 2 ** rank == frobenius
+    assert calls["indres.mackey_check"] == 2 ** rank * irreducibles == mackey
+    for name in ("dl.verify_sign_twist", "dl.verify_involution", "dl.dl_inverse_matrix"):
+        assert calls[name] == 1, name
