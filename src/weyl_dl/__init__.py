@@ -18,7 +18,6 @@ from .chars import (
 )
 from .dl import (
     ShiftLedger,
-    SpringerLabel,
     dl_inverse_operator,
     dl_operator,
     springer_table,
@@ -57,7 +56,5 @@ from .rootsys import (
     enumerate_group,
     fundamental_degrees,
 )
-
-ParabolicSubgroup = ConjugacyClasses  # the one subgroup type, under its former name
 
 __all__ = [name for name in dir() if not name.startswith("_")]

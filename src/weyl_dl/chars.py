@@ -126,17 +126,19 @@ class CharacterTable:
 
     def __init__(
         self,
-        group_id: str,
         classes: ConjugacyClasses,
         irreducibles: tuple[ClassFunction, ...],
         degrees: tuple[int, ...],
         labels: tuple[tuple[int, ...], ...] | None = None,
     ):
-        self.group_id = group_id
         self.classes = classes
         self.irreducibles = irreducibles
         self.degrees = degrees
         self.labels = labels
+
+    @property
+    def group_id(self) -> str:
+        return self.classes.group_id
 
     @property
     def n_irreducibles(self) -> int:
@@ -416,7 +418,6 @@ def table_from_rows(
     """
     certify_characters(W, classes, rows)
     return CharacterTable(
-        group_id=classes.group_id,
         classes=classes,
         irreducibles=tuple(ClassFunction(classes.group_id, tuple(row)) for row in rows),
         degrees=tuple(row[classes.identity_class] for row in rows),

@@ -258,7 +258,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
         subsets = dlmod.subsets(W.rank)
         sub_tables = {I: character_table(W, parabolic(W, I)) for I in subsets}
         violations = [v for sub_table in sub_tables.values()
-                      for v in frobenius_check(table, sub_table).violations]
+                      for v in frobenius_check(table, sub_table)]
         add(_row("frobenius-reciprocity", violations, f"subsets={2 ** W.rank}"))
 
     if W.rank <= 3:
@@ -267,7 +267,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
                    for I, t in sub_tables.items()}
         violations = [v for I in subsets for J in subsets
                       for chi, ind_chi in zip(sub_tables[I].irreducibles, induced[I])
-                      for v in mackey_check(W, I, J, chi, ind_chi).violations]
+                      for v in mackey_check(W, I, J, chi, ind_chi)]
         add(_row("mackey-decomposition", violations))
 
         # a list, not a generator: every pair is induced even after a failure
@@ -295,7 +295,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
             table.labels[perm[i]] == transpose(table.labels[i]) for i in range(k)
         )
         add(CheckItem("springer-transpose", transposed,
-                      "; ".join(f"{a.display}->{b.display}" for a, b in pairs[:3])))
+                      "; ".join(f"{a}->{b}" for a, b in pairs[:3])))
 
     add(CheckItem("shift-parity-ledger", _parity_ledger_holds([W.rank])))
 
@@ -305,11 +305,11 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
 def _dl_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
     """The sign-twist, involution and dl-inverse-agreement rows, for dl and verify alike."""
     twist = dlmod.verify_sign_twist(W, table)
-    invrep = dlmod.verify_involution(W, table)
+    involution = dlmod.verify_involution(W, table)
     agree = dlmod.dl_matrix(W, table) == dlmod.dl_inverse_matrix(W, table)
     return [
-        _row("sign-twist", twist.violations),
-        _row("involution", invrep.violations),
+        _row("sign-twist", twist),
+        _row("involution", involution),
         CheckItem("dl-inverse-agreement", agree),
     ]
 
@@ -338,8 +338,8 @@ def _ds(x) -> str:
 
 def _rows(table: CharacterTable) -> list[list[str]]:
     """One row per irreducible: its label, its degree, then its values."""
-    return [[lab.display, _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
-            for i, lab in enumerate(dlmod.irreducible_labels(table))]
+    return [[label, _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
+            for i, label in enumerate(dlmod.irreducible_labels(table))]
 
 
 def _type_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
@@ -409,7 +409,7 @@ def render_dl(
     checks: list[CheckItem],
 ) -> str:
     perm = dlmod.sign_permutation(W, table)
-    names = [lab.display for lab in dlmod.irreducible_labels(table)]
+    names = dlmod.irreducible_labels(table)
     if cfg.output_format == "json":
         extra = [
             {"dl_image": names[perm[i]], "dl_image_index": _ds(perm[i])}
@@ -552,13 +552,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("table", parents=[common], help="print a character table")
-    p_table.add_argument("type_label", metavar="TYPE")
-    p_table.add_argument("rank", metavar="RANK", type=int)
-
-    p_dl = sub.add_parser("dl", parents=[common], help="print the DL pairing of irreducibles")
-    p_dl.add_argument("type_label", metavar="TYPE")
-    p_dl.add_argument("rank", metavar="RANK", type=int)
+    for name, help_text in (("table", "print a character table"),
+                            ("dl", "print the DL pairing of irreducibles")):
+        p_cmd = sub.add_parser(name, parents=[common], help=help_text)
+        p_cmd.add_argument("type_label", metavar="TYPE")
+        p_cmd.add_argument("rank", metavar="RANK", type=int)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
     p_verify.add_argument("targets", metavar="TYPE RANK | all", nargs="+")
@@ -578,10 +576,8 @@ def main(argv: list[str] | None = None) -> int:
             text, code = cmd_table(cfg, args.type_label.upper(), args.rank)
         elif args.command == "dl":
             text, code = cmd_dl(cfg, args.type_label.upper(), args.rank)
-        elif args.command == "verify":
-            text, code = cmd_verify(cfg, args.targets)
         else:
-            raise InvalidType(f"unknown command {args.command}")
+            text, code = cmd_verify(cfg, args.targets)
     except (InvalidType, NonFinite, GroupMismatch, NotVirtual) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

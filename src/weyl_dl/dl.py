@@ -49,13 +49,6 @@ class ShiftLedger(NamedTuple):
         return self.inverse_side_sign(subset_size) == (-1) ** subset_size
 
 
-class SpringerLabel(NamedTuple):
-    """Display label of one irreducible: a partition in type A, degree+ordinal otherwise."""
-
-    irr_index: int
-    display: str
-
-
 def subsets(rank: int) -> list[tuple[int, ...]]:
     """Every subset of the simple reflections 0..rank-1, by size, then lexicographically."""
     return list(
@@ -157,17 +150,8 @@ def sign_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
     return W.cache[key]
 
 
-class SignTwistReport(NamedTuple):
-    permutation: tuple[int, ...]
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_sign_twist(W: WeylGroup, table: CharacterTable) -> SignTwistReport:
-    """DL on each irreducible equals sign tensor that irreducible, exactly."""
+def verify_sign_twist(W: WeylGroup, table: CharacterTable) -> tuple[str, ...]:
+    """DL on each irreducible equals sign tensor that irreducible, exactly; the violations, or ()."""
     matrix = dl_matrix(W, table)
     perm = sign_permutation(W, table)
     violations = []
@@ -177,19 +161,11 @@ def verify_sign_twist(W: WeylGroup, table: CharacterTable) -> SignTwistReport:
             violations.append(
                 f"irreducible #{i}: DL image {matrix[i]} != sign-tensor image {expected}"
             )
-    return SignTwistReport(perm, tuple(violations))
+    return tuple(violations)
 
 
-class InvolutionReport(NamedTuple):
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_involution(W: WeylGroup, table: CharacterTable) -> InvolutionReport:
-    """The matrix of DL squares to the identity, exactly."""
+def verify_involution(W: WeylGroup, table: CharacterTable) -> tuple[str, ...]:
+    """The matrix of DL squares to the identity, exactly; the violations, or ()."""
     matrix = dl_matrix(W, table)
     k = len(matrix)
     violations = []
@@ -198,11 +174,11 @@ def verify_involution(W: WeylGroup, table: CharacterTable) -> InvolutionReport:
         expected = tuple(1 if j == i else 0 for j in range(k))
         if twice != expected:
             violations.append(f"column #{i}: DL^2 image is {twice}")
-    return InvolutionReport(tuple(violations))
+    return tuple(violations)
 
 
-def irreducible_labels(table: CharacterTable) -> tuple[SpringerLabel, ...]:
-    """Per-irreducible display labels in canonical order."""
+def irreducible_labels(table: CharacterTable) -> tuple[str, ...]:
+    """Display labels in canonical order: a partition in type A, degree+ordinal otherwise."""
     out = []
     seen_by_degree: dict[int, int] = {}
     for i, deg in enumerate(table.degrees):
@@ -212,11 +188,11 @@ def irreducible_labels(table: CharacterTable) -> tuple[SpringerLabel, ...]:
             ordinal = seen_by_degree.get(deg, 0) + 1
             seen_by_degree[deg] = ordinal
             display = f"d{deg}.{ordinal}"
-        out.append(SpringerLabel(i, display))
+        out.append(display)
     return tuple(out)
 
 
-def springer_table(W: WeylGroup, table: CharacterTable) -> tuple[tuple[SpringerLabel, SpringerLabel], ...]:
+def springer_table(W: WeylGroup, table: CharacterTable) -> tuple[tuple[str, str], ...]:
     """The pairing alpha -> sign tensor alpha, rendered in labels.
 
     In type A this is transposition of partitions.

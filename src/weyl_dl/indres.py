@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import repeat
 from operator import floordiv, mod, mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .chars import CharacterTable, ClassFunction, exact_quotient
 from .errors import GroupMismatch
@@ -96,17 +96,8 @@ def induce_between(
     return induce(f, sub, sup)
 
 
-class FrobeniusReport(NamedTuple):
-    group_id: str
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def frobenius_check(table_G: CharacterTable, table_H: CharacterTable) -> FrobeniusReport:
-    """<ind chi, psi> = <chi, res psi> for all irreducible pairs, exactly.
+def frobenius_check(table_G: CharacterTable, table_H: CharacterTable) -> tuple[str, ...]:
+    """<ind chi, psi> = <chi, res psi> for all irreducible pairs, exactly; the violations, or ().
 
     table_H is the table of a subgroup H of the group of table_G.  Induction
     goes through the members' tally and restriction through fusion, so the
@@ -128,19 +119,7 @@ def frobenius_check(table_G: CharacterTable, table_H: CharacterTable) -> Frobeni
                 violations.append(
                     f"{H.group_id} chi#{a} psi#{b}: <ind chi, psi>={lhs} != <chi, res psi>={rhs}"
                 )
-    return FrobeniusReport(H.group_id, tuple(violations))
-
-
-class MackeyReport(NamedTuple):
-    subset_I: tuple[int, ...]
-    subset_J: tuple[int, ...]
-    left: ClassFunction
-    right: ClassFunction
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    return tuple(violations)
 
 
 def mackey_operator(W: WeylGroup, PJ: ConjugacyClasses, PI: ConjugacyClasses) -> Counts:
@@ -173,8 +152,8 @@ def mackey_check(
     subset_J: tuple[int, ...],
     f: ClassFunction,
     induced: ClassFunction,
-) -> MackeyReport:
-    """res_J ind_I f against its double-coset decomposition, exactly.
+) -> tuple[str, ...]:
+    """res_J ind_I f against its double-coset decomposition, exactly; the violation, or ().
 
     induced is ind_{W_I}^W f, which the caller induces once for all J; the left
     side is its restriction to W_J.  The right-hand side runs over W_J \\ W / W_I;
@@ -187,15 +166,8 @@ def mackey_check(
     PJ = parabolic(W, subset_J)
     if f.group_id != PI.group_id:
         raise GroupMismatch(f"{f.group_id} does not live on {PI.group_id}")
-    left = restrict(induced, PJ, cc)
-    right = ClassFunction(
-        PJ.group_id, _scatter(mackey_operator(W, PJ, PI), f.values, PJ.n_classes, PJ.order)
-    )
-
-    violations = ()
-    if left.values != right.values:
-        violations = (
-            f"I={subset_I} J={subset_J}: res ind = {left.values} but "
-            f"coset sum = {right.values}",
-        )
-    return MackeyReport(tuple(subset_I), tuple(subset_J), left, right, violations)
+    left = restrict(induced, PJ, cc).values
+    right = _scatter(mackey_operator(W, PJ, PI), f.values, PJ.n_classes, PJ.order)
+    if left == right:
+        return ()
+    return (f"I={subset_I} J={subset_J}: res ind = {left} but coset sum = {right}",)

@@ -7,6 +7,7 @@ from weyl_dl import (
     InternalError,
     InvalidType,
     VirtualCharacter,
+    build_weyl_group,
     character_table,
     decompose,
     dl_inverse_operator,
@@ -58,13 +59,51 @@ def test_dl_fixes_reflection_a2(tables):
 def test_sign_twist_small(tables):
     for key in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         W, _, t = tables(*key)
-        report = verify_sign_twist(W, t)
-        assert report.ok, report.violations
+        violations = verify_sign_twist(W, t)
+        assert violations == (), violations
 
 
 def test_sign_twist_permutation_a2(tables):
     W, _, t = tables("A", 2)
-    assert verify_sign_twist(W, t).permutation == (1, 0, 2)
+    assert sign_permutation(W, t) == (1, 0, 2)
+
+
+SWAPPED_VIOLATIONS = {
+    ("A", 3): (
+        (
+            "irreducible #0: DL image (1, 0, 0, 0, 0) != sign-tensor image (0, 1, 0, 0, 0)",
+            "irreducible #1: DL image (0, 1, 0, 0, 0) != sign-tensor image (1, 0, 0, 0, 0)",
+        ),
+        (),
+    ),
+    ("B", 2): (
+        (
+            "irreducible #0: DL image (0, 0, 1, 0, 0) != sign-tensor image (0, 0, 0, 1, 0)",
+            "irreducible #1: DL image (0, 0, 0, 1, 0) != sign-tensor image (0, 0, 1, 0, 0)",
+        ),
+        (
+            "column #0: DL^2 image is (0, 1, 0, 0, 0)",
+            "column #1: DL^2 image is (1, 0, 0, 0, 0)",
+            "column #2: DL^2 image is (0, 0, 0, 1, 0)",
+            "column #3: DL^2 image is (0, 0, 1, 0, 0)",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWAPPED_VIOLATIONS), ids=["A3", "B2"])
+def test_checks_return_every_violation_of_a_wrong_dl_matrix(monkeypatch, key):
+    """Two swapped DL images: each check returns all its violations, in order, not only the first."""
+    assemble = dl._alternating_matrix
+
+    def swapped(W, table):
+        first, second, *rest = assemble(W, table)
+        return (second, first, *rest)
+
+    monkeypatch.setattr(dl, "_alternating_matrix", swapped)
+    W = build_weyl_group(*key)  # a fresh group: no DL matrix cached on it yet
+    t = character_table(W)
+    assert (verify_sign_twist(W, t), verify_involution(W, t)) == SWAPPED_VIOLATIONS[key]
 
 
 def test_b2_two_dimensional_is_fixed(tables):
@@ -77,7 +116,7 @@ def test_b2_two_dimensional_is_fixed(tables):
 def test_involution_small(tables):
     for key in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 4)]:
         W, _, t = tables(*key)
-        assert verify_involution(W, t).ok
+        assert verify_involution(W, t) == ()
 
 
 def test_dl_linear_on_lattice(tables):
@@ -113,9 +152,9 @@ def test_dl_on_every_parabolic_table(groups, key):
     W = groups(*key)
     for J in subsets(W.rank):
         t = character_table(W, parabolic(W, J))
-        report = verify_sign_twist(W, t)
-        assert report.ok, (J, report.violations)
-        assert verify_involution(W, t).ok, J
+        violations = verify_sign_twist(W, t)
+        assert violations == (), (J, violations)
+        assert verify_involution(W, t) == (), J
         assert dl_inverse_matrix(W, t) == dl_matrix(W, t)
 
 
@@ -172,11 +211,11 @@ def test_sign_permutation_rejects_table_without_image(tables):
     # the sign row replaced by minus the reflection row: sign * trivial is no row
     rows = list(t.irreducibles)
     rows[1] = ClassFunction(t.group_id, tuple(-v for v in rows[2].values))
-    broken = CharacterTable(t.group_id, cc, tuple(rows), t.degrees)
+    broken = CharacterTable(cc, tuple(rows), t.degrees)
     with pytest.raises(ValueError, match="not a row"):
         sign_tensor_permutation(W, broken)
     rows[1] = rows[0]
-    repeated = CharacterTable(t.group_id, cc, tuple(rows), t.degrees)
+    repeated = CharacterTable(cc, tuple(rows), t.degrees)
     with pytest.raises(ValueError, match="repeated rows"):
         sign_tensor_permutation(W, repeated)
 
@@ -204,20 +243,20 @@ def test_dl_images_are_unit_vectors(tables):
 
 def test_springer_pairs_a2(tables):
     W, _, t = tables("A", 2)
-    pairs = {(a.display, b.display) for a, b in springer_table(W, t)}
+    pairs = set(springer_table(W, t))
     assert ("(3)", "(1,1,1)") in pairs
     assert ("(2,1)", "(2,1)") in pairs
 
 
 def test_springer_pairs_a1(tables):
     W, _, t = tables("A", 1)
-    pairs = {(a.display, b.display) for a, b in springer_table(W, t)}
+    pairs = set(springer_table(W, t))
     assert pairs == {("(2)", "(1,1)"), ("(1,1)", "(2)")}
 
 
 def test_springer_pairs_a3(tables):
     W, _, t = tables("A", 3)
-    pairs = {(a.display, b.display) for a, b in springer_table(W, t)}
+    pairs = set(springer_table(W, t))
     assert ("(4)", "(1,1,1,1)") in pairs
     assert ("(3,1)", "(2,1,1)") in pairs
     assert ("(2,2)", "(2,2)") in pairs

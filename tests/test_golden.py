@@ -93,3 +93,21 @@ def test_cache_file_digest(tmp_path, type_label, rank, name, digest):
     assert path.name == name
     assert path.stat().st_mode & 0o777 == 0o600
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# help text at a fixed width: `weyl-dl --help` and the help of the two per-type commands
+HELP = (
+    ("--help", "81cbb721b959f5b1e3f533684689666d0b12d21e5108baa23c5b2819582a8f02"),
+    ("table --help", "87aa21b09ae61076dd165e5ea4b34f427bbeda5dab318cce2293a843d31f25cf"),
+    ("dl --help", "f07c57f8dba3ec47e5f48784abece4c3851830b41b337e178f82a4c6daa0d868"),
+)
+
+
+@pytest.mark.parametrize("command, digest", HELP, ids=[command for command, _ in HELP])
+def test_help_digest(monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exit_info:
+        main(command.split())
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

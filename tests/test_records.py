@@ -6,8 +6,7 @@ import pytest
 from weyl_dl import GroupMismatch, InvalidType, build_weyl_group
 from weyl_dl.chars import ClassFunction, VirtualCharacter
 from weyl_dl.cli import CheckItem, Config, TableCacheEntry
-from weyl_dl.dl import InvolutionReport, ShiftLedger, SignTwistReport, SpringerLabel
-from weyl_dl.indres import FrobeniusReport, MackeyReport
+from weyl_dl.dl import ShiftLedger
 
 
 def records():
@@ -22,11 +21,6 @@ def records():
         TableCacheEntry(1, "A", 2, 0, ("e",), (1,), (1,), None, ((1,),)),
         CheckItem("name", True),
         ShiftLedger(0, 2),
-        SpringerLabel(0, "(3)"),
-        SignTwistReport((0,), ()),
-        InvolutionReport(()),
-        FrobeniusReport("A2|I=[1]", ()),
-        MackeyReport((0,), (1,), f, f, ()),
     ]
 
 
