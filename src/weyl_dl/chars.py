@@ -393,7 +393,8 @@ def character_table(W: WeylGroup, classes: ConjugacyClasses | None = None) -> Ch
 
     Pass the classes of a subgroup to get that subgroup's table; by default the
     full group's table is computed.  The split mod p is deterministic, and the
-    rows it lifts are certified over the integers.  Tables are cached on the group.
+    rows it lifts are certified over the integers.  Tables are cached on the
+    group, by table_from_rows, which a cache hit also goes through.
     """
     if classes is None:
         classes = conjugacy_classes(W)
@@ -404,25 +405,28 @@ def character_table(W: WeylGroup, classes: ConjugacyClasses | None = None) -> Ch
     p = split_prime(classes.order)
     vectors = _split_eigenvectors(W, classes, p)
     rows = canonical_rows(classes, [_lift_to_character(classes, v, p) for v in vectors])
-    table = W.cache[key] = table_from_rows(W, classes, rows)
-    return table
+    return table_from_rows(W, classes, rows)
 
 
 def table_from_rows(
     W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]
 ) -> CharacterTable:
-    """The table whose irreducibles are rows, in the order given, once certify_characters proves them.
+    """The table whose irreducibles are rows, once certify_characters proves them; cached on W.
 
     Degrees are read at the identity class and labels come from table_labels;
-    IrrationalityError if the rows are not the irreducible characters.
+    IrrationalityError if the rows are not the irreducible characters or not
+    in canonical order.
     """
     certify_characters(W, classes, rows)
-    return CharacterTable(
+    if list(rows) != canonical_rows(classes, rows):
+        raise IrrationalityError("the rows are not in canonical order")
+    table = W.cache[("character_table", classes.group_id)] = CharacterTable(
         classes=classes,
         irreducibles=tuple(ClassFunction(classes.group_id, tuple(row)) for row in rows),
         degrees=tuple(row[classes.identity_class] for row in rows),
         labels=table_labels(W, classes, rows),
     )
+    return table
 
 
 def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import dl as dlmod
-from .chars import CharacterTable, canonical_rows, character_table, table_from_rows
+from .chars import CharacterTable, character_table, table_from_rows
 from .errors import (
     GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite, NotVirtual, SizeLimit,
 )
@@ -68,41 +68,31 @@ class Config(_ConfigFields):
 # ---------------------------------------------------------------------------
 # character-table cache
 
-class TableCacheEntry(NamedTuple):
-    """Everything needed to rebuild a table without the eigenspace computation; central_rank is 0."""
-
-    schema_version: int
-    type_label: str
-    rank: int
-    central_rank: int
-    class_words: tuple[str, ...]
-    class_sizes: tuple[int, ...]
-    degrees: tuple[int, ...]
-    labels: tuple[tuple[int, ...], ...] | None
-    values: tuple[tuple[int, ...], ...]
-
-
 def cache_path(cfg: Config, type_label: str, rank: int) -> Path:
     name = f"{type_label}{rank}z0.v{SCHEMA_VERSION}.json"
     return cfg.cache_dir.expanduser() / name
 
 
-def save_cache_entry(path: Path, entry: TableCacheEntry) -> None:
+def cache_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> dict:
+    """The JSON object of W's cache file: numbers as decimal strings, central_rank 0."""
+    return {
+        "schema_version": str(SCHEMA_VERSION),
+        "type_label": W.cartan.type_label,
+        "rank": str(W.cartan.rank),
+        "central_rank": "0",
+        "class_words": [W.word_str(r) for r in classes.reps],
+        "class_sizes": [str(s) for s in classes.sizes],
+        "degrees": [str(d) for d in table.degrees],
+        "labels": None if table.labels is None else [[str(p) for p in lam] for lam in table.labels],
+        "values": [[str(v) for v in chi.values] for chi in table.irreducibles],
+    }
+
+
+def save_cache_entry(path: Path, payload: dict) -> None:
     """Atomic write: a new mode-0600 temp file in the target directory, then rename.
 
     The temp name holds the pid and random bytes; O_EXCL makes a clash an OSError.
     """
-    payload = {
-        "schema_version": str(entry.schema_version),
-        "type_label": entry.type_label,
-        "rank": str(entry.rank),
-        "central_rank": str(entry.central_rank),
-        "class_words": list(entry.class_words),
-        "class_sizes": [str(s) for s in entry.class_sizes],
-        "degrees": [str(d) for d in entry.degrees],
-        "labels": None if entry.labels is None else [[str(p) for p in lam] for lam in entry.labels],
-        "values": [[str(v) for v in row] for row in entry.values],
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
@@ -117,76 +107,55 @@ def save_cache_entry(path: Path, entry: TableCacheEntry) -> None:
         raise
 
 
-def load_cache_entry(path: Path, type_label: str, rank: int) -> TableCacheEntry | None:
-    """Parse and fingerprint-check a cache file; any defect is a miss, never partial reuse."""
+def load_cache_entry(path: Path, type_label: str, rank: int) -> tuple[dict, list[list[int]]] | None:
+    """A cache file's JSON object and its values rows as ints, or None on a miss.
+
+    A missing file, or one of another schema, type, rank or central rank, is a
+    silent miss; a file that does not parse is a miss with a warning on stderr.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        entry = TableCacheEntry(
-            schema_version=int(payload["schema_version"]),
-            type_label=payload["type_label"],
-            rank=int(payload["rank"]),
-            central_rank=int(payload["central_rank"]),
-            class_words=tuple(payload["class_words"]),
-            class_sizes=tuple(int(s) for s in payload["class_sizes"]),
-            degrees=tuple(int(d) for d in payload["degrees"]),
-            labels=None if payload["labels"] is None else tuple(
-                tuple(int(p) for p in lam) for lam in payload["labels"]
-            ),
-            values=tuple(tuple(int(v) for v in row) for row in payload["values"]),
-        )
+        header = (int(payload["schema_version"]), payload["type_label"],
+                  int(payload["rank"]), int(payload["central_rank"]))
+        rows = [[int(v) for v in row] for row in payload["values"]]
     except (FileNotFoundError, NotADirectoryError):
         return None
     # RecursionError: nesting too deep for the parser; OverflowError: int(Infinity)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError, OSError):
         print(f"warning: ignoring corrupted or unreadable cache file {path}", file=sys.stderr)
         return None
-    if (entry.schema_version, entry.type_label, entry.rank, entry.central_rank) != (
-        SCHEMA_VERSION, type_label, rank, 0,
-    ):
+    if header != (SCHEMA_VERSION, type_label, rank, 0):
         return None
-    return entry
+    return payload, rows
 
 
 def load_or_compute_table(
     cfg: Config, W: WeylGroup, classes: ConjugacyClasses
 ) -> tuple[CharacterTable, bool]:
-    """Cached table if it round-trips and verifies, else a fresh computation.
+    """Cached table if the file is exactly the one this table writes, else a fresh computation.
 
-    A hit needs these classes' words and sizes, and rows that table_from_rows
-    certifies, in canonical order, with the degrees and labels derived from them.
+    A hit needs rows that table_from_rows certifies, in canonical order, and a
+    file equal to cache_payload of the table they make.  Any other file is
+    recomputed and rewritten; rows that certified are reused by character_table.
     A cache file that cannot be written costs only the saving: the fresh table
     is still returned, with a warning on stderr.
     """
     cartan = W.cartan
     path = cache_path(cfg, cartan.type_label, cartan.rank)
-    words = tuple(W.word_str(r) for r in classes.reps)
-    entry = load_cache_entry(path, cartan.type_label, cartan.rank)
-    if entry is not None:
+    cached = load_cache_entry(path, cartan.type_label, cartan.rank)
+    if cached is not None:
+        payload, rows = cached
         try:
-            if (entry.class_words, entry.class_sizes) == (words, classes.sizes):
-                table = table_from_rows(W, classes, entry.values)
-                if (list(entry.values) == canonical_rows(classes, entry.values)
-                        and (entry.degrees, entry.labels) == (table.degrees, table.labels)):
-                    W.cache[("character_table", W.group_id)] = table  # character_table(W) reads it
-                    return table, True
+            table = table_from_rows(W, classes, rows)
+            if cache_payload(W, classes, table) == payload:
+                return table, True
         except IrrationalityError:
             pass
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
     table = character_table(W)
-    entry = TableCacheEntry(
-        schema_version=SCHEMA_VERSION,
-        type_label=cartan.type_label,
-        rank=cartan.rank,
-        central_rank=0,
-        class_words=words,
-        class_sizes=classes.sizes,
-        degrees=table.degrees,
-        labels=table.labels,
-        values=tuple(table.values_row(i) for i in range(table.n_irreducibles)),
-    )
     try:
-        save_cache_entry(path, entry)
+        save_cache_entry(path, cache_payload(W, classes, table))
     except OSError as exc:
         print(f"warning: cannot write cache file {path}: {exc}", file=sys.stderr)
     return table, False

@@ -70,14 +70,19 @@ def fresh(tmp_path_factory):
 @example(how=("nest", "[", 200_000))
 @example(how=("replace", "rank", float("inf")))
 @example(how=("replace", None, []))
+@example(how=("replace", "rank", 2))  # the right rank, but not as the engine writes it
 def test_corrupted_cache_file_is_recomputed(fresh, how):
     fresh_out, valid = fresh
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = Path(tmp)
-        cache_path(Config(cache_dir=cache_dir), "G", 2).write_bytes(corrupt(valid, how))
+        path = cache_path(Config(cache_dir=cache_dir), "G", 2)
+        path.write_bytes(corrupt(valid, how))
         # an exception escaping main fails the test with its traceback
         code, out, err = run(cache_dir)
+        left = path.read_bytes()
     assert code in range(5)
     assert "Traceback" not in err
     if code == 0:
         assert out == fresh_out
+        # a file is reused only if it is the one a fresh run writes; any other is rewritten
+        assert json.loads(left) == json.loads(valid)

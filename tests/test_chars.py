@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from weyl_dl import (
     GroupMismatch,
+    IrrationalityError,
     build_weyl_group,
     NotVirtual,
     VirtualCharacter,
@@ -24,7 +25,7 @@ from weyl_dl import (
     trivial,
     unit,
 )
-from weyl_dl.chars import ClassFunction, _class_matrix, _eigenvalues
+from weyl_dl.chars import ClassFunction, _class_matrix, _eigenvalues, table_from_rows
 from weyl_dl.ratlinalg import split_prime
 from weyl_dl.symchars import (
     cycle_type, dimension, natural_permutation, partitions, sn_character_table,
@@ -87,6 +88,15 @@ def test_seed_is_not_part_of_the_cache_key():
     assert [key for key in W.cache if key[0] == "character_table"] == [("character_table", W.group_id)]
     fresh = character_table(build_weyl_group("B", 4))
     assert [chi.values for chi in fresh.irreducibles] == [chi.values for chi in t0.irreducibles]
+
+
+def test_table_from_rows_refuses_rows_out_of_canonical_order(tables):
+    """Reversed rows still certify, but a table holds its irreducibles in canonical order only."""
+    W, cc, t = tables("A", 3)
+    rows = [chi.values for chi in t.irreducibles]
+    with pytest.raises(IrrationalityError, match="canonical order"):
+        table_from_rows(W, cc, rows[::-1])
+    assert character_table(W) is t
 
 
 @pytest.mark.parametrize("type_label, rank, subset", [

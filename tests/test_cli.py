@@ -17,8 +17,8 @@ from weyl_dl import (
 )
 from weyl_dl.cli import (
     Config,
-    TableCacheEntry,
     cache_path,
+    cache_payload,
     load_cache_entry,
     main,
     save_cache_entry,
@@ -193,22 +193,16 @@ def test_cache_populated_and_used(cache_dir):
     assert list(cache_dir.glob("*.tmp")) == []
 
 
-def test_cache_roundtrip(cache_dir):
-    entry = TableCacheEntry(
-        schema_version=1,
-        type_label="A",
-        rank=2,
-        central_rank=0,
-        class_words=("e", "s1", "s2*s1"),
-        class_sizes=(1, 3, 2),
-        degrees=(1, 1, 2),
-        labels=((3,), (1, 1, 1), (2, 1)),
-        values=((1, 1, 1), (1, -1, 1), (2, 0, -1)),
-    )
+def test_cache_roundtrip(cache_dir, tables):
+    W, classes, table = tables("A", 2)
+    payload = cache_payload(W, classes, table)
+    assert payload["values"] == [["1", "1", "1"], ["1", "-1", "1"], ["2", "0", "-1"]]
+    assert payload["labels"] == [["3"], ["1", "1", "1"], ["2", "1"]]
     cfg = Config(cache_dir=cache_dir)
     path = cache_path(cfg, "A", 2)
-    save_cache_entry(path, entry)
-    assert load_cache_entry(path, "A", 2) == entry
+    save_cache_entry(path, payload)
+    rows = [[1, 1, 1], [1, -1, 1], [2, 0, -1]]
+    assert load_cache_entry(path, "A", 2) == (payload, rows)
     # fingerprint mismatch is a miss, never partial reuse
     assert load_cache_entry(path, "A", 3) is None
 
@@ -291,6 +285,68 @@ def test_tampered_cache_values_recomputed(tmp_path, capsys, command, type_label,
     assert code == 0
     assert out == fresh
     assert "inconsistent" in capsys.readouterr().err
+
+
+def _rank_as_number(payload):
+    payload["rank"] = int(payload["rank"])
+
+
+def _size_as_number(payload):
+    payload["class_sizes"][1] = int(payload["class_sizes"][1])
+
+
+def _extra_key(payload):
+    payload["note"] = "1"
+
+
+def _padded_value(payload):
+    payload["values"][0][0] = " 1"
+
+
+@pytest.mark.parametrize("tamper", [
+    _rank_as_number, _size_as_number, _extra_key, _padded_value, _reverse_labels,
+], ids=["rank-number", "size-number", "extra-key", "padded-value", "labels"])
+def test_cache_file_not_as_written_is_rewritten(tmp_path, capsys, monkeypatch, tamper):
+    """A file whose rows certify but which is not the file the engine writes is no hit.
+
+    The table is made from those rows, without a new split, and the file is rewritten.
+    """
+    fresh_dir, cache_dir = tmp_path / "fresh", tmp_path / "cache"
+    code, fresh = run_cli(["table", "A", "3", "--cache-dir", str(fresh_dir)])
+    assert code == 0
+    written = cache_path(Config(cache_dir=fresh_dir), "A", 3).read_bytes()
+    path = cache_path(Config(cache_dir=cache_dir), "A", 3)
+    path.parent.mkdir()
+    payload = json.loads(written)
+    tamper(payload)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    def no_split(*args):
+        raise AssertionError("the table was split again")
+
+    monkeypatch.setattr(chars, "_split_eigenvectors", no_split)
+    capsys.readouterr()
+    assert run_cli(["table", "A", "3", "--cache-dir", str(cache_dir)]) == (0, fresh)
+    assert "inconsistent" in capsys.readouterr().err
+    assert path.read_bytes() == written
+
+
+def test_warm_table_is_the_table_of_the_group(cache_dir, monkeypatch):
+    """A hit caches the loaded table on W, so character_table(W) returns that very object."""
+    assert run_cli(["table", "A", "3", "--cache-dir", str(cache_dir)])[0] == 0
+    load = cli.load_or_compute_table
+    loaded = []
+
+    def recorded(cfg, W, classes):
+        table, hit = load(cfg, W, classes)
+        loaded.append((W, table, hit))
+        return table, hit
+
+    monkeypatch.setattr(cli, "load_or_compute_table", recorded)
+    assert run_cli(["table", "A", "3", "--cache-dir", str(cache_dir)])[0] == 0
+    [(W, table, hit)] = loaded
+    assert hit
+    assert chars.character_table(W) is table
 
 
 def test_config_validation():

@@ -81,6 +81,10 @@ def test_stdout_digest(cache_dir, command, digest):
 CACHE_FILES = (
     ("A", "3", "A3z0.v1.json", "4cc25ccdf68027338d0f54ef97020c96aefeeba65b36d132123c4c20aa36e793"),
     ("G", "2", "G2z0.v1.json", "21de42eee75f8fcf11163d0ac2ff235f6889fb1c803b9f9f1fc48f7b74e483e8"),
+    # no labels and repeated degrees; F4 is the roster's largest file
+    ("B", "3", "B3z0.v1.json", "991bdd8931542888b837bc42e0386eee8cdda6aec6fcfbbe797e717dbe62fb98"),
+    ("D", "4", "D4z0.v1.json", "85fed89c5642a5bba2ece8de52dab1377fccd2e36faf9bc13257aca539b5cd30"),
+    ("F", "4", "F4z0.v1.json", "40a6777c11a53f81316fb6fe6afc9250ed8938519a51db7299bfe3c6509cd29a"),
 )
 
 

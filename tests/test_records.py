@@ -5,7 +5,7 @@ import pytest
 
 from weyl_dl import GroupMismatch, InvalidType, build_weyl_group
 from weyl_dl.chars import ClassFunction, VirtualCharacter
-from weyl_dl.cli import CheckItem, Config, TableCacheEntry
+from weyl_dl.cli import CheckItem, Config
 from weyl_dl.dl import ShiftLedger
 
 
@@ -18,7 +18,6 @@ def records():
         W.cartan,
         W.rootsystem,
         Config(),
-        TableCacheEntry(1, "A", 2, 0, ("e",), (1,), (1,), None, ((1,),)),
         CheckItem("name", True),
         ShiftLedger(0, 2),
     ]
