@@ -429,6 +429,21 @@ def table_from_rows(
     return table
 
 
+def irreducible_labels(table: CharacterTable) -> tuple[str, ...]:
+    """Display labels in canonical order: a partition in type A, degree+ordinal otherwise."""
+    out = []
+    seen_by_degree: dict[int, int] = {}
+    for i, deg in enumerate(table.degrees):
+        if table.labels is not None:
+            display = "(" + ",".join(str(p) for p in table.labels[i]) + ")"
+        else:
+            ordinal = seen_by_degree.get(deg, 0) + 1
+            seen_by_degree[deg] = ordinal
+            display = f"d{deg}.{ordinal}"
+        out.append(display)
+    return tuple(out)
+
+
 def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:
     """Coordinates of f in the irreducible basis; NotVirtual if f is not a lattice point."""
     if f.group_id != table.group_id:

@@ -12,23 +12,21 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
-
-from . import dl as dlmod
-from .chars import CharacterTable, character_table, table_from_rows
-from .errors import (
-    GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite, NotVirtual, SizeLimit,
-)
-from .grp import ConjugacyClasses, conjugacy_classes, parabolic
-from .indres import frobenius_check, induce, mackey_check
-from .rootsys import (
-    DEFAULT_MAX_ORDER,
-    WeylGroup,
-    build_weyl_group,
-    fundamental_degrees,
-)
 from math import prod
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+from .errors import (
+    DEFAULT_MAX_ORDER, GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite,
+    NotVirtual, SizeLimit,
+)
+
+# The engine is imported inside the functions that run it, so `--help` and a
+# usage error compile no engine module (README "Start-up").
+if TYPE_CHECKING:
+    from .chars import CharacterTable
+    from .grp import ConjugacyClasses
+    from .rootsys import WeylGroup
 
 SCHEMA_VERSION = 1
 
@@ -141,6 +139,8 @@ def load_or_compute_table(
     A cache file that cannot be written costs only the saving: the fresh table
     is still returned, with a warning on stderr.
     """
+    from .chars import character_table, table_from_rows
+
     cartan = W.cartan
     path = cache_path(cfg, cartan.type_label, cartan.rank)
     cached = load_cache_entry(path, cartan.type_label, cartan.rank)
@@ -162,6 +162,9 @@ def load_or_compute_table(
 
 
 def build_group(cfg: Config, type_label: str, rank: int) -> tuple[WeylGroup, ConjugacyClasses]:
+    from .grp import conjugacy_classes
+    from .rootsys import build_weyl_group
+
     W = build_weyl_group(type_label, rank, max_order=cfg.max_group_order)
     return W, conjugacy_classes(W)
 
@@ -185,6 +188,13 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
 
     table is W's table from load_or_compute_table, which certified it.
     """
+    from .chars import character_table
+    from .dl import dl_matrix, sign_permutation, springer_table, subsets as subsets_of
+    from .grp import parabolic
+    from .indres import frobenius_check, induce, mackey_check
+    from .rootsys import fundamental_degrees
+    from .symchars import transpose
+
     checks: list[CheckItem] = []
     add = checks.append
     cartan = W.cartan
@@ -224,7 +234,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
         add(CheckItem("type-a-partition-labels", bool(labels_ok)))
 
     if W.rank <= 4:
-        subsets = dlmod.subsets(W.rank)
+        subsets = subsets_of(W.rank)
         sub_tables = {I: character_table(W, parabolic(W, I)) for I in subsets}
         violations = [v for sub_table in sub_tables.values()
                       for v in frobenius_check(table, sub_table)]
@@ -251,15 +261,13 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     *dl_rows, agreement = _dl_checks(W, table)
     checks += dl_rows
     add(CheckItem("dl-unit-images", all(
-        sorted(col) == [0] * (k - 1) + [1] for col in dlmod.dl_matrix(W, table)
+        sorted(col) == [0] * (k - 1) + [1] for col in dl_matrix(W, table)
     )))
     add(agreement)
 
     if cartan.type_label == "A":
-        pairs = dlmod.springer_table(W, table)
-        perm = dlmod.sign_permutation(W, table)
-        from .symchars import transpose
-
+        pairs = springer_table(W, table)
+        perm = sign_permutation(W, table)
         transposed = table.labels is not None and all(
             table.labels[perm[i]] == transpose(table.labels[i]) for i in range(k)
         )
@@ -273,9 +281,11 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
 
 def _dl_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
     """The sign-twist, involution and dl-inverse-agreement rows, for dl and verify alike."""
-    twist = dlmod.verify_sign_twist(W, table)
-    involution = dlmod.verify_involution(W, table)
-    agree = dlmod.dl_matrix(W, table) == dlmod.dl_inverse_matrix(W, table)
+    from .dl import dl_inverse_matrix, dl_matrix, verify_involution, verify_sign_twist
+
+    twist = verify_sign_twist(W, table)
+    involution = verify_involution(W, table)
+    agree = dl_matrix(W, table) == dl_inverse_matrix(W, table)
     return [
         _row("sign-twist", twist),
         _row("involution", involution),
@@ -285,8 +295,10 @@ def _dl_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
 
 def _parity_ledger_holds(sigmas: Iterable[int]) -> bool:
     """The ledger's parity identity for central rank 0..3, each sigma, and every layer 0..sigma."""
+    from .dl import ShiftLedger
+
     return all(
-        dlmod.ShiftLedger(central, sigma).parity_identity_holds(size)
+        ShiftLedger(central, sigma).parity_identity_holds(size)
         for central in range(4)
         for sigma in sigmas
         for size in range(sigma + 1)
@@ -307,8 +319,10 @@ def _ds(x) -> str:
 
 def _rows(table: CharacterTable) -> list[list[str]]:
     """One row per irreducible: its label, its degree, then its values."""
+    from .chars import irreducible_labels
+
     return [[label, _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
-            for i, label in enumerate(dlmod.irreducible_labels(table))]
+            for i, label in enumerate(irreducible_labels(table))]
 
 
 def _type_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
@@ -377,8 +391,11 @@ def render_dl(
     cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
     checks: list[CheckItem],
 ) -> str:
-    perm = dlmod.sign_permutation(W, table)
-    names = dlmod.irreducible_labels(table)
+    from .chars import irreducible_labels
+    from .dl import sign_permutation
+
+    perm = sign_permutation(W, table)
+    names = irreducible_labels(table)
     if cfg.output_format == "json":
         extra = [
             {"dl_image": names[perm[i]], "dl_image_index": _ds(perm[i])}
@@ -461,6 +478,8 @@ def _verify_text(results: list[tuple[str, list[CheckItem]]]) -> str:
 # commands
 
 # Each command returns its output and its exit code; main prints the output.
+# Each imports the engine modules it runs before it builds its group: a module
+# compiled after a large group is enumerated raises the peak RSS (README "Start-up").
 
 def _load_type(cfg: Config, type_label: str, rank: int
                ) -> tuple[WeylGroup, ConjugacyClasses, CharacterTable]:
@@ -474,10 +493,14 @@ def _exit_code(checks: Iterable[CheckItem]) -> int:
 
 
 def cmd_table(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
+    from . import chars  # noqa: F401  (with grp, rootsys, ratlinalg and symchars)
+
     return render_table(cfg, *_load_type(cfg, type_label, rank)), 0
 
 
 def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
+    from . import dl  # noqa: F401  (with chars, indres and everything chars imports)
+
     W, classes, table = _load_type(cfg, type_label, rank)
     checks = _dl_checks(W, table)
     return render_dl(cfg, W, classes, table, checks), _exit_code(checks)
@@ -496,6 +519,8 @@ def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
             raise InvalidType(f"rank must be an integer, got {targets[1]!r}")
     else:
         raise InvalidType("verify expects 'TYPE RANK' or 'all'")
+    from . import dl  # noqa: F401  (and so every engine module)
+
     results = []
     for type_label, rank in types:
         W, classes, table = _load_type(cfg, type_label, rank)

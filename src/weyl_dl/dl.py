@@ -16,7 +16,9 @@ import itertools
 from operator import add, sub
 from typing import NamedTuple
 
-from .chars import CharacterTable, ClassFunction, VirtualCharacter, decompose, sign, unit
+from .chars import (
+    CharacterTable, ClassFunction, VirtualCharacter, decompose, irreducible_labels, sign, unit,
+)
 from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import parabolic
 from .indres import induce, restrict
@@ -128,16 +130,18 @@ def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, .
 
     sign * chi_i is irreducible, so it is found as the table row equal to it
     pointwise.  This computes it afresh; sign_permutation keeps the result on W.
+    A table with repeated rows, or a twist that is no row, is an engine bug:
+    InternalError.
     """
     sgn = sign(W, table.classes).values
     row_index = {chi.values: j for j, chi in enumerate(table.irreducibles)}
     if len(row_index) != table.n_irreducibles:
-        raise ValueError(f"table on {table.group_id} has repeated rows")
+        raise InternalError(f"table on {table.group_id} has repeated rows")
     perm = []
     for i, chi in enumerate(table.irreducibles):
         twisted = tuple(s * v for s, v in zip(sgn, chi.values))
         if twisted not in row_index:
-            raise ValueError(f"sign tensor irreducible #{i} is not a row of the table")
+            raise InternalError(f"sign tensor irreducible #{i} is not a row of the table")
         perm.append(row_index[twisted])
     return tuple(perm)
 
@@ -175,21 +179,6 @@ def verify_involution(W: WeylGroup, table: CharacterTable) -> tuple[str, ...]:
         if twice != expected:
             violations.append(f"column #{i}: DL^2 image is {twice}")
     return tuple(violations)
-
-
-def irreducible_labels(table: CharacterTable) -> tuple[str, ...]:
-    """Display labels in canonical order: a partition in type A, degree+ordinal otherwise."""
-    out = []
-    seen_by_degree: dict[int, int] = {}
-    for i, deg in enumerate(table.degrees):
-        if table.labels is not None:
-            display = "(" + ",".join(str(p) for p in table.labels[i]) + ")"
-        else:
-            ordinal = seen_by_degree.get(deg, 0) + 1
-            seen_by_degree[deg] = ordinal
-            display = f"d{deg}.{ordinal}"
-        out.append(display)
-    return tuple(out)
 
 
 def springer_table(W: WeylGroup, table: CharacterTable) -> tuple[tuple[str, str], ...]:

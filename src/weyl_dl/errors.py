@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default bound that SizeLimit enforces."""
 
 
 class InvalidType(Exception):
@@ -11,6 +11,9 @@ class NonFinite(Exception):
 
 class SizeLimit(Exception):
     """Group enumeration exceeded the configured maximum order."""
+
+
+DEFAULT_MAX_ORDER = 2_000_000
 
 
 class InternalError(Exception):

@@ -16,12 +16,11 @@ from functools import cached_property
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .errors import InternalError, InvalidType, NonFinite, SizeLimit
+from .errors import DEFAULT_MAX_ORDER, InternalError, InvalidType, NonFinite, SizeLimit
 
 Coords = tuple[int, ...]
 Perm = tuple[int, ...]
 
-DEFAULT_MAX_ORDER = 2_000_000
 MAX_ROOTS = 10_000
 
 ACCEPTED_TYPES = "A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)"
@@ -324,10 +323,6 @@ class WeylGroup:
             i = self.words[y][-1]
             perms.append(_compose(perms[self.right_maps[i][y]], gens[i]))
         return tuple(perms)
-
-    @cached_property
-    def element_index(self) -> dict[Perm, int]:
-        return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
     def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:

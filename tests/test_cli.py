@@ -425,11 +425,21 @@ def test_internal_error_exits_4(cache_dir, capsys, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "character_table", broken)
+    monkeypatch.setattr(chars, "character_table", broken)
     code, out = run_cli(["table", "A", "2", "--cache-dir", str(cache_dir)])
     assert code == 4
     assert out == ""
     assert capsys.readouterr().err == f"error: internal: {error}\n"
+
+
+def test_sign_twist_inconsistency_exits_4(cache_dir, capsys, monkeypatch):
+    """A sign twist that is no row of the table is an engine fault: one stderr line, exit 4."""
+    monkeypatch.setattr(dl, "sign", lambda W, classes: chars.ClassFunction(
+        classes.group_id, (2,) * classes.n_classes))
+    code, out = run_cli(["dl", "A", "2", "--cache-dir", str(cache_dir)])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == (
+        "error: internal: sign tensor irreducible #0 is not a row of the table\n")
 
 
 @pytest.fixture(scope="module")
@@ -527,15 +537,72 @@ def test_warm_verify_imports_stay_light(warm_b3_cache):
     assert proc.stdout == "0 []\n"
 
 
+def _engine_modules(argv, cache, *, around_enumeration=False):
+    """main(argv) in a fresh interpreter: its exit code and the weyl_dl modules it loaded.
+
+    With around_enumeration, the modules are listed at entry to and at exit
+    from each rootsys.enumerate_group call, and then at the end.
+    """
+    spy = (
+        "from weyl_dl import rootsys\n"
+        "enumerate_group, seen = rootsys.enumerate_group, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    seen.append(loaded())\n"
+        "    W = enumerate_group(*args, **kwargs)\n"
+        "    seen.append(loaded())\n"
+        "    return W\n"
+        "rootsys.enumerate_group = spy\n"
+    )
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'weyl_dl')\n"
+        + (spy if around_enumeration else "seen = None\n") +
+        "from weyl_dl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        rc = main({argv + ['--cache-dir', str(cache)]!r})\n"
+        "    except SystemExit as exc:\n"
+        "        rc = exc.code\n"
+        "print(json.dumps([rc, loaded() if seen is None else seen + [loaded()]]))\n"
+    )
+    src = Path(weyl_dl.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, rc", [(["--help"], 0), (["table", "A", "x"], 2)])
+def test_help_and_usage_errors_load_no_engine_module(tmp_path, argv, rc):
+    assert _engine_modules(argv, tmp_path) == (rc, ["weyl_dl", "weyl_dl.cli", "weyl_dl.errors"])
+
+
+def test_warm_table_loads_neither_dl_nor_indres(warm_f4_cache):
+    rc, modules = _engine_modules(["table", "F", "4"], warm_f4_cache)
+    assert rc == 0
+    assert {"weyl_dl.chars", "weyl_dl.grp", "weyl_dl.rootsys"} <= set(modules)
+    assert not {"weyl_dl.dl", "weyl_dl.indres"} & set(modules)
+
+
+@pytest.mark.parametrize("argv", [["table", "A", "6"], ["dl", "A", "5"], ["verify", "G", "2"]])
+def test_commands_import_before_enumerating(tmp_path, argv):
+    """Every module a command runs is loaded before its group is enumerated (README "Start-up")."""
+    rc, (entry, exit_, end) = _engine_modules(argv, tmp_path, around_enumeration=True)
+    assert rc == 0
+    assert entry == exit_ == end
+
+
 def test_warm_verify_builds_only_parabolics(warm_b3_cache, monkeypatch):
     """Mackey's intersections are parabolics W_K, so verify caches no explicit subgroup on W."""
     built = []
+    build_weyl_group = rootsys.build_weyl_group
 
     def build_and_keep(*args, **kwargs):
-        built.append(rootsys.build_weyl_group(*args, **kwargs))
+        built.append(build_weyl_group(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_weyl_group", build_and_keep)
+    monkeypatch.setattr(rootsys, "build_weyl_group", build_and_keep)
     assert run_cli(["verify", "B", "3", "--cache-dir", str(warm_b3_cache)])[0] == 0
     (W,) = built
     keys = {key[0] for key in W.cache if isinstance(key, tuple)}
@@ -652,8 +719,11 @@ def test_verify_reports_a_wrong_dl_matrix(cache_dir, monkeypatch):
 
 
 def test_verify_reports_a_wrong_induction_into_a_parabolic(cache_dir, monkeypatch):
-    """An induction into a proper parabolic that is off by one fails induction-transitivity alone."""
-    induce = cli.induce
+    """An induction into a proper parabolic that is off by one fails induction-transitivity alone.
+
+    Frobenius induces into W (order 24), and dl's assembly binds its own induce.
+    """
+    induce = indres.induce
 
     def perturbed(f, H, G):
         out = induce(f, H, G)
@@ -661,7 +731,7 @@ def test_verify_reports_a_wrong_induction_into_a_parabolic(cache_dir, monkeypatc
             return out._replace(values=(out.values[0] + 1, *out.values[1:]))
         return out
 
-    monkeypatch.setattr(cli, "induce", perturbed)
+    monkeypatch.setattr(indres, "induce", perturbed)
     assert _failing_rows(["verify", "A", "3"], cache_dir) == (
         1, [("induction-transitivity", "")], ["induction-transitivity,false,"],
     )

@@ -212,11 +212,11 @@ def test_sign_permutation_rejects_table_without_image(tables):
     rows = list(t.irreducibles)
     rows[1] = ClassFunction(t.group_id, tuple(-v for v in rows[2].values))
     broken = CharacterTable(cc, tuple(rows), t.degrees)
-    with pytest.raises(ValueError, match="not a row"):
+    with pytest.raises(InternalError, match="not a row"):
         sign_tensor_permutation(W, broken)
     rows[1] = rows[0]
     repeated = CharacterTable(cc, tuple(rows), t.degrees)
-    with pytest.raises(ValueError, match="repeated rows"):
+    with pytest.raises(InternalError, match="repeated rows"):
         sign_tensor_permutation(W, repeated)
 
 

@@ -182,24 +182,25 @@ def test_parabolic_rejects_bad_index_under_optimize(run_optimized):
     assert "index 7 is outside" in run_optimized(code)
 
 
-def brute_force_conjugate(W, x, y):
-    """Index of x*y*x^-1, composed from the root permutations alone."""
+def brute_force_conjugate(W, index, x, y):
+    """Index of x*y*x^-1, composed from the root permutations alone and looked up in index."""
     px, py = W.elements[x], W.elements[y]
     px_inv = [0] * len(px)
     for r, image in enumerate(px):
         px_inv[image] = r
-    return W.element_index[tuple(px[py[px_inv[r]]] for r in range(len(px)))]
+    return index[tuple(px[py[px_inv[r]]] for r in range(len(px)))]
 
 
 def assert_classes_match_oracle(W, cc, members):
     """cc against orbits found by conjugating with every member of the subgroup."""
     members = sorted(members)
+    index = {p: i for i, p in enumerate(W.elements)}
     assert cc.members == tuple(members)
     orbits = []
     seen = set()
     for e in members:
         if e not in seen:
-            orbit = {brute_force_conjugate(W, x, e) for x in members}
+            orbit = {brute_force_conjugate(W, index, x, e) for x in members}
             seen |= orbit
             orbits.append(orbit)
     assert cc.reps == tuple(min(orbit) for orbit in orbits)
@@ -212,7 +213,7 @@ def assert_classes_match_oracle(W, cc, members):
         inverse = [0] * len(p)
         for r, image in enumerate(p):
             inverse[image] = r
-        assert cc.inverse_class[c] == cc.class_of(W.element_index[tuple(inverse)])
+        assert cc.inverse_class[c] == cc.class_of(index[tuple(inverse)])
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
@@ -252,7 +253,7 @@ def closure_by_composition(W, simple):
 
 def test_simple_reflection_maps(groups):
     W = groups("B", 3)
-    index = W.element_index
+    index = {p: i for i, p in enumerate(W.elements)}
     for i, s in enumerate(W.rootsystem.simple_reflection_perms):
         assert W.generator_indices[i] == index[s]
         for y, p in enumerate(W.elements):
@@ -263,7 +264,7 @@ def test_simple_reflection_maps(groups):
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
 def test_double_cosets_match_composition(groups, type_label, rank):
     W = groups(type_label, rank)
-    index = W.element_index
+    index = {p: i for i, p in enumerate(W.elements)}
     for J in subsets(rank):
         WJ = closure_by_composition(W, J)
         for I in subsets(rank):

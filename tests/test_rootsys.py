@@ -173,7 +173,8 @@ def test_canonical_order_starts_at_identity(groups):
 def test_products_match_permutation_composition(groups):
     for key in [("B", 2), ("A", 3)]:
         W = groups(*key)
-        perms, index = W.elements, W.element_index
+        perms = W.elements
+        index = {p: i for i, p in enumerate(perms)}
         inverses = []
         for p in perms:
             inverse = [0] * len(p)

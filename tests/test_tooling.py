@@ -58,3 +58,18 @@ def test_traced_verify_runs_every_check(tmp_path, type_label, rank, frobenius, m
     assert calls["indres.mackey_check"] == 2 ** rank * irreducibles == mackey
     for name in ("dl.verify_sign_twist", "dl.verify_involution", "dl.dl_inverse_matrix"):
         assert calls[name] == 1, name
+
+
+def test_traced_cold_table_counts_lazily_imported_calls(tmp_path):
+    """cli imports chars inside its functions; the tracer still counts the calls through it."""
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(TRACED_CLI), str(trace), "table", "A", "3",
+                           "--cache-dir", str(tmp_path / "cache")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(trace.read_text())
+    calls = result["calls"]
+    assert calls["chars.character_table"] == 1
+    assert calls["ratlinalg.nullspace"] == 15
+    assert calls["cli.load_or_compute_table"] == 1
+    assert result["counters"]["cli.cache.misses"] == 1
