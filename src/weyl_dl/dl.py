@@ -63,11 +63,12 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
 def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """Columns are the images of the irreducibles of W_J under sum over I in J of (-1)^|I| ind res."""
     G = table.classes
-    if G.generators is None or G.group_id.split("|")[0] != W.group_id:
+    gens = G.generators
+    if gens is None or any(i >= W.rank for i in gens) or parabolic(W, gens) is not G:
         raise GroupMismatch(f"table on {G.group_id} is not on {W.group_id} or a standard parabolic")
     sums = [[0] * G.n_classes for _ in table.irreducibles]
-    for positions in subsets(len(G.generators)):
-        subset = tuple(G.generators[k] for k in positions)
+    for positions in subsets(len(gens)):
+        subset = tuple(gens[k] for k in positions)
         P = parabolic(W, subset)
         op = sub if len(subset) % 2 else add
         for i, chi in enumerate(table.irreducibles):
@@ -80,7 +81,7 @@ def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int,
 
 def dl_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """dl_matrix[i] is the coefficient vector of DL applied to irreducible i."""
-    key = ("dl_matrix", table.group_id)
+    key = ("dl_matrix", table)
     if key not in W.cache:
         W.cache[key] = _alternating_matrix(W, table)
     return W.cache[key]
@@ -148,7 +149,7 @@ def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, .
 
 def sign_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
     """sign_tensor_permutation, computed once per table and cached on W."""
-    key = ("sign_tensor_permutation", table.group_id)
+    key = ("sign_tensor_permutation", table)
     if key not in W.cache:
         W.cache[key] = sign_tensor_permutation(W, table)
     return W.cache[key]

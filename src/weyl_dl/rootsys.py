@@ -13,8 +13,8 @@ arbitrary permutations is formed after enumeration.
 from __future__ import annotations
 
 from functools import cached_property
-from math import prod
-from typing import NamedTuple, Sequence
+from math import inf, prod
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DEFAULT_MAX_ORDER, InternalError, InvalidType, NonFinite, SizeLimit
 
@@ -22,8 +22,6 @@ Coords = tuple[int, ...]
 Perm = tuple[int, ...]
 
 MAX_ROOTS = 10_000
-
-ACCEPTED_TYPES = "A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)"
 
 
 def _chain(n: int) -> list[list[int]]:
@@ -36,59 +34,65 @@ def _chain(n: int) -> list[list[int]]:
     return m
 
 
+class _Type(NamedTuple):
+    """An irreducible type: the ranks it is accepted at, and its data as functions of the rank n."""
+
+    min_rank: int
+    max_rank: float  # inf: every rank from min_rank on
+    coxeter_number: Callable[[int], int]
+    degrees: Callable[[int], tuple[int, ...]]
+    # the Cartan entries (i, j, a) in which the type differs from _chain(n)
+    cartan_entries: Callable[[int], tuple[tuple[int, int, int], ...]]
+
+
+_TYPES = {
+    "A": _Type(1, inf, lambda n: n + 1, lambda n: tuple(range(2, n + 2)), lambda n: ()),
+    "B": _Type(2, inf, lambda n: 2 * n, lambda n: tuple(range(2, 2 * n + 1, 2)),
+               lambda n: ((n - 1, n - 2, -2),)),
+    "C": _Type(3, inf, lambda n: 2 * n, lambda n: tuple(range(2, 2 * n + 1, 2)),
+               lambda n: ((n - 2, n - 1, -2),)),
+    # branch node: the last two simple roots both attach to node n-3
+    "D": _Type(4, inf, lambda n: 2 * n - 2, lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
+               lambda n: ((n - 1, n - 2, 0), (n - 2, n - 1, 0), (n - 1, n - 3, -1), (n - 3, n - 1, -1))),
+    "G": _Type(2, 2, lambda n: 6, lambda n: (2, 6), lambda n: ((1, 0, -3),)),
+    "F": _Type(4, 4, lambda n: 12, lambda n: (2, 6, 8, 12), lambda n: ((2, 1, -2),)),
+}
+
+ACCEPTED_TYPES = ", ".join(
+    f"{t}({row.min_rank})" if row.max_rank == row.min_rank else f"{t}(n>={row.min_rank})"
+    for t, row in _TYPES.items()
+)
+
+
+def _type(type_label: str, rank: int) -> _Type:
+    """The row of an accepted pair; InvalidType for any other pair."""
+    row = _TYPES.get(type_label)
+    if row is None or not row.min_rank <= rank <= row.max_rank:
+        raise InvalidType(f"unsupported type {type_label}{rank}; accepted: {ACCEPTED_TYPES}")
+    return row
+
+
 def coxeter_number(type_label: str, rank: int) -> int:
     """The Coxeter number h of an accepted pair; its root system has rank * h roots.
 
     InvalidType for any other pair.  Nothing of size rank is built, so a huge
     rank is cheap to check.
     """
-    if type_label == "A" and rank >= 1:
-        return rank + 1
-    if (type_label == "B" and rank >= 2) or (type_label == "C" and rank >= 3):
-        return 2 * rank
-    if type_label == "D" and rank >= 4:
-        return 2 * rank - 2
-    if type_label == "G" and rank == 2:
-        return 6
-    if type_label == "F" and rank == 4:
-        return 12
-    raise InvalidType(f"unsupported type {type_label}{rank}; accepted: {ACCEPTED_TYPES}")
+    return _type(type_label, rank).coxeter_number(rank)
 
 
 def standard_cartan_matrix(type_label: str, rank: int) -> tuple[Coords, ...]:
     """Standard Cartan matrix of an irreducible type, entry(i,j) = <a_j, a_i^v>."""
-    coxeter_number(type_label, rank)  # InvalidType unless the pair is accepted
+    entries = _type(type_label, rank).cartan_entries(rank)
     m = _chain(rank)
-    if type_label == "B":
-        m[rank - 1][rank - 2] = -2
-    elif type_label == "C":
-        m[rank - 2][rank - 1] = -2
-    elif type_label == "D":
-        # branch node: the last two simple roots both attach to node rank-3
-        m[rank - 1][rank - 2] = 0
-        m[rank - 2][rank - 1] = 0
-        m[rank - 1][rank - 3] = -1
-        m[rank - 3][rank - 1] = -1
-    elif type_label == "G":
-        m[1][0] = -3
-    elif type_label == "F":
-        m[2][1] = -2
+    for i, j, a in entries:
+        m[i][j] = a
     return tuple(tuple(row) for row in m)
 
 
 def fundamental_degrees(type_label: str, rank: int) -> tuple[int, ...]:
-    """Degrees of the basic invariants; their product is the group order."""
-    if type_label == "A":
-        return tuple(range(2, rank + 2))
-    if type_label in ("B", "C"):
-        return tuple(range(2, 2 * rank + 1, 2))
-    if type_label == "D":
-        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
-    if type_label == "G":
-        return (2, 6)
-    if type_label == "F":
-        return (2, 6, 8, 12)
-    raise InvalidType(f"no degree table for type {type_label}")
+    """Degrees of the basic invariants of an accepted pair; their product is the group order."""
+    return _type(type_label, rank).degrees(rank)
 
 
 class _CartanFields(NamedTuple):
@@ -142,12 +146,8 @@ def build_cartan(type_label: str, rank: int) -> CartanDatum:
     SizeLimit if the root system would have more than MAX_ROOTS roots, raised
     before the rank x rank matrix is built.
     """
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise InvalidType(f"rank must be a positive integer, got {rank!r}")
-    if type_label == "E":
-        raise InvalidType(
-            f"type E is not enumerated at desk scale; accepted: {ACCEPTED_TYPES}"
-        )
     _check_root_count(f"{type_label}{rank}", rank * coxeter_number(type_label, rank))
     matrix = standard_cartan_matrix(type_label, rank)
     return CartanDatum(type_label, rank, matrix)
@@ -398,7 +398,6 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
     identity = bytes(range(rank))
     found = {identity: 0}
     keys = [identity]
-    depths = [0]
     words: list[tuple[int, ...]] = [()]
     successors: list[list[int]] = [[] for _ in gens]
     # keys grows while it is walked, so it is visited in breadth-first order
@@ -413,7 +412,6 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
                         f"group order exceeds the configured maximum {max_order}"
                     )
                 keys.append(moved)
-                depths.append(depths[k] + 1)
                 words.append(words[k] + (i,))
             successors[i].append(j)
     del found
@@ -434,13 +432,13 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
     # elements as the images of the whole root list do
     images = [keys[y] for y in inverses]
     del keys
-    ordering = sorted(range(n), key=lambda k: (depths[k], images[k]))
+    ordering = sorted(range(n), key=lambda k: (len(words[k]), images[k]))
     position = [0] * n
     for pos, k in enumerate(ordering):
         position[k] = pos
     return WeylGroup(
         rootsystem,
-        tuple(depths[k] for k in ordering),
+        tuple(len(words[k]) for k in ordering),
         tuple(words[k] for k in ordering),
         tuple(tuple(position[succ[k]] for k in ordering) for succ in successors),
         tuple(position[inverses[k]] for k in ordering),

@@ -186,7 +186,20 @@ def test_dl_refuses_a_table_of_another_group(tables):
     explicit = character_table(W, subgroup_classes(W, members))
     with pytest.raises(GroupMismatch):
         dl_matrix(W, explicit)
+    _, _, t_a3 = tables("A", 3)
+    with pytest.raises(GroupMismatch):
+        dl_matrix(W, t_a3)
     assert dl_matrix(W, t_a2)
+
+
+def test_dl_caches_follow_the_table_not_its_group():
+    """A second table of the same group, rows reordered, gets its own DL matrix and sign permutation."""
+    W = build_weyl_group("A", 2)
+    t = character_table(W)
+    dl_matrix(W, t)
+    t2 = CharacterTable(t.classes, tuple(reversed(t.irreducibles)), tuple(reversed(t.degrees)))
+    assert verify_sign_twist(W, t2) == ()
+    assert sign_permutation(W, t2) == sign_tensor_permutation(W, t2) != sign_permutation(W, t)
 
 
 def tensor_sign_permutation(W, t):

@@ -1,3 +1,4 @@
+import re
 from math import prod
 
 import pytest
@@ -18,7 +19,7 @@ def test_g2_cartan():
 
 
 @pytest.mark.parametrize("type_label,rank", [
-    ("D", 3), ("D", 2), ("C", 2), ("B", 1), ("E", 6), ("E", 8), ("H", 3), ("G", 3), ("F", 3),
+    ("D", 3), ("D", 2), ("C", 2), ("B", 1), ("E", 6), ("E", 8), ("H", 3), ("G", 3), ("F", 3), ("A", True),
 ])
 def test_invalid_pairs_rejected(type_label, rank):
     with pytest.raises(InvalidType):
@@ -26,7 +27,8 @@ def test_invalid_pairs_rejected(type_label, rank):
 
 
 def test_invalid_error_names_accepted_set():
-    with pytest.raises(InvalidType, match="A\\(n>=1\\)"):
+    accepted = "A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)"
+    with pytest.raises(InvalidType, match=f"unsupported type D3; accepted: {re.escape(accepted)}$"):
         build_cartan("D", 3)
 
 
@@ -52,10 +54,27 @@ def test_root_count_is_rank_times_coxeter_number(type_label, rank):
     assert len(rs.roots) == rank * coxeter_number(type_label, rank)
 
 
-@pytest.mark.parametrize("type_label,rank", [("B", 1), ("C", 2), ("D", 3), ("G", 4), ("F", 3), ("X", 5)])
+@pytest.mark.parametrize("type_label,rank", [
+    ("B", 1), ("C", 2), ("D", 3), ("G", 4), ("F", 3), ("X", 5), ("G", 3), ("A", 0), ("E", 6),
+])
 def test_coxeter_number_rejects_unsupported_pairs(type_label, rank):
-    with pytest.raises(InvalidType, match=f"unsupported type {type_label}{rank}"):
-        coxeter_number(type_label, rank)
+    """Both per-type lookups reject each unsupported pair with the same error."""
+    for lookup in (coxeter_number, fundamental_degrees):
+        with pytest.raises(InvalidType, match=f"unsupported type {type_label}{rank}"):
+            lookup(type_label, rank)
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    *(("A", n) for n in range(1, 9)), *(("B", n) for n in range(2, 9)), *(("C", n) for n in range(3, 9)),
+    *(("D", n) for n in range(4, 9)), ("G", 2), ("F", 4),
+])
+def test_coxeter_number_agrees_with_degrees(type_label, rank):
+    """h is the largest degree, and the rank * h roots are twice the sum of d_i - 1 (Humphreys 1990, ch. 3)."""
+    h = coxeter_number(type_label, rank)
+    degrees = fundamental_degrees(type_label, rank)
+    assert len(degrees) == rank
+    assert h == max(degrees)
+    assert 2 * sum(d - 1 for d in degrees) == rank * h
 
 
 def test_root_count_limit_checked_before_any_matrix(monkeypatch):

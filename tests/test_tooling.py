@@ -73,3 +73,17 @@ def test_traced_cold_table_counts_lazily_imported_calls(tmp_path):
     assert calls["ratlinalg.nullspace"] == 15
     assert calls["cli.load_or_compute_table"] == 1
     assert result["counters"]["cli.cache.misses"] == 1
+
+
+def test_every_public_name_resolves():
+    """Each name in weyl_dl.__all__ resolves in a fresh interpreter; a rename fails here, not at its first caller."""
+    code = (
+        "import weyl_dl\n"
+        "for name in weyl_dl.__all__:\n"
+        "    getattr(weyl_dl, name)\n"
+        "print(len(weyl_dl.__all__))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
