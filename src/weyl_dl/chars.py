@@ -2,10 +2,15 @@
 
 Character tables are computed by simultaneous eigenspace splitting of the
 class-multiplication matrices, tallied from walks through the group's
-simple-reflection maps.  The split runs modulo a prime p that does not divide
-the group order, and each character value is the symmetric residue of its
-value mod p; the rows are then certified over the integers.  Any failure
-raises IrrationalityError; nothing is ever rounded.
+simple-reflection maps.  Any commuting family of class matrices splits
+(Dixon 1967), and which ones are used sets the cost (Schneider 1990): the
+split and the certificate take the central involutions first, then the
+classes of the simple reflections, then the rest by size, never the identity,
+and each stops once the rows are lines.  The split runs modulo a prime p that
+does not divide the group order, and each character value is the symmetric
+residue of its value mod p; the rows are then certified over the integers,
+with only the class matrices that separate them.  Any failure raises
+IrrationalityError; nothing is ever rounded.
 
 Class-function values are Python ints.  Inner products, decomposition and
 realization are integer sums, and the one division by |G| in an inner product
@@ -249,18 +254,41 @@ def _eigenvalues(A: ClassMatrix, ident: int, p: int) -> list[int]:
     return [x for x in range(p) if reduce(lambda v, c: (v * x + c) % p, reversed(poly), 0) == 0]
 
 
+def _class_order(W: WeylGroup, classes: ConjugacyClasses) -> list[int]:
+    """The classes whose matrices split and certify a table, in the order they are used.
+
+    First the central classes other than the identity: in a Weyl group such a
+    class is an involution like w0 = -1, whose matrix has eigenvalues +-1, so
+    it splits a space at the cost of at most two kernels.  Then the classes of
+    the subgroup's simple reflections (none for an explicit subgroup), then
+    the rest by size, since a matrix costs a walk of its class.  The identity
+    class is left out: its matrix is the identity and splits nothing.
+    """
+    ident, sizes = classes.identity_class, classes.sizes
+    order = [i for i in range(classes.n_classes) if sizes[i] == 1 and i != ident]
+    for s in classes.generators or ():
+        i = classes.class_index[W.generator_indices[s]]
+        if i not in order:
+            order.append(i)
+    rest = [i for i in range(classes.n_classes) if i != ident and i not in order]
+    return order + sorted(rest, key=sizes.__getitem__)
+
+
 def _split_eigenvectors(W: WeylGroup, classes: ConjugacyClasses, p: int) -> list[list[int]]:
     """Common eigenvectors mod p of the class matrices, one per irreducible.
 
     The centre of F_p H is split semisimple for p not dividing |H|, so the joint
-    eigenspaces are k lines.  Class matrices, smallest (cheapest) class first,
-    cut each subspace into the kernels of its restriction R - lambda.  A basis
-    vector is 1 at its last nonzero entry, where the others are 0, so
-    coordinates are read at those ends; kernel vectors keep this shape.
+    eigenspaces are k lines.  Class matrices, in _class_order, cut each
+    subspace into the kernels of its restriction R - lambda until every
+    subspace is a line.  A basis vector is 1 at its last nonzero entry, where
+    the others are 0, so coordinates are read at those ends; kernel vectors
+    keep this shape.
     """
     k = classes.n_classes
     spaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
-    for i in sorted(range(k), key=classes.sizes.__getitem__):
+    for i in _class_order(W, classes):
+        if all(len(basis) == 1 for basis in spaces):
+            break
         A = _class_matrix(W, classes, i)
         eigenvalues = _eigenvalues(A, classes.identity_class, p)
         pieces = [basis for basis in spaces if len(basis) == 1]
@@ -277,9 +305,9 @@ def _split_eigenvectors(W: WeylGroup, classes: ConjugacyClasses, p: int) -> list
                 if found == len(basis):
                     break
         spaces = pieces
-        if all(len(basis) == 1 for basis in spaces):
-            return [basis[0] for basis in spaces]
-    raise InternalError(f"the class matrices do not split {k} lines mod {p}")
+    if any(len(basis) > 1 for basis in spaces):
+        raise InternalError(f"the class matrices do not split {k} lines mod {p}")
+    return [basis[0] for basis in spaces]
 
 
 def _lift_to_character(classes: ConjugacyClasses, vec: list[int], p: int) -> tuple[int, ...]:
@@ -329,29 +357,51 @@ def orthogonality(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> t
 def certify_characters(W: WeylGroup, classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> None:
     """Prove over Z that rows are the irreducible characters; IrrationalityError if not.
 
-    Rows and columns must be orthogonal, and the degree squares sum to |H|.
-    Each w = (|C_j| chi_j), of positive degree, must be an eigenvector of class
-    matrices A_i, smallest class first, until the rows' eigenvalue tuples
-    differ; independent rows then span lines that every class matrix
-    preserves, so w is a central character and its norm fixes the scale.
-    (A_i w)[ident] = w_i, so the eigenvalue can only be w_i / w_ident.
+    Rows and columns must be orthogonal, the degree squares must sum to |H|,
+    and every row must have positive degree.  Then w = (|C_j| chi_j) of each
+    row must be an eigenvector of enough class matrices A_i to separate the
+    rows.  (A_i w)[ident] = w_i, so the eigenvalue can only be w_i / w_ident,
+    and the classes are taken in _class_order.  A class whose column
+    w_i / w_ident splits no two rows that the matrices checked so far leave
+    together is skipped, untallied; once every row has its own tuple of
+    eigenvalues, the rest are not needed.
+
+    Proof.  The class matrices commute and are simultaneously diagonalizable,
+    with the k lines of the central characters w_chi as their joint
+    eigenlines.  So a joint eigenspace of the checked matrices is a sum of
+    such lines, and so is every other class matrix's restriction to it: the
+    unchecked matrices preserve the joint eigenlines of the checked ones.  The
+    k nonzero rows lie in k joint eigenspaces with distinct eigenvalue tuples,
+    each holding at least one of the k lines, so each holds exactly one, and
+    w = c w_chi: the row is c chi.  Its norm 1 gives c^2 = 1 and its positive
+    degree c = 1, so each row is an irreducible character, each a different
+    one.
     """
     if not all(orthogonality(classes, rows)):
         raise IrrationalityError("row or column orthogonality fails")
     ident = classes.identity_class
     if sum(row[ident] ** 2 for row in rows) != classes.order:
         raise IrrationalityError("degree squares do not sum to the group order")
+    for r, row in enumerate(rows):
+        if row[ident] <= 0:
+            raise IrrationalityError(f"row {r} has degree {row[ident]}")
     ws = [[size * x for size, x in zip(classes.sizes, row)] for row in rows]
-    eigenvalues: list[tuple[int, ...]] = [()] * len(rows)
-    for i in sorted(range(classes.n_classes), key=classes.sizes.__getitem__):
-        A = _class_matrix(W, classes, i)
-        for r, w in enumerate(ws):
-            if w[ident] <= 0 or _mat_vec(A, w) != [w[i] // w[ident] * x for x in w]:
-                raise IrrationalityError(f"row {r} is not an eigenvector of class matrix {i}")
-        eigenvalues = [e + (w[i] // w[ident],) for e, w in zip(eigenvalues, ws)]
+    eigenvalues: list[tuple] = [()] * len(rows)
+    for i in _class_order(W, classes):
         if len(set(eigenvalues)) == len(rows):
             return
-    raise IrrationalityError("the class matrices do not separate the rows")
+        # the key only picks the classes to check: a character's w_i / w_ident is an
+        # integer, and the proof rests on the checked classes alone
+        refined = [e + (divmod(w[i], w[ident]),) for e, w in zip(eigenvalues, ws)]
+        if len(set(refined)) == len(set(eigenvalues)):
+            continue
+        A = _class_matrix(W, classes, i)
+        for r, w in enumerate(ws):
+            if _mat_vec(A, w) != [w[i] // w[ident] * x for x in w]:
+                raise IrrationalityError(f"row {r} is not an eigenvector of class matrix {i}")
+        eigenvalues = refined
+    if len(set(eigenvalues)) != len(rows):
+        raise IrrationalityError("the class matrices do not separate the rows")
 
 
 def canonical_rows(classes: ConjugacyClasses, rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:

@@ -211,9 +211,14 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
 
     add(CheckItem("faithful-action", len(set(W.elements)) == W.order))
 
-    reflections = set()
-    for g in W.generator_indices:
-        reflections.update(W.conjugate_sweep(g))
+    # the conjugates of the simple reflections: their orbit under conjugation by each s_i
+    reflections = set(W.generator_indices)
+    orbit = list(reflections)
+    for y in orbit:
+        for conj in W.conjugation_maps:
+            if conj[y] not in reflections:
+                reflections.add(conj[y])
+                orbit.append(conj[y])
     add(CheckItem("reflection-count", len(reflections) == npos, f"count={len(reflections)}"))
 
     add(CheckItem("class-sizes-sum", sum(classes.sizes) == W.order,

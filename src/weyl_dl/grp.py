@@ -181,6 +181,21 @@ def subgroup_classes(W: WeylGroup, members: Sequence[int]) -> ConjugacyClasses:
     return W.cache[key]
 
 
+def _right_descents(W: WeylGroup) -> list[int]:
+    """Per element x, the bitmask of its right descents: bit i set when l(x*s_i) < l(x); cached on W."""
+    key = "right_descents"
+    if key not in W.cache:
+        lengths = W.lengths
+        masks = [0] * W.order
+        for i, right in enumerate(W.right_maps):
+            bit = 1 << i
+            for x, y in enumerate(right):
+                if lengths[y] < lengths[x]:
+                    masks[x] |= bit
+        W.cache[key] = masks
+    return W.cache[key]
+
+
 def double_cosets(
     W: WeylGroup, left_subset: Iterable[int], right_subset: Iterable[int]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -188,21 +203,24 @@ def double_cosets(
 
     left_subset is J, right_subset is I.  Returns (x, K) per double coset: x is
     its shortest element, so its smallest index, and W_J n x W_I x^-1 = W_K for
-    K, the j in J with x^-1 s_j x a simple reflection of I.  Cached on W.
+    K, the j in J with x^-1 s_j x a simple reflection of I.  The left descents
+    of x are the right descents of x^-1.  Cached on W.
     """
     PJ = parabolic(W, left_subset)
     PI = parabolic(W, right_subset)
     key = ("double_cosets", PJ.generators, PI.generators)
     if key in W.cache:
         return W.cache[key]
-    right, inv, lengths, gens = W.right_maps, W.inv, W.lengths, W.generator_indices
+    inv, gens, descents = W.inv, W.generator_indices, _right_descents(W)
+    mask_I = sum(1 << i for i in PI.generators)
+    mask_J = sum(1 << j for j in PJ.generators)
     simple_I = {gens[i] for i in PI.generators}
     out = []
     for x in range(W.order):
-        xi, n = inv(x), lengths[x]
-        if all(lengths[right[i][x]] > n for i in PI.generators) and all(
-            lengths[right[j][xi]] > n for j in PJ.generators
-        ):
+        if descents[x] & mask_I:
+            continue
+        xi = inv(x)
+        if not descents[xi] & mask_J:
             out.append((x, tuple(j for j in PJ.generators if W.conjugate(xi, gens[j]) in simple_I)))
     W.cache[key] = tuple(out)
     return W.cache[key]

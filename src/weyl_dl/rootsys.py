@@ -95,6 +95,12 @@ def fundamental_degrees(type_label: str, rank: int) -> tuple[int, ...]:
     return _type(type_label, rank).degrees(rank)
 
 
+def _check_rank(rank: int) -> None:
+    """InvalidType unless rank is an int of at least 1; a bool or a float is refused."""
+    if type(rank) is not int or rank < 1:
+        raise InvalidType(f"rank must be a positive integer, got {rank!r}")
+
+
 class _CartanFields(NamedTuple):
     type_label: str
     rank: int
@@ -110,6 +116,7 @@ class CartanDatum(_CartanFields):
     __slots__ = ()
 
     def __new__(cls, type_label: str, rank: int, cartan_matrix: tuple[Coords, ...]) -> CartanDatum:
+        _check_rank(rank)
         m = cartan_matrix
         if len(m) != rank or any(len(row) != rank for row in m):
             raise InvalidType(f"Cartan matrix of {type_label}{rank} is not {rank}x{rank}")
@@ -146,8 +153,7 @@ def build_cartan(type_label: str, rank: int) -> CartanDatum:
     SizeLimit if the root system would have more than MAX_ROOTS roots, raised
     before the rank x rank matrix is built.
     """
-    if type(rank) is not int or rank < 1:
-        raise InvalidType(f"rank must be a positive integer, got {rank!r}")
+    _check_rank(rank)
     _check_root_count(f"{type_label}{rank}", rank * coxeter_number(type_label, rank))
     matrix = standard_cartan_matrix(type_label, rank)
     return CartanDatum(type_label, rank, matrix)

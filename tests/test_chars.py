@@ -25,7 +25,13 @@ from weyl_dl import (
     trivial,
     unit,
 )
-from weyl_dl.chars import ClassFunction, _class_matrix, _eigenvalues, table_from_rows
+from weyl_dl import chars
+from weyl_dl.chars import (
+    ClassFunction, _class_matrix, _class_order, _eigenvalues, certify_characters, table_from_rows,
+)
+from weyl_dl.cli import ROSTER
+from weyl_dl.dl import subsets
+from weyl_dl.grp import subgroup_classes
 from weyl_dl.ratlinalg import split_prime
 from weyl_dl.symchars import (
     cycle_type, dimension, natural_permutation, partitions, sn_character_table,
@@ -121,6 +127,84 @@ def test_class_matrix_is_tallied_once(groups):
     cc = parabolic(W, (0, 1))
     for i in range(cc.n_classes):
         assert _class_matrix(W, cc, i) is _class_matrix(W, cc, i)
+
+
+def _by_size(W, classes):
+    """Every class, the identity included, smallest first: the order of earlier releases."""
+    return sorted(range(classes.n_classes), key=classes.sizes.__getitem__)
+
+
+def _tallied(W, classes):
+    """The classes whose matrices are cached on W for this group."""
+    return sorted(key[2] for key in W.cache if key[:2] == ("class_matrix", classes.group_id))
+
+
+def _rows(W, subset):
+    """The rows of W's table, or of W_I's for a subset I."""
+    classes = conjugacy_classes(W) if subset is None else parabolic(W, subset)
+    return [chi.values for chi in character_table(W, classes).irreducibles]
+
+
+# every roster type, and every parabolic of B3 and F4
+ORDER_CASES = [(key, None) for key in ROSTER] + [
+    (key, I) for key in [("B", 3), ("F", 4)] for I in subsets(key[1])
+]
+
+
+@pytest.mark.parametrize("order", [_by_size, lambda W, classes: _by_size(W, classes)[::-1]],
+                         ids=["by-size", "reversed"])
+def test_tables_do_not_depend_on_the_class_order(groups, monkeypatch, order):
+    """Any order of the class matrices splits and certifies the same tables."""
+    expected = {case: _rows(groups(*case[0]), case[1]) for case in ORDER_CASES}
+    monkeypatch.setattr(chars, "_class_order", order)
+    fresh = {key: build_weyl_group(*key) for key in ROSTER}
+    assert {case: _rows(fresh[case[0]], case[1]) for case in ORDER_CASES} == expected
+
+
+def test_class_order_starts_with_the_centre_and_leaves_out_the_identity(groups):
+    """B3: w0 = -1 is central, then the two classes of simple reflections, then the rest by size."""
+    W = groups("B", 3)
+    cc = conjugacy_classes(W)
+    order = _class_order(W, cc)
+    assert sorted(order) == [i for i in range(cc.n_classes) if i != cc.identity_class]
+    assert order[0] == cc.class_index[W.longest_element] and cc.sizes[order[0]] == 1
+    reflection_classes = {cc.class_index[s] for s in W.generator_indices}
+    assert set(order[1:3]) == reflection_classes
+    assert [cc.sizes[i] for i in order[3:]] == sorted(cc.sizes[i] for i in order[3:])
+
+
+def test_trivial_parabolic_tallies_no_class_matrix():
+    """W_I for empty I has one class, the identity: it splits and certifies to [[1]] with no class matrix."""
+    W = build_weyl_group("B", 3)
+    empty = parabolic(W, ())
+    assert empty.n_classes == 1 and _class_order(W, empty) == []
+    assert character_table(W, empty).irreducibles[0].values == (1,)
+    certify_characters(W, empty, [[1]])
+    assert _tallied(W, empty) == []
+    with pytest.raises(IrrationalityError):
+        certify_characters(W, empty, [[-1]])
+
+
+def test_explicit_subgroup_splits_without_generators(groups):
+    """A subgroup given by its members has no simple reflections; its central classes and sizes still split it."""
+    W = groups("B", 3)
+    P = parabolic(W, (0, 1))
+    H = subgroup_classes(W, P.members)
+    assert H.generators is None
+    assert [chi.values for chi in character_table(W, H).irreducibles] == [
+        chi.values for chi in character_table(W, P).irreducibles
+    ]
+    centre = subgroup_classes(W, (0, W.longest_element))
+    assert [chi.values for chi in character_table(W, centre).irreducibles] == [(1, 1), (1, -1)]
+
+
+def test_fresh_f4_certificate_tallies_six_class_matrices(tables):
+    """Of F4's 24 non-identity classes, the certificate tallies only the 6 that separate the rows."""
+    _, _, t = tables("F", 4)
+    W = build_weyl_group("F", 4)
+    cc = conjugacy_classes(W)
+    table_from_rows(W, cc, [chi.values for chi in t.irreducibles])
+    assert len(_tallied(W, cc)) == 6
 
 
 def bipartition_degrees(n, type_d):

@@ -41,6 +41,10 @@ GOLDEN = (
     ("table G 2 --format json", "a50d0bb8d63a9e4f5b30cc19572cd2781f380b3686e25afb814c70b69562e240"),
     ("dl F 4 --format json", "89c13913521e698d2d580643cc5288022158a4241a6c86e6f8fc84a52748e04b"),
     ("table F 4 --format json", "c6a8bf7bdfc7c54fd25280b337486aba562f513a2b6c955fdd8bd8b36796dd3c"),
+    # beyond the roster: tables split cold, before any command below loads them
+    ("table A 6 --format json", "670ad53970244662906d74aebf798d144096489de8e0615e9bf8d50d3f87bce7"),
+    ("table D 5 --format json", "dad50fa62ceff3dbe9182cfd817e3e2fd63a074ad86de15b0ed7506c4cbeb64a"),
+    ("table B 5 --format json", "374b52c73b805acaf3df3ff39e9b2ad6b75afe0256cc1c43b53fea9f4e9df2f6"),
     # beyond the roster: DL over all 64 and 32 parabolics
     ("dl A 6 --format json", "7232a261d7717b349cc73bcda4a4c1122dce7795dc4557a8e1a518ef48167053"),
     ("dl D 5 --format json", "63881aebba1cec856be8a89611cbf6aa4e8f1c5642d54221ebf7168056ebea91"),

@@ -116,6 +116,20 @@ def test_cartan_datum_rejects_bad_matrix(matrix, match):
         CartanDatum("X", 2, matrix)
 
 
+@pytest.mark.parametrize("rank", [True, 1.0, "1", None, 0, -1], ids=repr)
+def test_cartan_datum_rejects_a_rank_that_is_not_a_positive_int(rank):
+    """A bool, float or string rank would make a group called ATrue; build_cartan's message refuses it."""
+    with pytest.raises(InvalidType, match="rank must be a positive integer"):
+        CartanDatum("A", rank, ((2,),))
+
+
+def test_cartan_datum_replace_checks_the_rank():
+    datum = build_cartan("A", 1)
+    with pytest.raises(InvalidType, match="rank must be a positive integer, got True"):
+        datum._replace(rank=True)
+    assert datum._replace(rank=1) == datum
+
+
 def test_cartan_datum_rejects_bad_matrix_under_optimize(run_optimized):
     code = (
         "from weyl_dl import InvalidType\n"
