@@ -9,11 +9,10 @@ import sys
 _EXPORTS = {
     "chars": (
         "CharacterTable", "ClassFunction", "VirtualCharacter", "character_table", "decompose",
-        "inner_product", "realize", "reflection", "regular", "sign", "tensor", "trivial", "unit",
+        "inner_product", "realize", "reflection", "sign", "tensor", "trivial", "unit",
     ),
     "dl": (
-        "ShiftLedger", "dl_inverse_operator", "dl_operator", "springer_table",
-        "verify_involution", "verify_sign_twist",
+        "ShiftLedger", "dl_operator", "springer_table", "verify_involution", "verify_sign_twist",
     ),
     "errors": (
         "GroupMismatch", "InternalError", "InvalidType", "IrrationalityError", "NonFinite",

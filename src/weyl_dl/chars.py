@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, reduce
-from operator import add, mul, sub
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
@@ -43,7 +43,7 @@ def _record_ne(self, other) -> bool:
 
 
 def _refuse(self, other):
-    """Stands in for tuple repetition, which is no arithmetic on characters."""
+    """Stands in for tuple concatenation and repetition, which are no arithmetic on characters."""
     return NotImplemented
 
 
@@ -58,33 +58,14 @@ class ClassFunction(NamedTuple):
     """Exact function on the conjugacy classes of one group.
 
     Values are Python ints; a Fraction only where a value is non-integral.
-    Equal, and hashed, by (group_id, values).  The arithmetic is pointwise,
-    and n * f and t + f are refused rather than repeating or joining tuples.
+    Equal, and hashed, by (group_id, values).  No arithmetic: combine .values;
+    f + g, n * f and t + f are refused rather than joining or repeating tuples.
     """
 
     group_id: str
     values: tuple[int | Fraction, ...]
 
-    def _pointwise(self, other, op) -> "ClassFunction":
-        """op on matching values; NotImplemented for an operand of another type."""
-        if type(other) is not ClassFunction:
-            return NotImplemented
-        if self.group_id != other.group_id:
-            raise GroupMismatch(
-                f"class functions on {self.group_id} and {other.group_id}"
-            )
-        return ClassFunction(self.group_id, tuple(map(op, self.values, other.values)))
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._pointwise(other, add)
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._pointwise(other, sub)
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._pointwise(other, mul)
-
-    __rmul__ = _refuse
+    __add__ = __mul__ = __rmul__ = _refuse
     __radd__ = _refuse_concatenation
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
@@ -92,33 +73,23 @@ class ClassFunction(NamedTuple):
 class VirtualCharacter(NamedTuple):
     """Integer vector over the canonical irreducible basis of one group.
 
-    Equal, and hashed, by (group_id, coeffs); n * v, v * n and t + v are
-    refused rather than repeating or joining tuples.
+    Equal, and hashed, by (group_id, coeffs).  No arithmetic: combine .coeffs;
+    v + w, n * v and t + v are refused rather than joining or repeating tuples.
     """
 
     group_id: str
     coeffs: tuple[int, ...]
 
-    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        if type(other) is not VirtualCharacter:
-            return NotImplemented
-        if self.group_id != other.group_id:
-            raise GroupMismatch(
-                f"virtual characters on {self.group_id} and {other.group_id}"
-            )
-        return VirtualCharacter(self.group_id, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "VirtualCharacter":
-        return VirtualCharacter(self.group_id, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        if type(other) is not VirtualCharacter:
-            return NotImplemented
-        return self + (-other)
-
-    __mul__ = __rmul__ = _refuse
+    __add__ = __mul__ = __rmul__ = _refuse
     __radd__ = _refuse_concatenation
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
+
+
+def check_on(x: ClassFunction | VirtualCharacter, classes: ConjugacyClasses) -> None:
+    """GroupMismatch unless x has the group id of classes and one value, or coefficient, per class."""
+    n, k = len(x[1]), classes.n_classes
+    if x.group_id != classes.group_id or n != k:
+        raise GroupMismatch(f"{n} entries on {x.group_id} do not live on the {k} classes of {classes.group_id}")
 
 
 class CharacterTable:
@@ -149,9 +120,6 @@ class CharacterTable:
     def n_irreducibles(self) -> int:
         return len(self.irreducibles)
 
-    def values_row(self, i: int) -> tuple[int, ...]:
-        return self.irreducibles[i].values
-
     @cached_property
     def weighted_conjugates(self) -> tuple[tuple[int, ...], ...]:
         """Per irreducible chi, |C| chi(C^-1) over the classes C: <f, chi> = sum(f * it) / |G|."""
@@ -173,8 +141,8 @@ def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
 
 def inner_product(classes: ConjugacyClasses, f: ClassFunction, g: ClassFunction) -> int | Fraction:
     """<f, g> = (1/|G|) sum over classes of |C| f(C) g(C^-1-class)."""
-    if f.group_id != classes.group_id or g.group_id != classes.group_id:
-        raise GroupMismatch("class functions do not live on the given classes")
+    check_on(f, classes)
+    check_on(g, classes)
     weighted = map(mul, classes.sizes, f.values)
     total = sum(map(mul, weighted, map(g.values.__getitem__, classes.inverse_class)))
     return exact_quotient(total, classes.order)
@@ -201,12 +169,6 @@ def reflection(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
             image = rs.roots[images[rs.simple_root_columns[j]]]
             trace += image[j]
         vals.append(trace)
-    return ClassFunction(classes.group_id, tuple(vals))
-
-
-def regular(classes: ConjugacyClasses) -> ClassFunction:
-    vals = [0] * classes.n_classes
-    vals[classes.identity_class] = classes.order
     return ClassFunction(classes.group_id, tuple(vals))
 
 
@@ -496,8 +458,7 @@ def irreducible_labels(table: CharacterTable) -> tuple[str, ...]:
 
 def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:
     """Coordinates of f in the irreducible basis; NotVirtual if f is not a lattice point."""
-    if f.group_id != table.group_id:
-        raise GroupMismatch(f"{f.group_id} vs table on {table.group_id}")
+    check_on(f, table.classes)
     coeffs = []
     for weighted in table.weighted_conjugates:
         c = exact_quotient(sum(map(mul, f.values, weighted)), table.classes.order)
@@ -520,16 +481,15 @@ def _combine(table: CharacterTable, coeffs: Sequence[int]) -> tuple[int, ...]:
 
 def realize(table: CharacterTable, v: VirtualCharacter) -> ClassFunction:
     """The class function of a virtual character."""
-    if v.group_id != table.group_id:
-        raise GroupMismatch(f"{v.group_id} vs table on {table.group_id}")
+    check_on(v, table.classes)
     return ClassFunction(table.group_id, _combine(table, v.coeffs))
 
 
 def tensor(table: CharacterTable, v: VirtualCharacter, w: VirtualCharacter) -> VirtualCharacter:
     """Product in the representation ring: pointwise product, re-decomposed."""
-    product = realize(table, v) * realize(table, w)
+    values = map(mul, realize(table, v).values, realize(table, w).values)
     try:
-        return decompose(table, product)
+        return decompose(table, ClassFunction(table.group_id, tuple(values)))
     except NotVirtual as exc:  # product of characters is always a character
         raise InternalError("tensor of virtual characters left the lattice") from exc
 

@@ -326,7 +326,7 @@ def _rows(table: CharacterTable) -> list[list[str]]:
     """One row per irreducible: its label, its degree, then its values."""
     from .chars import irreducible_labels
 
-    return [[label, _ds(table.degrees[i])] + [_ds(v) for v in table.values_row(i)]
+    return [[label, _ds(table.degrees[i])] + [_ds(v) for v in table.irreducibles[i].values]
             for i, label in enumerate(irreducible_labels(table))]
 
 

@@ -17,7 +17,8 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .chars import (
-    CharacterTable, ClassFunction, VirtualCharacter, decompose, irreducible_labels, sign, unit,
+    CharacterTable, ClassFunction, VirtualCharacter, check_on, decompose, irreducible_labels,
+    sign, unit,
 )
 from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import parabolic
@@ -102,10 +103,11 @@ def dl_inverse_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, .
     return matrix
 
 
-def _apply(matrix: tuple[tuple[int, ...], ...], v: VirtualCharacter) -> tuple[int, ...]:
+def _apply(matrix: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of sum of coeffs[i] * (row i of matrix)."""
     k = len(matrix)
     out = [0] * k
-    for i, c in enumerate(v.coeffs):
+    for i, c in enumerate(coeffs):
         if c:
             for j in range(k):
                 out[j] += c * matrix[i][j]
@@ -114,16 +116,8 @@ def _apply(matrix: tuple[tuple[int, ...], ...], v: VirtualCharacter) -> tuple[in
 
 def dl_operator(W: WeylGroup, table: CharacterTable, v: VirtualCharacter) -> VirtualCharacter:
     """Apply DL to a virtual character, exactly."""
-    if v.group_id != table.group_id:
-        raise GroupMismatch(f"{v.group_id} vs table on {table.group_id}")
-    return VirtualCharacter(table.group_id, _apply(dl_matrix(W, table), v))
-
-
-def dl_inverse_operator(W: WeylGroup, table: CharacterTable, v: VirtualCharacter) -> VirtualCharacter:
-    """Apply the inverse-side assembly of DL; equals dl_operator on the nose."""
-    if v.group_id != table.group_id:
-        raise GroupMismatch(f"{v.group_id} vs table on {table.group_id}")
-    return VirtualCharacter(table.group_id, _apply(dl_inverse_matrix(W, table), v))
+    check_on(v, table.classes)
+    return VirtualCharacter(table.group_id, _apply(dl_matrix(W, table), v.coeffs))
 
 
 def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
@@ -175,7 +169,7 @@ def verify_involution(W: WeylGroup, table: CharacterTable) -> tuple[str, ...]:
     k = len(matrix)
     violations = []
     for i in range(k):
-        twice = _apply(matrix, VirtualCharacter(table.group_id, matrix[i]))
+        twice = _apply(matrix, matrix[i])
         expected = tuple(1 if j == i else 0 for j in range(k))
         if twice != expected:
             violations.append(f"column #{i}: DL^2 image is {twice}")

@@ -148,10 +148,11 @@ def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
     W_S, for subset all of S, is W's own classes: the same object, so W's table
     and counts serve it too.
     """
+    subset = tuple(subset)
+    for i in subset:  # before sorting: a bool or a float is no index
+        if type(i) is not int or not 0 <= i < W.rank:
+            raise InvalidType(f"simple reflection index {i!r} is outside 0..{W.rank - 1}")
     subset = tuple(sorted(set(subset)))
-    for i in subset:
-        if not 0 <= i < W.rank:
-            raise InvalidType(f"simple reflection index {i} is outside 0..{W.rank - 1}")
     if len(subset) == W.rank:
         return conjugacy_classes(W)
     key = ("parabolic", subset)

@@ -24,8 +24,7 @@ from itertools import repeat
 from operator import floordiv, mod, mul
 from typing import Sequence
 
-from .chars import CharacterTable, ClassFunction, exact_quotient
-from .errors import GroupMismatch
+from .chars import CharacterTable, ClassFunction, check_on, exact_quotient
 from .grp import ConjugacyClasses, conjugacy_classes, double_cosets, parabolic
 from .rootsys import WeylGroup
 
@@ -45,8 +44,7 @@ def fusion(H: ConjugacyClasses, G: ConjugacyClasses) -> tuple[int, ...]:
 
 def restrict(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
     """Pull a class function on G back to its subgroup H through the fusion of H's classes."""
-    if f.group_id != G.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {G.group_id}")
+    check_on(f, G)
     return ClassFunction(H.group_id, tuple(map(f.values.__getitem__, fusion(H, G))))
 
 
@@ -82,8 +80,7 @@ def _scatter(counts: Counts, values: Sequence, n_classes: int, denominator: int)
 
 def induce(f: ClassFunction, H: ConjugacyClasses, G: ConjugacyClasses) -> ClassFunction:
     """Induce a class function on H up to its supergroup G."""
-    if f.group_id != H.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {H.group_id}")
+    check_on(f, H)
     return ClassFunction(
         G.group_id, _scatter(induction_counts(G, H), f.values, G.n_classes, H.order)
     )
@@ -164,8 +161,7 @@ def mackey_check(
     cc = conjugacy_classes(W)
     PI = parabolic(W, subset_I)
     PJ = parabolic(W, subset_J)
-    if f.group_id != PI.group_id:
-        raise GroupMismatch(f"{f.group_id} does not live on {PI.group_id}")
+    check_on(f, PI)
     left = restrict(induced, PJ, cc).values
     right = _scatter(mackey_operator(W, PJ, PI), f.values, PJ.n_classes, PJ.order)
     if left == right:

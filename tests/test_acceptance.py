@@ -83,7 +83,7 @@ def test_springer_pairing_type_a(tables):
         mn_root = {tuple(row[c] for c in cols): lam for lam, row in zip(parts, mn_rows)}
         assert t.labels is not None
         for i in range(t.n_irreducibles):
-            assert mn_root[t.values_row(i)] == t.labels[i]
+            assert mn_root[t.irreducibles[i].values] == t.labels[i]
 
         perm = sign_tensor_permutation(W, t)
         assert dl_matrix(W, t) == tuple(
@@ -107,7 +107,7 @@ def test_character_table_integrity(tables):
         W, cc, t = tables(type_label, rank)
         assert W.order == EXPECTED_ORDER[type_label](rank)
         k = cc.n_classes
-        rows = [t.values_row(i) for i in range(k)]
+        rows = [t.irreducibles[i].values for i in range(k)]
         inv = cc.inverse_class
         assert all(isinstance(v, int) for row in rows for v in row)
         for i in range(k):

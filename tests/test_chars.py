@@ -15,11 +15,14 @@ from weyl_dl import (
     character_table,
     conjugacy_classes,
     decompose,
+    dl_operator,
+    induce,
     inner_product,
+    mackey_check,
     parabolic,
     realize,
     reflection,
-    regular,
+    restrict,
     sign,
     tensor,
     trivial,
@@ -40,7 +43,7 @@ from weyl_dl.symchars import (
 
 def test_a2_table(tables):
     W, cc, t = tables("A", 2)
-    assert [t.values_row(i) for i in range(3)] == [
+    assert [t.irreducibles[i].values for i in range(3)] == [
         (1, 1, 1), (1, -1, 1), (2, 0, -1),
     ]
     assert t.labels == ((3,), (1, 1, 1), (2, 1))
@@ -48,7 +51,7 @@ def test_a2_table(tables):
 
 def test_a1_table(tables):
     _, _, t = tables("A", 1)
-    assert [t.values_row(i) for i in range(2)] == [(1, 1), (1, -1)]
+    assert [t.irreducibles[i].values for i in range(2)] == [(1, 1), (1, -1)]
 
 
 def test_b2_table_degrees(tables):
@@ -59,7 +62,7 @@ def test_b2_table_degrees(tables):
 def test_canonical_order_trivial_first(tables):
     for key in [("A", 3), ("B", 2), ("G", 2)]:
         _, cc, t = tables(*key)
-        assert t.values_row(0) == (1,) * cc.n_classes
+        assert t.irreducibles[0].values == (1,) * cc.n_classes
         assert list(t.degrees) == sorted(t.degrees)
 
 
@@ -84,7 +87,7 @@ def test_seed_does_not_change_table():
     assert "seed" not in inspect.signature(character_table).parameters
     t0 = character_table(build_weyl_group("B", 2))
     t1 = character_table(build_weyl_group("B", 2))
-    assert [t0.values_row(i) for i in range(5)] == [t1.values_row(i) for i in range(5)]
+    assert [t0.irreducibles[i].values for i in range(5)] == [t1.irreducibles[i].values for i in range(5)]
 
 
 def test_seed_is_not_part_of_the_cache_key():
@@ -241,7 +244,7 @@ def test_type_a_matches_murnaghan_nakayama(tables):
         W, cc, t = tables("A", rank)
         parts, rows = sn_character_table(rank + 1)
         col = [parts.index(cycle_type(natural_permutation(W, rep))) for rep in cc.reps]
-        mine = {t.values_row(i) for i in range(cc.n_classes)}
+        mine = {t.irreducibles[i].values for i in range(cc.n_classes)}
         theirs = {tuple(row[c] for c in col) for row in rows}
         assert mine == theirs
 
@@ -262,7 +265,9 @@ def test_sign_and_reflection(tables):
 
 def test_decompose_regular(tables):
     W, cc, t = tables("A", 2)
-    assert decompose(t, regular(cc)).coeffs == (1, 1, 2)
+    regular = [0] * cc.n_classes  # the regular character: |G| at the identity, 0 elsewhere
+    regular[cc.identity_class] = cc.order
+    assert decompose(t, ClassFunction(cc.group_id, tuple(regular))).coeffs == (1, 1, 2)
     assert decompose(t, trivial(cc)).coeffs == (1, 0, 0)
 
 
@@ -276,10 +281,43 @@ def test_decompose_rejects_non_virtual(tables):
 def test_group_mismatch(tables):
     _, cc2, t2 = tables("A", 2)
     _, cc3, t3 = tables("A", 3)
-    with pytest.raises(GroupMismatch):
+    with pytest.raises(TypeError):
         trivial(cc2) + trivial(cc3)
     with pytest.raises(GroupMismatch):
         decompose(t2, trivial(cc3))
+
+
+def call_sites(W, cc, t):
+    """Per call site: the group its record must live on, the record class, and the call."""
+    P = parabolic(W, (0,))
+    induced = induce(trivial(P), P, cc)
+    return {
+        "inner_product f": (cc, ClassFunction, lambda x: inner_product(cc, x, trivial(cc))),
+        "inner_product g": (cc, ClassFunction, lambda x: inner_product(cc, trivial(cc), x)),
+        "decompose": (cc, ClassFunction, lambda x: decompose(t, x)),
+        "realize": (cc, VirtualCharacter, lambda x: realize(t, x)),
+        "dl_operator": (cc, VirtualCharacter, lambda x: dl_operator(W, t, x)),
+        "restrict": (cc, ClassFunction, lambda x: restrict(x, P, cc)),
+        "induce": (P, ClassFunction, lambda x: induce(x, P, cc)),
+        "mackey_check": (P, ClassFunction, lambda x: mackey_check(W, (0,), (1,), x, induced)),
+    }
+
+
+@pytest.mark.parametrize("site", [
+    "inner_product f", "inner_product g", "decompose", "realize", "dl_operator", "restrict",
+    "induce", "mackey_check",
+])
+@pytest.mark.parametrize("kind", ["short", "long", "foreign"])
+def test_a_record_off_its_group_is_a_group_mismatch(tables, site, kind):
+    """A record must carry its group's id and one entry per class; a wrong length is no silent answer."""
+    W, cc, t = tables("A", 2)
+    home, cls, call = call_sites(W, cc, t)[site]
+    k = home.n_classes
+    call(cls(home.group_id, (1,) * k))  # the well-formed record is accepted
+    group_id, length = {"short": (home.group_id, k - 1), "long": (home.group_id, k + 1),
+                        "foreign": ("B2", k)}[kind]
+    with pytest.raises(GroupMismatch):
+        call(cls(group_id, (1,) * length))
 
 
 def test_tensor_examples(tables):

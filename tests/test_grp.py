@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,11 +151,17 @@ def test_subgroup_classes_of_explicit_set(groups):
     assert sub.reps == P.reps
 
 
-@pytest.mark.parametrize("subset, bad", [([7], "7"), ([0, 3], "3"), ([-1], "-1")])
+@pytest.mark.parametrize("subset, bad", [
+    ([7], "7"), ([0, 3], "3"), ([-1], "-1"),
+    # True is no index 1, nor 1.0: each is refused, and before sorting
+    ([True], "True"), ([False], "False"), ([0, 1.0], "1.0"), (["1"], "'1'"), ([0, None], "None"),
+])
 def test_parabolic_rejects_bad_index(groups, subset, bad):
     W = groups("A", 3)
-    with pytest.raises(InvalidType, match=f"index {bad} is outside"):
-        parabolic(W, subset)
+    for call in (lambda: parabolic(W, subset), lambda: double_cosets(W, subset, [0]),
+                 lambda: double_cosets(W, [0], subset)):
+        with pytest.raises(InvalidType, match=f"index {re.escape(bad)} is outside 0..2"):
+            call()
 
 
 @pytest.mark.parametrize("type_label, rank", ROSTER)

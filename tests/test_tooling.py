@@ -2,7 +2,9 @@
 
 The traced benchmark wraps engine functions by name; a rename must fail here, not silently there.
 The runner checks every report it produces; a report change it rejects must fail here first.
+The package itself must not validate with assert, which python -O strips.
 """
+import ast
 import importlib.util
 import json
 import os
@@ -87,3 +89,15 @@ def test_every_public_name_resolves():
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_no_assert_in_the_package():
+    """Input checks raise the package's own errors: python -O strips every assert statement."""
+    package = PERFBENCH.parent / "src" / "weyl_dl"
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert sorted(package.rglob("*.py")) and found == []
