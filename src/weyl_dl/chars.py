@@ -23,8 +23,8 @@ from functools import cached_property, reduce
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
-from .grp import ConjugacyClasses, conjugacy_classes
+from .errors import GroupMismatch, InternalError, InvalidType, IrrationalityError, NotVirtual
+from .grp import ConjugacyClasses, _check_weyl, conjugacy_classes
 from .ratlinalg import nullspace, split_prime
 from .rootsys import WeylGroup
 from . import symchars
@@ -154,20 +154,22 @@ def trivial(classes: ConjugacyClasses) -> ClassFunction:
 
 def sign(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
     """(-1)^length, evaluated on class representatives."""
+    _check_weyl(classes, W.group_id)
     vals = tuple((-1) ** W.lengths[r] for r in classes.reps)
     return ClassFunction(classes.group_id, vals)
 
 
 def reflection(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
-    """Trace on the rank-dimensional reflection representation, exactly."""
+    """Trace on the reflection representation: the sum over j of coordinate j of w(a_j), exactly."""
+    _check_weyl(classes, W.group_id)
     rs = W.rootsystem
     vals = []
     for r in classes.reps:
-        images = W.simple_images[r]
         trace = 0
-        for j in range(W.rank):
-            image = rs.roots[images[rs.simple_root_columns[j]]]
-            trace += image[j]
+        for j, root in enumerate(rs.simple_root_columns):
+            for i in reversed(W.words[r]):  # a_j walked through w's reduced word, last letter first
+                root = rs.simple_reflection_perms[i][root]
+            trace += rs.roots[root][j]
         vals.append(trace)
     return ClassFunction(classes.group_id, tuple(vals))
 
@@ -410,6 +412,7 @@ def character_table(W: WeylGroup, classes: ConjugacyClasses | None = None) -> Ch
     """
     if classes is None:
         classes = conjugacy_classes(W)
+    _check_weyl(classes, W.group_id)
     key = ("character_table", classes.group_id)
     if key in W.cache:
         return W.cache[key]
@@ -427,8 +430,9 @@ def table_from_rows(
 
     Degrees are read at the identity class and labels come from table_labels;
     IrrationalityError if the rows are not the irreducible characters or not
-    in canonical order.
+    in canonical order; GroupMismatch if classes partition a subgroup of another W.
     """
+    _check_weyl(classes, W.group_id)
     certify_characters(W, classes, rows)
     if list(rows) != canonical_rows(classes, rows):
         raise IrrationalityError("the rows are not in canonical order")
@@ -465,24 +469,25 @@ def decompose(table: CharacterTable, f: ClassFunction) -> VirtualCharacter:
         if not isinstance(c, int):
             raise NotVirtual(f"pairing {c} with an irreducible is not an integer")
         coeffs.append(c)
-    if _combine(table, coeffs) != f.values:
+    if _combine([chi.values for chi in table.irreducibles], coeffs) != f.values:
         raise NotVirtual("reconstruction from irreducible pairings failed")
     return VirtualCharacter(table.group_id, tuple(coeffs))
 
 
-def _combine(table: CharacterTable, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Values of sum of coeffs[i] * chi_i, as integer sums."""
-    vals = [0] * table.classes.n_classes
-    for c, chi in zip(coeffs, table.irreducibles):
+def _combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
+    """sum of coeffs[i] * rows[i]: irreducibles' values, or the rows of an operator's matrix."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
         if c:
-            vals = [a + c * v for a, v in zip(vals, chi.values)]
-    return tuple(vals)
+            out = [a + c * v for a, v in zip(out, row)]
+    return tuple(out)
 
 
 def realize(table: CharacterTable, v: VirtualCharacter) -> ClassFunction:
     """The class function of a virtual character."""
     check_on(v, table.classes)
-    return ClassFunction(table.group_id, _combine(table, v.coeffs))
+    rows = [chi.values for chi in table.irreducibles]
+    return ClassFunction(table.group_id, _combine(rows, v.coeffs))
 
 
 def tensor(table: CharacterTable, v: VirtualCharacter, w: VirtualCharacter) -> VirtualCharacter:
@@ -495,6 +500,9 @@ def tensor(table: CharacterTable, v: VirtualCharacter, w: VirtualCharacter) -> V
 
 
 def unit(table: CharacterTable, i: int) -> VirtualCharacter:
+    """The irreducible with index i; InvalidType unless i is an int in 0..k-1."""
+    if type(i) is not int or not 0 <= i < table.n_irreducibles:
+        raise InvalidType(f"irreducible index {i!r} is outside 0..{table.n_irreducibles - 1}")
     coeffs = [0] * table.n_irreducibles
     coeffs[i] = 1
     return VirtualCharacter(table.group_id, tuple(coeffs))

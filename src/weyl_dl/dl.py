@@ -17,8 +17,8 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .chars import (
-    CharacterTable, ClassFunction, VirtualCharacter, check_on, decompose, irreducible_labels,
-    sign, unit,
+    CharacterTable, ClassFunction, VirtualCharacter, _combine, check_on, decompose,
+    irreducible_labels, sign, unit,
 )
 from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import parabolic
@@ -103,21 +103,10 @@ def dl_inverse_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, .
     return matrix
 
 
-def _apply(matrix: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients of sum of coeffs[i] * (row i of matrix)."""
-    k = len(matrix)
-    out = [0] * k
-    for i, c in enumerate(coeffs):
-        if c:
-            for j in range(k):
-                out[j] += c * matrix[i][j]
-    return tuple(out)
-
-
 def dl_operator(W: WeylGroup, table: CharacterTable, v: VirtualCharacter) -> VirtualCharacter:
     """Apply DL to a virtual character, exactly."""
     check_on(v, table.classes)
-    return VirtualCharacter(table.group_id, _apply(dl_matrix(W, table), v.coeffs))
+    return VirtualCharacter(table.group_id, _combine(dl_matrix(W, table), v.coeffs))
 
 
 def sign_tensor_permutation(W: WeylGroup, table: CharacterTable) -> tuple[int, ...]:
@@ -169,7 +158,7 @@ def verify_involution(W: WeylGroup, table: CharacterTable) -> tuple[str, ...]:
     k = len(matrix)
     violations = []
     for i in range(k):
-        twice = _apply(matrix, matrix[i])
+        twice = _combine(matrix, matrix[i])
         expected = tuple(1 if j == i else 0 for j in range(k))
         if twice != expected:
             violations.append(f"column #{i}: DL^2 image is {twice}")

@@ -26,18 +26,20 @@ from .rootsys import WeylGroup
 class ConjugacyClasses:
     """A subgroup of W, given by its members, partitioned into conjugation orbits.
 
-    generators lists the simple reflections that generate the subgroup (all of
-    them for W), or is None for an explicit subgroup, which only callers of
-    subgroup_classes build.  Representatives are canonical: each is the
-    smallest element index in its class, and classes are listed in order of
-    their representatives.  class_index maps each member, and only the
-    members, to its class.  counts[G.group_id] keeps the nonzero induction
-    counts from this subgroup up to a supergroup G, as (G class, class,
-    count) triples, and fusion[G.group_id] the G-class of each class (indres).
+    weyl_id is the group id of W.  generators lists the simple reflections that
+    generate the subgroup (all of them for W), or is None for an explicit
+    subgroup, which only callers of subgroup_classes build.  Representatives
+    are canonical: each is the smallest element index in its class, and classes
+    are listed in order of their representatives.  class_index maps each
+    member, and only the members, to its class.  counts[G.group_id] keeps the
+    nonzero induction counts from this subgroup up to a supergroup G, as (G
+    class, class, count) triples, and fusion[G.group_id] the G-class of each
+    class (indres).
     """
 
     def __init__(
         self,
+        weyl_id: str,
         group_id: str,
         members: tuple[int, ...],
         reps: tuple[int, ...],
@@ -46,6 +48,7 @@ class ConjugacyClasses:
         inverse_class: tuple[int, ...],
         generators: tuple[int, ...] | None,
     ):
+        self.weyl_id = weyl_id
         self.group_id = group_id
         self.members = members
         self.reps = reps
@@ -73,6 +76,12 @@ class ConjugacyClasses:
             return self.class_index[e]
         except KeyError:
             raise GroupMismatch(f"element {e} is not a member of {self.group_id}") from None
+
+
+def _check_weyl(classes: ConjugacyClasses, weyl_id: str) -> None:
+    """GroupMismatch unless classes partition a subgroup of any build of the W with id weyl_id."""
+    if classes.weyl_id != weyl_id:
+        raise GroupMismatch(f"{classes.group_id} is a subgroup of {classes.weyl_id}, not of {weyl_id}")
 
 
 def _classes_of_members(
@@ -122,6 +131,7 @@ def _classes_of_members(
         if fused[e] != fused[reps[class_of[e]]]:
             raise InternalError(f"class of element {e} in {group_id} does not fuse")
     return ConjugacyClasses(
+        weyl_id=W.group_id,
         group_id=group_id,
         members=tuple(members),
         reps=tuple(reps),

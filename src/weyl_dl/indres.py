@@ -25,7 +25,7 @@ from operator import floordiv, mod, mul
 from typing import Sequence
 
 from .chars import CharacterTable, ClassFunction, check_on, exact_quotient
-from .grp import ConjugacyClasses, conjugacy_classes, double_cosets, parabolic
+from .grp import ConjugacyClasses, _check_weyl, conjugacy_classes, double_cosets, parabolic
 from .rootsys import WeylGroup
 
 
@@ -57,10 +57,12 @@ def induction_counts(G: ConjugacyClasses, H: ConjugacyClasses) -> Counts:
     Each member of H is tallied under its (G class, H class) pair, and each
     tally is scaled by the centralizer order |G|/|C_r|.  A class c of H lies
     in one class r of G, so there is one triple per class of H, in the order
-    of the G-classes, then the H-classes.  Cached in H.counts.
+    of the G-classes, then the H-classes.  Cached in H.counts.  GroupMismatch
+    if H and G are subgroups of different Weyl groups.
     """
     counts = H.counts.get(G.group_id)
     if counts is None:
+        _check_weyl(H, G.weyl_id)
         tally = Counter((G.class_of(h), H.class_of(h)) for h in H.members)
         counts = H.counts[G.group_id] = tuple(
             (r, c, n * (G.order // G.sizes[r])) for (r, c), n in sorted(tally.items())

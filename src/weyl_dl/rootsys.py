@@ -2,13 +2,13 @@
 
 Everything is exact: roots live in the root lattice (integer coordinates in the
 simple-root basis) and the simple reflections are permutations of the finite
-root list.  An element is fixed by the r images of the simple roots
-(Geck-Pfeiffer 2000, ch. 1-2), so the enumeration stores those, as root
-indices, and builds permutations of the whole root list only on request.
-Per simple reflection s_i a group keeps the index maps y -> y*s_i, recorded
-while it is enumerated, and y -> s_i*y*s_i.  Every product is a walk through
-these maps along a reduced word (Geck-Pfeiffer 2000, ch. 2); no product of two
-arbitrary permutations is formed after enumeration.
+root list.  A group keeps each element as its index and its reduced word.  The
+enumeration finds an element by its images of the simple roots, which fix it
+(Geck-Pfeiffer 2000, ch. 1-2), and keeps none of them.  Per simple reflection
+s_i a group keeps the index maps y -> y*s_i, recorded while it is enumerated,
+and y -> s_i*y*s_i.  A product is a walk through these maps along a reduced
+word, an image of a root a walk through the simple reflections (Geck-Pfeiffer
+2000, ch. 2); permutations of the whole root list are built only on request.
 """
 from __future__ import annotations
 
@@ -159,35 +159,27 @@ def build_cartan(type_label: str, rank: int) -> CartanDatum:
     return CartanDatum(type_label, rank, matrix)
 
 
-class _RootSystemFields(NamedTuple):
+class RootSystem(NamedTuple):
+    """The finite root set, in simple-root coordinates, with the simple reflections.
+
+    Roots are ordered: positive roots first, sorted by (height, coordinates),
+    then the negatives in the matching order.  This ordering is what makes every
+    downstream permutation, and hence every table, deterministic.
+    """
+
     cartan: CartanDatum
     roots: tuple[Coords, ...]
     n_positive: int
     simple_reflection_perms: tuple[Perm, ...]
 
-
-class RootSystem(_RootSystemFields):
-    """The finite root set, in simple-root coordinates, with the simple reflections.
-
-    Roots are ordered: positive roots first, sorted by (height, coordinates),
-    then the negatives in the matching order.  This ordering is what makes every
-    downstream permutation, and hence every table, deterministic.  Without
-    __slots__ an instance has the __dict__ its cached properties are kept in.
-    """
-
-    @cached_property
-    def root_index(self) -> dict[Coords, int]:
-        return {r: i for i, r in enumerate(self.roots)}
-
-    @cached_property
+    @property
     def simple_root_columns(self) -> tuple[int, ...]:
-        """Root-list positions of the simple roots, in simple-root order."""
-        rank = self.cartan.rank
-        cols = []
-        for i in range(rank):
-            e = tuple(1 if j == i else 0 for j in range(rank))
-            cols.append(self.root_index[e])
-        return tuple(cols)
+        """Root-list positions of the simple roots, in simple-root order.
+
+        The simple roots are the roots of height 1, so they come first, and
+        sorting them by coordinates puts a_r first and a_1 last.
+        """
+        return tuple(range(self.cartan.rank - 1, -1, -1))
 
 
 def _reflect(cartan: CartanDatum, v: Coords, i: int) -> Coords:
@@ -271,39 +263,29 @@ def build_root_system(cartan: CartanDatum) -> RootSystem:
     return rs
 
 
-def _compose(a: Perm, b: Perm) -> Perm:
-    """a after b."""
-    return tuple(a[x] for x in b)
-
-
 class WeylGroup:
-    """The full reflection group, enumerated by the images of the simple roots.
+    """The full reflection group: each element is its index and its reduced word.
 
     Elements are indexed 0..order-1 in canonical order: by length, then by the
     lexicographic image of the root list.  Index 0 is the identity.
-    The first r roots are the simple roots, and their images fix an element:
-    simple_images[y] holds them as root indices, one byte each, so
-    simple_images[y][c] == elements[y][c] for c < r.  right_maps[i][y] is the
-    index of y*s_i.  The elements as permutations of the whole root list are
-    built only when first asked for.
+    words[y] is a reduced word of y, so lengths[y] is its length, and
+    right_maps[i][y] is the index of y*s_i.  The elements as permutations of
+    the whole root list are built only when first asked for.
     """
 
     def __init__(
         self,
         rootsystem: RootSystem,
-        lengths: tuple[int, ...],
         words: tuple[tuple[int, ...], ...],
         right_maps: tuple[tuple[int, ...], ...],
         inverses: tuple[int, ...],
-        simple_images: tuple[bytes, ...],
     ):
         self.rootsystem = rootsystem
         self.cartan = rootsystem.cartan
-        self.lengths = lengths
+        self.lengths = tuple(map(len, words))
         self.words = words
         self.right_maps = right_maps
         self._inverses = inverses
-        self.simple_images = simple_images
         self.identity_index = 0
         self.generator_indices = tuple(r[self.identity_index] for r in right_maps)
         self.group_id = rootsystem.cartan.label
@@ -327,7 +309,7 @@ class WeylGroup:
         perms = [tuple(range(len(self.rootsystem.roots)))]
         for y in range(1, self.order):
             i = self.words[y][-1]
-            perms.append(_compose(perms[self.right_maps[i][y]], gens[i]))
+            perms.append(tuple(map(perms[self.right_maps[i][y]].__getitem__, gens[i])))
         return tuple(perms)
 
     @cached_property
@@ -385,7 +367,8 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
     A standard Cartan matrix gives a group whose order is the product of its
     fundamental degrees; if that exceeds max_order, SizeLimit is raised before
     any product is formed.  The search finds each element y by its key, y^-1
-    applied to the first r roots (the simple roots), which fixes y.  Keys are
+    applied to the first r roots (the simple roots: see
+    RootSystem.simple_root_columns), which fixes y.  Keys are
     bytes of root indices, so the key of y*s_i is the key of y translated by
     the permutation s_i, one call.  The search records y*s_i for every element
     y, which become the group's right_maps.
@@ -396,12 +379,9 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
     if n_roots > 256:
         # keys hold root indices in bytes; every such group has over 10^11 elements
         raise SizeLimit(f"{cartan.label} has {n_roots} roots, more than the 256 a search key holds")
-    rank = cartan.rank
-    if sorted(rootsystem.simple_root_columns) != list(range(rank)):
-        raise InternalError("the simple roots are not the first roots of the list")
     # translate tables have 256 entries; those past the last root are never read
     gens = [bytes(g) + bytes(256 - n_roots) for g in rootsystem.simple_reflection_perms]
-    identity = bytes(range(rank))
+    identity = bytes(range(cartan.rank))
     found = {identity: 0}
     keys = [identity]
     words: list[tuple[int, ...]] = [()]
@@ -436,19 +416,16 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
         inverses.append(y)
     # y's images of the first r roots are the key of y^-1; they order distinct
     # elements as the images of the whole root list do
-    images = [keys[y] for y in inverses]
+    ordering = sorted(range(n), key=lambda k: (len(words[k]), keys[inverses[k]]))
     del keys
-    ordering = sorted(range(n), key=lambda k: (len(words[k]), images[k]))
     position = [0] * n
     for pos, k in enumerate(ordering):
         position[k] = pos
     return WeylGroup(
         rootsystem,
-        tuple(len(words[k]) for k in ordering),
         tuple(words[k] for k in ordering),
         tuple(tuple(position[succ[k]] for k in ordering) for succ in successors),
         tuple(position[inverses[k]] for k in ordering),
-        tuple(images[k] for k in ordering),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
-from .errors import InternalError, InvalidType
+from .errors import InvalidType
 from .rootsys import WeylGroup
 
 Partition = tuple[int, ...]
@@ -113,34 +113,14 @@ def sn_character_table(n: int) -> tuple[tuple[Partition, ...], list[list[int]]]:
 def natural_permutation(W: WeylGroup, e: int) -> tuple[int, ...]:
     """For a type-A group of rank n, the element as a permutation of {0..n}.
 
-    A root with coordinate support [lo..hi] is the difference of coordinate
-    vectors at points lo and hi+1; chaining the images of the simple roots
-    recovers the point permutation.
+    s_i swaps the points i and i+1, so sigma starts as the identity and each
+    letter i of e's reduced word, first to last, swaps sigma[i] and sigma[i+1].
     """
     if W.cartan.type_label != "A":
         raise InvalidType(f"{W.cartan.label} is not of type A")
-    rank = W.rank
-    rs = W.rootsystem
-    images = W.simple_images[e]
-
-    def pair_of(root: tuple[int, ...]) -> tuple[int, int]:
-        if all(c >= 0 for c in root):
-            support = [i for i, c in enumerate(root) if c == 1]
-            return support[0], support[-1] + 1
-        hi, lo = pair_of(tuple(-c for c in root))
-        return lo, hi
-
-    sigma = [-1] * (rank + 1)
-    for i in range(rank):
-        col = rs.simple_root_columns[i]
-        a, b = pair_of(rs.roots[images[col]])
-        if sigma[i] < 0:
-            sigma[i] = a
-        elif sigma[i] != a:
-            raise InternalError(f"images of simple roots {i} and {i + 1} do not chain")
-        sigma[i + 1] = b
-    if sorted(sigma) != list(range(rank + 1)):
-        raise InternalError(f"element {e} does not permute the points 0..{rank}")
+    sigma = list(range(W.rank + 1))
+    for i in W.words[e]:
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
     return tuple(sigma)
 
 

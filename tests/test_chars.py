@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from weyl_dl import (
     GroupMismatch,
+    InvalidType,
     IrrationalityError,
     build_weyl_group,
     NotVirtual,
@@ -261,6 +262,48 @@ def test_sign_and_reflection(tables):
     assert sign(W, cc).values == (Fraction(1), Fraction(-1), Fraction(1))
     assert reflection(W, cc).values == (Fraction(2), Fraction(0), Fraction(-1))
     assert inner_product(cc, trivial(cc), trivial(cc)) == 1
+
+
+@pytest.mark.parametrize("type_label,rank", [*ROSTER, ("D", 5)])
+def test_reflection_is_the_trace_of_the_root_action(groups, type_label, rank):
+    """Column j of w's matrix is the coordinate vector of w(a_j), read off the permutation of the roots."""
+    W = groups(type_label, rank)
+    cc = conjugacy_classes(W)
+    roots = W.rootsystem.roots
+    columns = [roots.index(tuple(int(j == i) for j in range(rank))) for i in range(rank)]
+    expected = tuple(
+        sum(roots[W.elements[w][columns[j]]][j] for j in range(rank)) for w in cc.reps
+    )
+    assert reflection(W, cc).values == expected
+
+
+@pytest.mark.parametrize("i", [-1, 3, True, 1.0], ids=repr)
+def test_unit_refuses_an_index_outside_the_irreducibles(tables, i):
+    _, _, t = tables("A", 2)
+    with pytest.raises(InvalidType, match=rf"irreducible index {i!r} is outside 0\.\.2$"):
+        unit(t, i)
+
+
+def test_a_partition_of_another_weyl_group_is_a_group_mismatch(tables, groups):
+    """The classes of B2 on A2: the indices overlap, so only the group ids can tell."""
+    W, cc, t = tables("A", 2)
+    WB = groups("B", 2)
+    ccB = conjugacy_classes(WB)
+    rows = [chi.values for chi in character_table(WB).irreducibles]
+    for call in (lambda: character_table(W, ccB), lambda: table_from_rows(W, ccB, rows),
+                 lambda: sign(W, ccB), lambda: reflection(W, ccB)):
+        with pytest.raises(GroupMismatch, match="B2 is a subgroup of B2, not of A2"):
+            call()
+
+
+def test_a_second_build_of_a_type_shares_its_partitions(tables):
+    """A second build of A2 indexes its elements as the first does, so the partitions carry over."""
+    W, cc, t = tables("A", 2)
+    W2 = build_weyl_group("A", 2)
+    assert W2 is not W
+    assert character_table(W2, cc).irreducibles == t.irreducibles
+    assert sign(W2, cc) == sign(W, cc)
+    assert reflection(W2, cc) == reflection(W, cc)
 
 
 def test_decompose_regular(tables):

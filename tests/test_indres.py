@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,27 @@ def test_restrict_group_mismatch(tables):
         restrict(trivial(cc3), P, cc)
     with pytest.raises(GroupMismatch):
         induce(trivial(cc), P, cc)
+
+
+def test_a_subgroup_of_another_weyl_group_is_a_group_mismatch(tables, groups):
+    """W_{s1} of B2 against A2: its members are indices of A2 too, so only the group ids can tell."""
+    W, cc, t = tables("A", 2)
+    H = parabolic(groups("B", 2), [0])
+    with pytest.raises(GroupMismatch, match=re.escape("B2|I=[1] is a subgroup of B2, not of A2")):
+        restrict(t.irreducibles[1], H, cc)
+    with pytest.raises(GroupMismatch, match="not of A2"):
+        induce(ClassFunction(H.group_id, (1, -1)), H, cc)
+    with pytest.raises(GroupMismatch, match="not of A2"):
+        frobenius_check(t, character_table(groups("B", 2), H))
+    assert "A2" not in H.counts and "A2" not in H.fusion
+
+
+def test_a_subgroup_from_a_second_build_of_a_type_is_accepted(tables):
+    W, cc, t = tables("A", 2)
+    H, H2 = parabolic(W, [0]), parabolic(build_weyl_group("A", 2), [0])
+    assert H2 is not H
+    assert restrict(t.irreducibles[1], H2, cc) == restrict(t.irreducibles[1], H, cc)
+    assert induce(trivial(H2), H2, cc) == induce(trivial(H), H, cc)
 
 
 def test_subgroup_outside_supergroup_is_a_group_mismatch(tables):

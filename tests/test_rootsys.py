@@ -319,6 +319,15 @@ def test_enumeration_matches_full_permutation_search(type_label, rank):
     assert tuple(W.inv(y) for y in range(W.order)) == inverses
     assert "elements" not in vars(W)  # built only when asked for
     assert W.elements == elements
-    columns = W.rootsystem.simple_root_columns
-    for y, p in enumerate(elements):
-        assert [W.simple_images[y][c] for c in columns] == [p[c] for c in columns]
+    rs = W.rootsystem
+    assert [rs.roots[c] for c in rs.simple_root_columns] == [
+        tuple(int(j == i) for j in range(rank)) for i in range(rank)
+    ]
+
+
+def test_simple_root_columns_of_a_non_standard_datum():
+    """The height-1 roots come first, a_r first, for any Cartan matrix: here a G2 matrix labelled A2."""
+    rs = build_root_system(CartanDatum("A", 2, ((2, -1), (-3, 2))))
+    assert len(rs.roots) == 12
+    assert rs.simple_root_columns == (1, 0)
+    assert [rs.roots[c] for c in rs.simple_root_columns] == [(1, 0), (0, 1)]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +97,38 @@ def test_natural_permutation_roundtrip(groups):
         expected = list(range(4))
         expected[i], expected[i + 1] = expected[i + 1], expected[i]
         assert sigma == tuple(expected)
+
+
+def decoded_permutation(W, e):
+    """The point permutation decoded from e's images of the simple roots, read off W.elements.
+
+    A root with coordinate support [lo..hi] is the difference of the coordinate
+    vectors at the points lo and hi+1; chaining the images of a_1..a_n gives
+    the image of every point.
+    """
+    roots = W.rootsystem.roots
+
+    def pair_of(root):
+        if all(c >= 0 for c in root):
+            support = [i for i, c in enumerate(root) if c == 1]
+            return support[0], support[-1] + 1
+        hi, lo = pair_of(tuple(-c for c in root))
+        return lo, hi
+
+    sigma = [None] * (W.rank + 1)
+    for i in range(W.rank):
+        column = roots.index(tuple(int(j == i) for j in range(W.rank)))
+        a, b = pair_of(roots[W.elements[e][column]])
+        assert sigma[i] in (None, a), "the images of a_i and a_(i+1) do not chain"
+        sigma[i], sigma[i + 1] = a, b
+    return tuple(sigma)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_natural_permutation_matches_the_decoded_root_images(groups, rank):
+    """The reduced word's transpositions give the permutation the root images give, on every element."""
+    W = groups("A", rank)
+    assert all(natural_permutation(W, e) == decoded_permutation(W, e) for e in range(W.order))
 
 
 def test_natural_permutation_is_homomorphism(groups):

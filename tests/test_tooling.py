@@ -101,3 +101,25 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(package.rglob("*.py")) and found == []
+
+
+def test_every_import_in_the_package_is_read():
+    """An imported name that its module never reads is dead code; a deliberate one is marked # noqa: F401."""
+    package = PERFBENCH.parent / "src" / "weyl_dl"
+    unread = []
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+    assert sorted(package.rglob("*.py")) and unread == []
