@@ -23,8 +23,8 @@ from functools import cached_property, reduce
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import GroupMismatch, InternalError, InvalidType, IrrationalityError, NotVirtual
-from .grp import ConjugacyClasses, _check_weyl, conjugacy_classes
+from .errors import GroupMismatch, InternalError, IrrationalityError, NotVirtual
+from .grp import ConjugacyClasses, _check_index, _check_weyl, conjugacy_classes
 from .ratlinalg import nullspace, split_prime
 from .rootsys import WeylGroup
 from . import symchars
@@ -501,8 +501,7 @@ def tensor(table: CharacterTable, v: VirtualCharacter, w: VirtualCharacter) -> V
 
 def unit(table: CharacterTable, i: int) -> VirtualCharacter:
     """The irreducible with index i; InvalidType unless i is an int in 0..k-1."""
-    if type(i) is not int or not 0 <= i < table.n_irreducibles:
-        raise InvalidType(f"irreducible index {i!r} is outside 0..{table.n_irreducibles - 1}")
+    _check_index(i, table.n_irreducibles, "irreducible")
     coeffs = [0] * table.n_irreducibles
     coeffs[i] = 1
     return VirtualCharacter(table.group_id, tuple(coeffs))

@@ -190,7 +190,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     """
     from .chars import character_table
     from .dl import dl_matrix, sign_permutation, springer_table, subsets as subsets_of
-    from .grp import parabolic
+    from .grp import _orbit, parabolic
     from .indres import frobenius_check, induce, mackey_check
     from .rootsys import fundamental_degrees
     from .symchars import transpose
@@ -212,14 +212,8 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     add(CheckItem("faithful-action", len(set(W.elements)) == W.order))
 
     # the conjugates of the simple reflections: their orbit under conjugation by each s_i
-    reflections = set(W.generator_indices)
-    orbit = list(reflections)
-    for y in orbit:
-        for conj in W.conjugation_maps:
-            if conj[y] not in reflections:
-                reflections.add(conj[y])
-                orbit.append(conj[y])
-    add(CheckItem("reflection-count", len(reflections) == npos, f"count={len(reflections)}"))
+    count = len(_orbit(W.generator_indices, W.conjugation_maps))
+    add(CheckItem("reflection-count", count == npos, f"count={count}"))
 
     add(CheckItem("class-sizes-sum", sum(classes.sizes) == W.order,
                   f"classes={classes.n_classes}"))

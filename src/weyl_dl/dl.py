@@ -21,7 +21,7 @@ from .chars import (
     irreducible_labels, sign, unit,
 )
 from .errors import GroupMismatch, InternalError, InvalidType
-from .grp import parabolic
+from .grp import _check_weyl, parabolic
 from .indres import induce, restrict
 from .rootsys import WeylGroup
 
@@ -64,9 +64,10 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
 def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """Columns are the images of the irreducibles of W_J under sum over I in J of (-1)^|I| ind res."""
     G = table.classes
+    _check_weyl(G, W.group_id)
     gens = G.generators
-    if gens is None or any(i >= W.rank for i in gens) or parabolic(W, gens) is not G:
-        raise GroupMismatch(f"table on {G.group_id} is not on {W.group_id} or a standard parabolic")
+    if gens is None:
+        raise GroupMismatch(f"table on {G.group_id} is on an explicit subgroup, not a standard parabolic")
     sums = [[0] * G.n_classes for _ in table.irreducibles]
     for positions in subsets(len(gens)):
         subset = tuple(gens[k] for k in positions)

@@ -6,11 +6,11 @@ Members are element indices of W, so an inclusion of subgroups is the
 identity on indices, and a class of a subgroup fuses into the class of its
 representative in any supergroup.  Each value is built once and cached on W.
 
-Orbits come from the index maps of the group: W and its parabolic subgroups
-conjugate by the simple reflections that generate them, an explicit subgroup
-(subgroup_classes, kept for callers) by its own members, each a product of
-simple-reflection conjugations along its reduced word.  Closures walk
-y -> y*s_i.  Each double coset W_J x W_I has a unique shortest element
+One breadth-first walk over index maps of W, _orbit, gives every subgroup and
+class: W_I closes the identity under y -> y*s_i for i in I, W and W_I conjugate
+by the simple reflections that generate them, and an explicit subgroup
+(subgroup_classes, kept for callers) by its own members, restricted to the
+members.  Each double coset W_J x W_I has a unique shortest element
 (Geck-Pfeiffer 2000, Prop. 2.1.1), the x with no right descent in I and no
 left descent in J, and W_J n x W_I x^-1 is then the parabolic W_K with
 K = J n x I x^-1 (Kilmoyer; Geck-Pfeiffer 2000, sec. 2.1).
@@ -84,44 +84,49 @@ def _check_weyl(classes: ConjugacyClasses, weyl_id: str) -> None:
         raise GroupMismatch(f"{classes.group_id} is a subgroup of {classes.weyl_id}, not of {weyl_id}")
 
 
+def _check_index(i, bound: int, what: str) -> None:
+    """InvalidType unless i is an int in 0..bound-1; a bool or a float is no index."""
+    if type(i) is not int or not 0 <= i < bound:
+        raise InvalidType(f"{what} index {i!r} is outside 0..{bound - 1}")
+
+
+def _orbit(start: Sequence[int], maps: Sequence[Sequence[int] | dict[int, int]]) -> list[int]:
+    """The distinct indices start, then every index the maps reach from them, breadth-first."""
+    orbit = list(start)
+    seen = set(orbit)
+    for y in orbit:
+        for m in maps:
+            z = m[y]
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return orbit
+
+
 def _classes_of_members(
     W: WeylGroup, members: Sequence[int], group_id: str, generators: tuple[int, ...] | None
 ) -> ConjugacyClasses:
     """Conjugation orbits of a subgroup given by its members.
 
-    The conjugation maps of the generators span each orbit breadth-first; an
-    explicit subgroup (generators None) sweeps each orbit by conjugating with
-    every member.  The order must divide |W|, and every element must lie in
-    the W-class of its representative.
+    The generators' conjugation maps walk each orbit, or each member's for an explicit subgroup
+    (generators None).  The order must divide |W|, and each element lie in its rep's W-class.
     """
     members = sorted(members)
     if W.order % len(members):
         raise InternalError(f"the order {len(members)} of {group_id} does not divide |W| = {W.order}")
-    maps = W.conjugation_maps
+    if generators is None:
+        maps = [{y: W.conjugate(x, y) for y in members} for x in members]
+    else:
+        maps = [W.conjugation_maps[i] for i in generators]
     class_of: dict[int, int] = {}
     reps: list[int] = []
     sizes: list[int] = []
     for e in members:
-        if e in class_of:
-            continue
-        c = len(reps)
-        class_of[e] = c
-        orbit = [e]
-        if generators is not None:
-            for y in orbit:
-                for i in generators:
-                    z = maps[i][y]
-                    if z not in class_of:
-                        class_of[z] = c
-                        orbit.append(z)
-        else:
-            for x in members:
-                z = W.conjugate(x, e)
-                if z not in class_of:
-                    class_of[z] = c
-                    orbit.append(z)
-        reps.append(e)
-        sizes.append(len(orbit))
+        if e not in class_of:
+            orbit = _orbit([e], maps)
+            class_of.update(dict.fromkeys(orbit, len(reps)))
+            reps.append(e)
+            sizes.append(len(orbit))
     if sum(sizes) != len(members):
         raise InternalError(
             f"class sizes of {group_id} sum to {sum(sizes)}, not to its order {len(members)}"
@@ -146,9 +151,7 @@ def conjugacy_classes(W: WeylGroup) -> ConjugacyClasses:
     """Classes of the full group, cached on the group."""
     key = "conjugacy_classes"
     if key not in W.cache:
-        W.cache[key] = _classes_of_members(
-            W, range(W.order), W.group_id, tuple(range(W.rank))
-        )
+        W.cache[key] = _classes_of_members(W, range(W.order), W.group_id, tuple(range(W.rank)))
     return W.cache[key]
 
 
@@ -160,31 +163,28 @@ def parabolic(W: WeylGroup, subset: Iterable[int]) -> ConjugacyClasses:
     """
     subset = tuple(subset)
     for i in subset:  # before sorting: a bool or a float is no index
-        if type(i) is not int or not 0 <= i < W.rank:
-            raise InvalidType(f"simple reflection index {i!r} is outside 0..{W.rank - 1}")
+        _check_index(i, W.rank, "simple reflection")
     subset = tuple(sorted(set(subset)))
     if len(subset) == W.rank:
         return conjugacy_classes(W)
     key = ("parabolic", subset)
     if key not in W.cache:
-        members = [W.identity_index]
-        seen = set(members)
-        for x in members:
-            for i in subset:
-                y = W.right_maps[i][x]
-                if y not in seen:
-                    seen.add(y)
-                    members.append(y)
+        members = _orbit([W.identity_index], [W.right_maps[i] for i in subset])
         tag = ",".join(str(i + 1) for i in subset)
         W.cache[key] = _classes_of_members(W, members, f"{W.group_id}|I=[{tag}]", subset)
     return W.cache[key]
 
 
 def subgroup_classes(W: WeylGroup, members: Sequence[int]) -> ConjugacyClasses:
-    """An explicit subgroup given by its members, with a digest-based identifier; cached on W."""
-    members = tuple(sorted(members))
+    """An explicit subgroup given by its members, or InvalidType; cached on W with a digest-based id."""
+    for e in members:  # before sorting and deduplicating: True would merge into 1
+        _check_index(e, W.order, "element")
+    members = tuple(sorted(set(members)))
     key = ("subgroup_classes", members)
     if key not in W.cache:
+        closed = set(members)
+        if W.identity_index not in closed or any(W.mul(x, y) not in closed for x in closed for y in closed):
+            raise InvalidType(f"the members given are no subgroup of {W.group_id}")
         import hashlib  # kept off the import path: it loads OpenSSL
 
         digest = hashlib.sha1(",".join(map(str, members)).encode()).hexdigest()[:10]

@@ -191,6 +191,16 @@ def test_dl_refuses_a_table_of_another_group(tables):
     assert dl_matrix(W, t_a2)
 
 
+def test_dl_accepts_a_table_of_another_build():
+    """A table of a second build of W, or of one of its parabolics, is on W: the same DL matrix."""
+    W, W2 = build_weyl_group("A", 2), build_weyl_group("A", 2)
+    t, t2 = character_table(W), character_table(W2)
+    assert dl_matrix(W, t2) == dl_matrix(W, t)
+    assert verify_sign_twist(W, t2) == ()
+    p, p2 = character_table(W, parabolic(W, (1,))), character_table(W2, parabolic(W2, (1,)))
+    assert dl_matrix(W, p2) == dl_matrix(W, p)
+
+
 def test_dl_caches_follow_the_table_not_its_group():
     """A second table of the same group, rows reordered, gets its own DL matrix and sign permutation."""
     W = build_weyl_group("A", 2)

@@ -1,4 +1,6 @@
-"""Byte identity with known reports: the sha256 of stdout for fixed commands.
+"""Byte identity with known reports: the sha256 of stdout for fixed commands,
+of the cache files a cold `table` writes, and the exit code and stderr of
+refused command lines.
 
 Run-to-run determinism is tested elsewhere; these digests pin the reports
 themselves, so a refactor that changes a byte of `verify all`, of a `dl`
@@ -7,7 +9,8 @@ its digest in the same commit.
 """
 import hashlib
 import io
-from contextlib import redirect_stdout
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -89,6 +92,17 @@ CACHE_FILES = (
     ("B", "3", "B3z0.v1.json", "991bdd8931542888b837bc42e0386eee8cdda6aec6fcfbbe797e717dbe62fb98"),
     ("D", "4", "D4z0.v1.json", "85fed89c5642a5bba2ece8de52dab1377fccd2e36faf9bc13257aca539b5cd30"),
     ("F", "4", "F4z0.v1.json", "40a6777c11a53f81316fb6fe6afc9250ed8938519a51db7299bfe3c6509cd29a"),
+    # the rest of the roster, then three types beyond it
+    ("A", "1", "A1z0.v1.json", "4ed11946b2fd4ba045cfc618f92f6f43c90546bba562bfb8b378e43f298e7e19"),
+    ("A", "2", "A2z0.v1.json", "22f7cf9e6a72a6e0d12beaabb809636e5da11163147d4082ec038e5143a751fd"),
+    ("A", "4", "A4z0.v1.json", "0b45a2458310b9cd33ed28ea8f81136ec019380aa459ca1a0e455c06d2a43ca4"),
+    ("A", "5", "A5z0.v1.json", "1626c9bcba592264afe6e452811ed4adf397f6550d0a07c60209acec97f2e29d"),
+    ("B", "2", "B2z0.v1.json", "b7856c12a5c621a51a421d8cbf643536c9b8cb9297db461bf3c5e7203c214e4e"),
+    ("B", "4", "B4z0.v1.json", "ac6f633015b73ffa175768ed07cb519924d73d4a04c087119f7f798e88851841"),
+    ("C", "3", "C3z0.v1.json", "3c3d40629318d30953b6745ac9ac07428225054d0fe31f58d782e00e76c6e833"),
+    ("A", "6", "A6z0.v1.json", "abf5d8507748ffc5ce3ee0d257d573c23aa748422bac26abc4a1d452015c06f2"),
+    ("D", "5", "D5z0.v1.json", "5cd81d2ca7f81c6bdfe8b0c0a7a6533b54840b5791390b965b289416e2830428"),
+    ("B", "5", "B5z0.v1.json", "91766e5f51c8686e088d481546aa00cde5133956d26af70171d76f7f5949b946"),
 )
 
 
@@ -101,6 +115,30 @@ def test_cache_file_digest(tmp_path, type_label, rank, name, digest):
     assert path.name == name
     assert path.stat().st_mode & 0o777 == 0o600
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# refused command lines: exit code and the whole of stderr, with nothing on stdout and no cache file
+ERRORS = (
+    ("table E 6", 2, "error: unsupported type E6; accepted: A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)\n"),
+    ("table A 99", 3, f"error: A99 has order {math.factorial(100)}, more than the limit of 2000000\n"),
+    ("table A 200", 3, "error: A200 has 40200 roots, more than the limit of 10000\n"),
+    ("dl A 0", 2, "error: rank must be a positive integer, got 0\n"),
+    ("verify A x", 2, "error: rank must be an integer, got 'x'\n"),
+    ("verify A", 2, "error: verify expects 'TYPE RANK' or 'all'\n"),
+    ("verify all extra", 2, "error: verify all takes no further arguments\n"),
+    ("table X 2", 2, "error: unsupported type X2; accepted: A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)\n"),
+    ("table A 3 --max-order 1", 2, "error: max_group_order must be >= 2, got 1\n"),
+    ("table A 7 --max-order 100", 3, "error: A7 has order 40320, more than the limit of 100\n"),
+)
+
+
+@pytest.mark.parametrize("command, code, stderr", ERRORS, ids=[command for command, *_ in ERRORS])
+def test_error_path(tmp_path, command, code, stderr):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(command.split() + ["--cache-dir", str(tmp_path)]) == code
+    assert (out.getvalue(), err.getvalue()) == ("", stderr)
+    assert list(tmp_path.iterdir()) == []
 
 
 # help text at a fixed width: `weyl-dl --help` and the help of the two per-type commands

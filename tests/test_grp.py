@@ -144,11 +144,14 @@ def test_coset_counting_identity(groups, I, J):
 
 
 def test_subgroup_classes_of_explicit_set(groups):
-    W = groups("A", 3)
-    P = parabolic(W, (0, 2))
-    sub = subgroup_classes(W, P.members)
-    assert sub.sizes == P.sizes
-    assert sub.reps == P.reps
+    """Each proper parabolic, given by its members, gets the parabolic's classes."""
+    for type_label, rank in [("A", 3), ("B", 3), ("G", 2)]:
+        W = groups(type_label, rank)
+        for I in subsets(rank)[:-1]:
+            P = parabolic(W, I)
+            sub = subgroup_classes(W, P.members)
+            assert sub.sizes == P.sizes
+            assert sub.reps == P.reps
 
 
 @pytest.mark.parametrize("subset, bad", [
@@ -162,6 +165,26 @@ def test_parabolic_rejects_bad_index(groups, subset, bad):
                  lambda: double_cosets(W, [0], subset)):
         with pytest.raises(InvalidType, match=f"index {re.escape(bad)} is outside 0..2"):
             call()
+
+
+NOT_A_SUBGROUP = "the members given are no subgroup of A2"
+
+
+@pytest.mark.parametrize("members, message", [
+    ([], NOT_A_SUBGROUP),
+    ([1], NOT_A_SUBGROUP),
+    ([0, 1, 2], NOT_A_SUBGROUP),
+    ([0, 99], "element index 99 is outside 0..5"),
+    ([0, -1], "element index -1 is outside 0..5"),
+    # True is no index 1, nor 1.0: each is refused before sorting and deduplicating
+    ([0, 1, True], "element index True is outside 0..5"),
+    ([0, 1.0], "element index 1.0 is outside 0..5"),
+    ([0, None], "element index None is outside 0..5"),
+])
+def test_subgroup_classes_rejects_bad_members(groups, members, message):
+    W = groups("A", 2)
+    with pytest.raises(InvalidType, match=f"^{re.escape(message)}$"):
+        subgroup_classes(W, members)
 
 
 @pytest.mark.parametrize("type_label, rank", ROSTER)
