@@ -14,10 +14,7 @@ _EXPORTS = {
     "dl": (
         "ShiftLedger", "dl_operator", "springer_table", "verify_involution", "verify_sign_twist",
     ),
-    "errors": (
-        "GroupMismatch", "InternalError", "InvalidType", "IrrationalityError", "NonFinite",
-        "NotVirtual", "SizeLimit",
-    ),
+    "errors": ("GroupMismatch", "InternalError", "InvalidType", "IrrationalityError", "NotVirtual", "SizeLimit"),
     "grp": ("ConjugacyClasses", "conjugacy_classes", "double_cosets", "parabolic", "subgroup_classes"),
     "indres": ("frobenius_check", "induce", "mackey_check", "restrict"),
     "rootsys": (

@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
-    DEFAULT_MAX_ORDER, GroupMismatch, InternalError, InvalidType, IrrationalityError, NonFinite,
-    NotVirtual, SizeLimit,
+    DEFAULT_MAX_ORDER, GroupMismatch, InternalError, InvalidType, IrrationalityError, NotVirtual, SizeLimit,
 )
 
 # The engine is imported inside the functions that run it, so `--help` and a
@@ -52,6 +51,8 @@ class Config(_ConfigFields):
 
     def __new__(cls, max_group_order: int = DEFAULT_MAX_ORDER,
                 cache_dir: Path = Path("~/.cache/weyl-dl"), output_format: str = "text") -> Config:
+        if type(max_group_order) is not int:
+            raise InvalidType(f"max_group_order must be an int, got {max_group_order!r}")
         if max_group_order < 2:
             raise InvalidType(f"max_group_order must be >= 2, got {max_group_order}")
         if output_format not in FORMATS:
@@ -571,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
             text, code = cmd_dl(cfg, args.type_label.upper(), args.rank)
         else:
             text, code = cmd_verify(cfg, args.targets)
-    except (InvalidType, NonFinite, GroupMismatch, NotVirtual) as exc:
+    except (InvalidType, GroupMismatch, NotVirtual) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimit as exc:

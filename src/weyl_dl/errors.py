@@ -5,10 +5,6 @@ class InvalidType(Exception):
     """Unsupported or malformed Cartan type request."""
 
 
-class NonFinite(Exception):
-    """Reflection closure did not terminate within the configured bound."""
-
-
 class SizeLimit(Exception):
     """Group enumeration exceeded the configured maximum order."""
 

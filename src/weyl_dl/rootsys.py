@@ -1,4 +1,4 @@
-"""Root systems from Cartan data, and Weyl groups acting on the roots.
+"""Root systems from the standard Cartan matrix of each accepted type, and their Weyl groups.
 
 Everything is exact: roots live in the root lattice (integer coordinates in the
 simple-root basis) and the simple reflections are permutations of the finite
@@ -16,7 +16,7 @@ from functools import cached_property
 from math import inf, prod
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DEFAULT_MAX_ORDER, InternalError, InvalidType, NonFinite, SizeLimit
+from .errors import DEFAULT_MAX_ORDER, InternalError, InvalidType, SizeLimit
 
 Coords = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -65,10 +65,10 @@ ACCEPTED_TYPES = ", ".join(
 
 
 def _type(type_label: str, rank: int) -> _Type:
-    """The row of an accepted pair; InvalidType for any other pair."""
+    """The row of an accepted pair; InvalidType for any other pair, a rank that is no int included."""
     row = _TYPES.get(type_label)
-    if row is None or not row.min_rank <= rank <= row.max_rank:
-        raise InvalidType(f"unsupported type {type_label}{rank}; accepted: {ACCEPTED_TYPES}")
+    if row is None or type(rank) is not int or not row.min_rank <= rank <= row.max_rank:
+        raise InvalidType(f"unsupported type {type_label}{rank!r}; accepted: {ACCEPTED_TYPES}")
     return row
 
 
@@ -108,30 +108,22 @@ class _CartanFields(NamedTuple):
 
 
 class CartanDatum(_CartanFields):
-    """An irreducible Cartan matrix with its type label and rank.
+    """An accepted type and rank with its standard Cartan matrix.
 
-    Validated on every construction, _replace included.
+    Validated on every construction, _replace included: the matrix must equal
+    standard_cartan_matrix(type_label, rank), so another numbering of the
+    nodes is refused, and the datum stores that standard matrix.
     """
 
     __slots__ = ()
 
     def __new__(cls, type_label: str, rank: int, cartan_matrix: tuple[Coords, ...]) -> CartanDatum:
         _check_rank(rank)
-        m = cartan_matrix
-        if len(m) != rank or any(len(row) != rank for row in m):
-            raise InvalidType(f"Cartan matrix of {type_label}{rank} is not {rank}x{rank}")
-        for i in range(rank):
-            if m[i][i] != 2:
-                raise InvalidType(f"Cartan matrix entry ({i},{i}) is {m[i][i]}, not 2")
-            for j in range(rank):
-                if i == j:
-                    continue
-                if m[i][j] > 0 or (m[i][j] == 0) != (m[j][i] == 0) or m[i][j] * m[j][i] > 3:
-                    raise InvalidType(
-                        f"Cartan matrix entries ({i},{j})={m[i][j]} and ({j},{i})={m[j][i]} "
-                        "are not those of a crystallographic Coxeter bond"
-                    )
-        return super().__new__(cls, type_label, rank, cartan_matrix)
+        # the length is compared first, so a wrong rank builds no rank x rank matrix
+        standard = standard_cartan_matrix(type_label, rank) if len(cartan_matrix) == rank else None
+        if cartan_matrix != standard:
+            raise InvalidType(f"the matrix given is not the Cartan matrix of {type_label}{rank}")
+        return super().__new__(cls, type_label, rank, standard)
 
     @classmethod
     def _make(cls, iterable) -> CartanDatum:
@@ -189,21 +181,17 @@ def _reflect(cartan: CartanDatum, v: Coords, i: int) -> Coords:
     return tuple(out)
 
 
-def _is_standard(cartan: CartanDatum) -> bool:
-    try:
-        return cartan.cartan_matrix == standard_cartan_matrix(cartan.type_label, cartan.rank)
-    except InvalidType:
-        return False
-
-
 def check_group_order(cartan: CartanDatum, max_order: int) -> int:
     """The group order the fundamental degrees give for the type of cartan.
 
-    SizeLimit if a standard Cartan matrix gives more than max_order elements;
-    nothing of the order's size is built, so this can run before the closure.
+    InvalidType if max_order is not an int (a bool included), SizeLimit if the
+    order is more than max_order; nothing of the order's size is built, so
+    this can run before the closure.
     """
+    if type(max_order) is not int:
+        raise InvalidType(f"the group-order limit must be an int, got {max_order!r}")
     expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
-    if _is_standard(cartan) and expected > max_order:
+    if expected > max_order:
         raise SizeLimit(f"{cartan.label} has order {expected}, more than the limit of {max_order}")
     return expected
 
@@ -211,14 +199,13 @@ def check_group_order(cartan: CartanDatum, max_order: int) -> int:
 def build_root_system(cartan: CartanDatum) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
-    A standard Cartan matrix has rank * h roots for its Coxeter number h; if
-    that exceeds MAX_ROOTS, SizeLimit is raised before any closing.  Otherwise
-    NonFinite is raised if the closure exceeds MAX_ROOTS, which only happens
-    for a Cartan matrix that is not of finite type.
+    The root system has rank * h roots for the Coxeter number h of its type:
+    SizeLimit if that exceeds MAX_ROOTS, raised before any closing, and
+    InternalError if the closure has another number of roots.
     """
     rank = cartan.rank
-    if _is_standard(cartan):
-        _check_root_count(cartan.label, rank * coxeter_number(cartan.type_label, rank))
+    n_roots = rank * coxeter_number(cartan.type_label, rank)
+    _check_root_count(cartan.label, n_roots)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen: set[Coords] = set(simples)
     frontier = list(simples)
@@ -230,11 +217,9 @@ def build_root_system(cartan: CartanDatum) -> RootSystem:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
-        if len(seen) > MAX_ROOTS:
-            raise NonFinite(
-                f"root closure exceeded {MAX_ROOTS} vectors; Cartan matrix is not finite type"
-            )
         frontier = nxt
+    if len(seen) != n_roots:
+        raise InternalError(f"the closure of {cartan.label} has {len(seen)} roots, not {n_roots}")
 
     positives = sorted(
         (v for v in seen if all(c >= 0 for c in v)),
@@ -242,8 +227,6 @@ def build_root_system(cartan: CartanDatum) -> RootSystem:
     )
     negatives = [tuple(-c for c in v) for v in positives]
     roots = tuple(positives + negatives)
-    if len(roots) != len(seen):
-        raise NonFinite("root set is not symmetric under negation")
 
     index = {r: k for k, r in enumerate(roots)}
     perms = []
@@ -364,14 +347,14 @@ class WeylGroup:
 def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) -> WeylGroup:
     """Breadth-first closure of the simple reflections; length = search depth.
 
-    A standard Cartan matrix gives a group whose order is the product of its
-    fundamental degrees; if that exceeds max_order, SizeLimit is raised before
-    any product is formed.  The search finds each element y by its key, y^-1
-    applied to the first r roots (the simple roots: see
-    RootSystem.simple_root_columns), which fixes y.  Keys are
-    bytes of root indices, so the key of y*s_i is the key of y translated by
-    the permutation s_i, one call.  The search records y*s_i for every element
-    y, which become the group's right_maps.
+    The group's order is the product of the fundamental degrees of its type:
+    SizeLimit if that exceeds max_order, raised before any product is formed,
+    and InternalError if the search finds another number of elements.  The
+    search finds each element y by its key, y^-1 applied to the first r roots
+    (the simple roots: see RootSystem.simple_root_columns), which fixes y.
+    Keys are bytes of root indices, so the key of y*s_i is the key of y
+    translated by the permutation s_i, one call.  The search records y*s_i for
+    every element y, which become the group's right_maps.
     """
     cartan = rootsystem.cartan
     expected = check_group_order(cartan, max_order)

@@ -356,6 +356,19 @@ def test_config_validation():
         Config(output_format="yaml")
 
 
+@pytest.mark.parametrize("limit", [2.5, "3", True, None], ids=repr)
+def test_config_refuses_a_group_order_limit_that_is_no_int(limit):
+    with pytest.raises(InvalidType, match=f"max_group_order must be an int, got {limit!r}"):
+        Config(max_group_order=limit)
+
+
+def test_group_order_at_the_limit_is_accepted(cache_dir):
+    """--max-order N admits a group of order exactly N: A3 has order 24."""
+    code, out = run_cli(["table", "A", "3", "--max-order", "24", "--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert out.startswith("# A3: |W| = 24, 5 classes\n")
+
+
 @pytest.mark.parametrize("targets, err", [
     (["A"], "error: verify expects 'TYPE RANK' or 'all'\n"),
     (["A", "x"], "error: rank must be an integer, got 'x'\n"),

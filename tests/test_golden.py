@@ -129,6 +129,7 @@ ERRORS = (
     ("table X 2", 2, "error: unsupported type X2; accepted: A(n>=1), B(n>=2), C(n>=3), D(n>=4), G(2), F(4)\n"),
     ("table A 3 --max-order 1", 2, "error: max_group_order must be >= 2, got 1\n"),
     ("table A 7 --max-order 100", 3, "error: A7 has order 40320, more than the limit of 100\n"),
+    ("table A 3 --max-order 23", 3, "error: A3 has order 24, more than the limit of 23\n"),
 )
 
 

@@ -3,9 +3,9 @@ from math import prod
 
 import pytest
 
-from weyl_dl import InternalError, InvalidType, NonFinite, SizeLimit, build_cartan, build_root_system, fundamental_degrees
+from weyl_dl import InternalError, InvalidType, SizeLimit, build_cartan, build_root_system, fundamental_degrees
 from weyl_dl import rootsys
-from weyl_dl.rootsys import CartanDatum, build_weyl_group, coxeter_number, enumerate_group
+from weyl_dl.rootsys import CartanDatum, build_weyl_group, coxeter_number, enumerate_group, standard_cartan_matrix
 
 
 def test_a1_cartan_is_forced():
@@ -56,11 +56,12 @@ def test_root_count_is_rank_times_coxeter_number(type_label, rank):
 
 @pytest.mark.parametrize("type_label,rank", [
     ("B", 1), ("C", 2), ("D", 3), ("G", 4), ("F", 3), ("X", 5), ("G", 3), ("A", 0), ("E", 6),
+    ("A", True), ("A", 2.5), ("A", "3"), ("A", None),
 ])
 def test_coxeter_number_rejects_unsupported_pairs(type_label, rank):
-    """Both per-type lookups reject each unsupported pair with the same error."""
-    for lookup in (coxeter_number, fundamental_degrees):
-        with pytest.raises(InvalidType, match=f"unsupported type {type_label}{rank}"):
+    """Each per-type lookup rejects each unsupported pair, a rank that is no int included, with the same error."""
+    for lookup in (coxeter_number, fundamental_degrees, standard_cartan_matrix):
+        with pytest.raises(InvalidType, match=re.escape(f"unsupported type {type_label}{rank!r}")):
             lookup(type_label, rank)
 
 
@@ -96,24 +97,22 @@ def test_roots_closed_under_negation():
     assert len(roots) == 2 * rs.n_positive
 
 
-def test_non_finite_matrix_rejected(monkeypatch):
-    # 3-cycle diagram: passes the entry invariants, but the closure never terminates
-    bad = CartanDatum("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
-    monkeypatch.setattr(rootsys, "MAX_ROOTS", 200)
-    with pytest.raises(NonFinite, match="root closure exceeded 200 vectors"):
-        build_root_system(bad)
-
-
-@pytest.mark.parametrize("matrix,match", [
-    (((2, -5), (-5, 2)), "crystallographic"),
-    (((2, 1), (1, 2)), "crystallographic"),
-    (((2, -1), (0, 2)), "crystallographic"),
-    (((2, -1), (-1, 3)), "entry \\(1,1\\) is 3"),
-    (((2, -1),), "not 2x2"),
+@pytest.mark.parametrize("matrix", [
+    ((2, -5), (-5, 2)),
+    ((2, 1), (1, 2)),
+    ((2, -1), (0, 2)),
+    ((2, -1), (-1, 3)),
+    ((2, -1),),
+    ((2, -1), (-3, 2)),  # G2's matrix
+    ((2, -2), (-1, 2)),  # B2's matrix
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # the affine 3-cycle, of no finite type
+    ((2, -1, -1), (-1, 2, 0), (-1, 0, 2)),  # A3 with its nodes numbered 1-0-2
 ])
-def test_cartan_datum_rejects_bad_matrix(matrix, match):
-    with pytest.raises(InvalidType, match=match):
-        CartanDatum("X", 2, matrix)
+def test_cartan_datum_rejects_bad_matrix(matrix):
+    """Only the standard matrix of the type is accepted: neither a valid matrix of another type nor a renumbering."""
+    rank = len(matrix[0])
+    with pytest.raises(InvalidType, match=f"^the matrix given is not the Cartan matrix of A{rank}$"):
+        CartanDatum("A", rank, matrix)
 
 
 @pytest.mark.parametrize("rank", [True, 1.0, "1", None, 0, -1], ids=repr)
@@ -135,16 +134,16 @@ def test_cartan_datum_rejects_bad_matrix_under_optimize(run_optimized):
         "from weyl_dl import InvalidType\n"
         "from weyl_dl.rootsys import CartanDatum\n"
         "try:\n"
-        "    CartanDatum('X', 2, ((2, -5), (-5, 2)))\n"
+        "    CartanDatum('A', 2, ((2, -5), (-5, 2)))\n"
         "    print('accepted')\n"
         "except InvalidType as exc:\n"
         "    print(exc)\n"
     )
-    assert "crystallographic" in run_optimized(code)
+    assert run_optimized(code) == "the matrix given is not the Cartan matrix of A2\n"
 
 
 def test_root_count_over_limit_is_size_limit(monkeypatch):
-    # A200 is of finite type with 40200 roots: a resource limit, not NonFinite
+    # A200 has 40200 roots: a resource limit
     with pytest.raises(SizeLimit, match="40200 roots"):
         build_root_system(build_cartan("A", 200))
     d4 = build_cartan("D", 4)
@@ -255,23 +254,38 @@ def test_more_than_256_roots_is_size_limit():
         enumerate_group(build_root_system(build_cartan("A", 16)), max_order=10**15)
 
 
-def test_order_mismatch_is_internal_error():
-    # a G2 matrix under the label A2: 12 elements where the degrees of A2 give 6
-    datum = CartanDatum("A", 2, ((2, -1), (-3, 2)))
-    with pytest.raises(InternalError, match="enumerated 12 elements for A2, expected 6"):
-        enumerate_group(build_root_system(datum))
+def test_order_mismatch_is_internal_error(monkeypatch):
+    # degrees (2, 4) for A2: the search finds 6 elements where their product is 8
+    monkeypatch.setitem(rootsys._TYPES, "A", rootsys._TYPES["A"]._replace(degrees=lambda n: (2, 4)))
+    with pytest.raises(InternalError, match="enumerated 6 elements for A2, expected 8"):
+        enumerate_group(build_root_system(build_cartan("A", 2)))
 
 
 def test_order_mismatch_is_internal_error_under_optimize(run_optimized):
     code = (
-        "from weyl_dl import InternalError, build_root_system\n"
-        "from weyl_dl.rootsys import CartanDatum, enumerate_group\n"
+        "from weyl_dl import InternalError, build_cartan, build_root_system\n"
+        "from weyl_dl import rootsys\n"
+        "rootsys._TYPES['A'] = rootsys._TYPES['A']._replace(degrees=lambda n: (2, 4))\n"
         "try:\n"
-        "    enumerate_group(build_root_system(CartanDatum('A', 2, ((2, -1), (-3, 2)))))\n"
+        "    rootsys.enumerate_group(build_root_system(build_cartan('A', 2)))\n"
         "except InternalError as exc:\n"
         "    print(exc)\n"
     )
-    assert "enumerated 12 elements for A2, expected 6" in run_optimized(code)
+    assert "enumerated 6 elements for A2, expected 8" in run_optimized(code)
+
+
+def test_root_count_mismatch_is_internal_error(monkeypatch):
+    # Coxeter number 2n+1 for B3: the closure finds 18 roots where rank * h is 21
+    monkeypatch.setitem(rootsys._TYPES, "B", rootsys._TYPES["B"]._replace(coxeter_number=lambda n: 2 * n + 1))
+    with pytest.raises(InternalError, match="the closure of B3 has 18 roots, not 21"):
+        build_root_system(build_cartan("B", 3))
+
+
+@pytest.mark.parametrize("limit", [2.5, "30", True, None], ids=repr)
+def test_group_order_limit_must_be_an_int(limit):
+    """check_group_order refuses a limit that is no int, a bool included, before the group is built."""
+    with pytest.raises(InvalidType, match=re.escape(f"the group-order limit must be an int, got {limit!r}")):
+        build_weyl_group("A", 2, max_order=limit)
 
 
 def full_permutation_search(rs):
@@ -323,11 +337,3 @@ def test_enumeration_matches_full_permutation_search(type_label, rank):
     assert [rs.roots[c] for c in rs.simple_root_columns] == [
         tuple(int(j == i) for j in range(rank)) for i in range(rank)
     ]
-
-
-def test_simple_root_columns_of_a_non_standard_datum():
-    """The height-1 roots come first, a_r first, for any Cartan matrix: here a G2 matrix labelled A2."""
-    rs = build_root_system(CartanDatum("A", 2, ((2, -1), (-3, 2))))
-    assert len(rs.roots) == 12
-    assert rs.simple_root_columns == (1, 0)
-    assert [rs.roots[c] for c in rs.simple_root_columns] == [(1, 0), (0, 1)]

@@ -3,6 +3,7 @@
 The traced benchmark wraps engine functions by name; a rename must fail here, not silently there.
 The runner checks every report it produces; a report change it rejects must fail here first.
 The package itself must not validate with assert, which python -O strips.
+Every error class of the package is raised somewhere and maps to its documented exit code.
 """
 import ast
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from weyl_dl import build_weyl_group, parabolic
+from weyl_dl import build_weyl_group, cli, errors, parabolic
 from weyl_dl.dl import subsets
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -123,3 +124,32 @@ def test_every_import_in_the_package_is_read():
                 if name not in read:
                     unread.append(f"{path.relative_to(package)}:{node.lineno} {name}")
     assert sorted(package.rglob("*.py")) and unread == []
+
+
+# the exit code of each error class, as the cli module docstring documents it
+EXIT_CODES = {"InvalidType": 2, "GroupMismatch": 2, "NotVirtual": 2, "SizeLimit": 3,
+              "InternalError": 4, "IrrationalityError": 4}
+
+
+def test_every_error_class_is_raised_and_maps_to_its_exit_code(tmp_path, capsys, monkeypatch):
+    """A class nothing raises is dead code; a class without a code would escape main as a traceback."""
+    package = PERFBENCH.parent / "src" / "weyl_dl"
+    raised = {
+        node.exc.func.id
+        for path in sorted(package.rglob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+    }
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert sorted(classes) == sorted(EXIT_CODES)
+    assert sorted(set(classes) - raised) == []
+    for name, error in classes.items():
+        def command(*args, error=error):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "cmd_table", command)
+        code = EXIT_CODES[name]
+        assert cli.main(["table", "A", "2", "--cache-dir", str(tmp_path)]) == code, name
+        prefix = "error: internal: " if code == 4 else "error: "
+        assert capsys.readouterr() == ("", prefix + "refused\n"), name
