@@ -210,7 +210,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     w0 = W.longest_element
     add(CheckItem("longest-element", W.lengths[w0] == npos and W.mul(w0, w0) == 0))
 
-    add(CheckItem("faithful-action", len(set(W.elements)) == W.order))
+    add(CheckItem("faithful-action", len(set(W.root_actions)) == W.order))
 
     # the conjugates of the simple reflections: their orbit under conjugation by each s_i
     count = len(_orbit(W.generator_indices, W.conjugation_maps))

@@ -2,9 +2,11 @@
 
 DL(V) = sum over subsets I of J of (-1)^|I| ind res V, on the table of W_J,
 for W (J all simple reflections) or a standard parabolic (Alvis 1979; Curtis
-1980).  The operator is assembled exactly, verified to coincide with
-tensoring by the sign character, to square to the identity, and to induce the
-transpose pairing on partition labels in type A.  Cohomological shift
+1980).  It is one integer operator on the class functions of W_J, assembled
+from the induction counts and fusion maps of the W_I and applied to each
+irreducible exactly.  It is verified to coincide with tensoring by the sign
+character, to square to the identity, and to induce the transpose pairing
+on partition labels in type A.  Cohomological shift
 bookkeeping appears only through the parity ledger: the inverse-side signs
 (-1)^(d_empty + d_I) collapse to (-1)^|I|, since d_0 + d_k = 2(central_rank +
 sigma_size) - k.  There is one assembly; dl_inverse_matrix checks the ledger
@@ -13,16 +15,16 @@ on every layer and returns it.
 from __future__ import annotations
 
 import itertools
-from operator import add, sub
+from operator import mul
 from typing import NamedTuple
 
 from .chars import (
     CharacterTable, ClassFunction, VirtualCharacter, _combine, check_on, decompose,
-    irreducible_labels, sign, unit,
+    exact_quotient, irreducible_labels, sign, unit,
 )
 from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import _check_weyl, parabolic
-from .indres import induce, restrict
+from .indres import fusion, induction_counts
 from .rootsys import WeylGroup
 
 
@@ -62,23 +64,29 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
 
 
 def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
-    """Columns are the images of the irreducibles of W_J under sum over I in J of (-1)^|I| ind res."""
+    """Columns are the images of the irreducibles of W_J under sum over I in J of (-1)^|I| ind res.
+
+    (ind res chi)(w_r) = (1/|W_I|) * sum of n * chi(fusion[c]) over the triples
+    (r, c, n) of induction_counts(W_J, W_I), so DL chi = O chi / |W_J| for the
+    integer operator O[r][fusion[c]] += (-1)^|I| * |W_J|/|W_I| * n.
+    """
     G = table.classes
     _check_weyl(G, W.group_id)
     gens = G.generators
     if gens is None:
         raise GroupMismatch(f"table on {G.group_id} is on an explicit subgroup, not a standard parabolic")
-    sums = [[0] * G.n_classes for _ in table.irreducibles]
+    operator = [[0] * G.n_classes for _ in range(G.n_classes)]
     for positions in subsets(len(gens)):
-        subset = tuple(gens[k] for k in positions)
-        P = parabolic(W, subset)
-        op = sub if len(subset) % 2 else add
-        for i, chi in enumerate(table.irreducibles):
-            term = induce(restrict(chi, P, G), P, G)
-            sums[i] = list(map(op, sums[i], term.values))
-    return tuple(
-        decompose(table, ClassFunction(table.group_id, tuple(acc))).coeffs for acc in sums
-    )
+        P = parabolic(W, tuple(gens[k] for k in positions))
+        scale = (-1) ** len(positions) * (G.order // P.order)
+        fused = fusion(P, G)
+        for r, c, n in induction_counts(G, P):
+            operator[r][fused[c]] += scale * n
+    images = []
+    for chi in table.irreducibles:
+        values = tuple(exact_quotient(sum(map(mul, row, chi.values)), G.order) for row in operator)
+        images.append(decompose(table, ClassFunction(table.group_id, values)).coeffs)
+    return tuple(images)
 
 
 def dl_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:

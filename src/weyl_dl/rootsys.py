@@ -8,7 +8,8 @@ enumeration finds an element by its images of the simple roots, which fix it
 s_i a group keeps the index maps y -> y*s_i, recorded while it is enumerated,
 and y -> s_i*y*s_i.  A product is a walk through these maps along a reduced
 word, an image of a root a walk through the simple reflections (Geck-Pfeiffer
-2000, ch. 2); permutations of the whole root list are built only on request.
+2000, ch. 2).  The actions on the whole root list are built only on request,
+as root_actions: one bytes per element, one translate each.
 """
 from __future__ import annotations
 
@@ -65,8 +66,8 @@ ACCEPTED_TYPES = ", ".join(
 
 
 def _type(type_label: str, rank: int) -> _Type:
-    """The row of an accepted pair; InvalidType for any other pair, a rank that is no int included."""
-    row = _TYPES.get(type_label)
+    """The row of an accepted pair; InvalidType for any other pair, a label no str or a rank no int included."""
+    row = _TYPES.get(type_label) if isinstance(type_label, str) else None
     if row is None or type(rank) is not int or not row.min_rank <= rank <= row.max_rank:
         raise InvalidType(f"unsupported type {type_label}{rank!r}; accepted: {ACCEPTED_TYPES}")
     return row
@@ -119,9 +120,10 @@ class CartanDatum(_CartanFields):
 
     def __new__(cls, type_label: str, rank: int, cartan_matrix: tuple[Coords, ...]) -> CartanDatum:
         _check_rank(rank)
-        # the length is compared first, so a wrong rank builds no rank x rank matrix
-        standard = standard_cartan_matrix(type_label, rank) if len(cartan_matrix) == rank else None
-        if cartan_matrix != standard:
+        # the type and length are compared first, so a wrong rank builds no rank x rank matrix
+        fits = isinstance(cartan_matrix, tuple) and len(cartan_matrix) == rank
+        standard = standard_cartan_matrix(type_label, rank) if fits else None
+        if standard is None or cartan_matrix != standard:
             raise InvalidType(f"the matrix given is not the Cartan matrix of {type_label}{rank}")
         return super().__new__(cls, type_label, rank, standard)
 
@@ -252,8 +254,8 @@ class WeylGroup:
     Elements are indexed 0..order-1 in canonical order: by length, then by the
     lexicographic image of the root list.  Index 0 is the identity.
     words[y] is a reduced word of y, so lengths[y] is its length, and
-    right_maps[i][y] is the index of y*s_i.  The elements as permutations of
-    the whole root list are built only when first asked for.
+    right_maps[i][y] is the index of y*s_i.  The elements' actions on the
+    whole root list are built only when first asked for.
     """
 
     def __init__(
@@ -283,17 +285,26 @@ class WeylGroup:
         return self.cartan.rank
 
     @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """Each element as a permutation of the root list: y = (y*s_i)*s_i for y's last letter i.
+    def root_actions(self) -> tuple[bytes, ...]:
+        """Byte k of root_actions[y] is the index of y(root k); enumerate_group allows at most 256 roots.
 
-        y*s_i is one shorter, so it comes earlier in the canonical order.
+        y = (y*s_i)*s_i for y's last letter i, and y*s_i is one shorter, so it
+        comes earlier: y's bytes are s_i's translated by those of y*s_i.
         """
-        gens = self.rootsystem.simple_reflection_perms
-        perms = [tuple(range(len(self.rootsystem.roots)))]
+        n_roots = len(self.rootsystem.roots)
+        pad = bytes(256 - n_roots)  # translate tables have 256 entries
+        gens = [bytes(g) for g in self.rootsystem.simple_reflection_perms]
+        words, right = self.words, self.right_maps
+        actions = [bytes(range(n_roots))]
         for y in range(1, self.order):
-            i = self.words[y][-1]
-            perms.append(tuple(map(perms[self.right_maps[i][y]].__getitem__, gens[i])))
-        return tuple(perms)
+            i = words[y][-1]
+            actions.append(gens[i].translate(actions[right[i][y]] + pad))
+        return tuple(actions)
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """Each element as a permutation of the root list, a tuple of root_actions."""
+        return tuple(map(tuple, self.root_actions))
 
     @cached_property
     def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
@@ -333,7 +344,7 @@ class WeylGroup:
     def inversions(self, e: int) -> int:
         """Number of positive roots sent to negative roots."""
         npos = self.rootsystem.n_positive
-        return sum(map(npos.__le__, self.elements[e][:npos]))
+        return len(self.root_actions[e][:npos].translate(None, bytes(range(npos))))
 
     @cached_property
     def longest_element(self) -> int:
@@ -349,9 +360,10 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
 
     The group's order is the product of the fundamental degrees of its type:
     SizeLimit if that exceeds max_order, raised before any product is formed,
-    and InternalError if the search finds another number of elements.  The
-    search finds each element y by its key, y^-1 applied to the first r roots
-    (the simple roots: see RootSystem.simple_root_columns), which fixes y.
+    and InternalError if the search finds another number of elements, raised
+    as soon as it finds one too many.  The search finds each element y by its
+    key, y^-1 applied to the first r roots (the simple roots: see
+    RootSystem.simple_root_columns), which fixes y.
     Keys are bytes of root indices, so the key of y*s_i is the key of y
     translated by the permutation s_i, one call.  The search records y*s_i for
     every element y, which become the group's right_maps.
@@ -376,10 +388,8 @@ def enumerate_group(rootsystem: RootSystem, max_order: int = DEFAULT_MAX_ORDER) 
             j = found.get(moved)
             if j is None:
                 j = found[moved] = len(keys)
-                if j >= max_order:
-                    raise SizeLimit(
-                        f"group order exceeds the configured maximum {max_order}"
-                    )
+                if j >= expected:
+                    raise InternalError(f"enumerated more than {expected} elements for {cartan.label}")
                 keys.append(moved)
                 words.append(words[k] + (i,))
             successors[i].append(j)

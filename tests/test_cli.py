@@ -125,16 +125,27 @@ def test_huge_rank_exits_3_before_any_matrix(cache_dir, capsys, monkeypatch):
         assert f"unsupported type {type_label}{rank}" in capsys.readouterr().err
 
 
+def _refuse_to_build(monkeypatch, *names):
+    for name in names:
+        def refuse(W, name=name):
+            raise AssertionError(f"WeylGroup.{name} was built")
+
+        monkeypatch.setattr(rootsys.WeylGroup, name, property(refuse))
+
+
 def test_warm_table_never_builds_root_permutations(cache_dir, monkeypatch):
     assert run_cli(["table", "A", "6", "--cache-dir", str(cache_dir)])[0] == 0
-
-    def refuse(W):
-        raise AssertionError("WeylGroup.elements was built")
-
-    monkeypatch.setattr(rootsys.WeylGroup, "elements", property(refuse))
+    _refuse_to_build(monkeypatch, "elements", "root_actions")
     code, out = run_cli(["table", "A", "6", "--cache-dir", str(cache_dir)])
     assert code == 0
     assert "|W| = 5040" in out
+
+
+def test_warm_verify_all_never_builds_root_permutations(cache_dir, monkeypatch):
+    """The faithful-action and length-inversions rows read root_actions; no tuple permutation is built."""
+    assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
+    _refuse_to_build(monkeypatch, "elements")
+    assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
 
 
 def test_dl_text(cache_dir):
@@ -734,7 +745,7 @@ def test_verify_reports_a_wrong_dl_matrix(cache_dir, monkeypatch):
 def test_verify_reports_a_wrong_induction_into_a_parabolic(cache_dir, monkeypatch):
     """An induction into a proper parabolic that is off by one fails induction-transitivity alone.
 
-    Frobenius induces into W (order 24), and dl's assembly binds its own induce.
+    Frobenius induces into W (order 24), and DL's assembly reads induction counts, not induce.
     """
     induce = indres.induce
 
@@ -747,6 +758,20 @@ def test_verify_reports_a_wrong_induction_into_a_parabolic(cache_dir, monkeypatc
     monkeypatch.setattr(indres, "induce", perturbed)
     assert _failing_rows(["verify", "A", "3"], cache_dir) == (
         1, [("induction-transitivity", "")], ["induction-transitivity,false,"],
+    )
+
+
+def test_verify_reports_a_repeated_root_action(cache_dir, monkeypatch):
+    """s1 given the action of s2: an element of the same length, so faithful-action fails alone."""
+    root_actions = rootsys.WeylGroup.root_actions.func
+
+    def repeated(W):
+        actions = root_actions(W)
+        return (actions[0], actions[2], *actions[2:])
+
+    monkeypatch.setattr(rootsys.WeylGroup, "root_actions", property(repeated))
+    assert _failing_rows(["verify", "A", "3"], cache_dir) == (
+        1, [("faithful-action", "")], ["faithful-action,false,"],
     )
 
 

@@ -34,6 +34,7 @@ from weyl_dl.dl import (
 )
 from weyl_dl.chars import CharacterTable, ClassFunction
 from weyl_dl.cli import ROSTER, main
+from weyl_dl.indres import induce, restrict
 from weyl_dl.symchars import transpose
 
 
@@ -155,6 +156,32 @@ def test_dl_on_every_parabolic_table(groups, key):
         assert violations == (), (J, violations)
         assert verify_involution(W, t) == (), J
         assert dl_inverse_matrix(W, t) == dl_matrix(W, t)
+
+
+def literal_dl_matrix(W, t):
+    """DL as the literal sum over I in J of (-1)^|I| ind res, one irreducible and one W_I at a time."""
+    G = t.classes
+    images = []
+    for chi in t.irreducibles:
+        total = [0] * G.n_classes
+        for positions in subsets(len(G.generators)):
+            P = parabolic(W, tuple(G.generators[k] for k in positions))
+            term = induce(restrict(chi, P, G), P, G).values
+            sign = (-1) ** len(positions)
+            total = [a + sign * v for a, v in zip(total, term)]
+        images.append(decompose(t, ClassFunction(t.group_id, tuple(total))).coeffs)
+    return tuple(images)
+
+
+@pytest.mark.parametrize("key", [*ROSTER, ("D", 5)], ids=lambda key: f"{key[0]}{key[1]}")
+def test_dl_matrix_equals_the_literal_alternating_sum(groups, key):
+    """The one-operator assembly against the literal sum: on W, and on every parabolic table of B4 and F4."""
+    W = groups(*key)
+    tables = [character_table(W)]
+    if key in (("B", 4), ("F", 4)):
+        tables += [character_table(W, parabolic(W, J)) for J in subsets(W.rank)[:-1]]
+    for t in tables:
+        assert dl_matrix(W, t) == literal_dl_matrix(W, t), t.group_id
 
 
 def test_dl_inverse_checks_the_ledger_of_the_parabolic(groups, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from weyl_dl import InternalError, InvalidType, SizeLimit, build_cartan, build_root_system, fundamental_degrees
 from weyl_dl import rootsys
+from weyl_dl.errors import DEFAULT_MAX_ORDER
 from weyl_dl.rootsys import CartanDatum, build_weyl_group, coxeter_number, enumerate_group, standard_cartan_matrix
 
 
@@ -127,6 +128,30 @@ def test_cartan_datum_replace_checks_the_rank():
     with pytest.raises(InvalidType, match="rank must be a positive integer, got True"):
         datum._replace(rank=True)
     assert datum._replace(rank=1) == datum
+
+
+@pytest.mark.parametrize("label", [["A"], {}, None, b"A", 65], ids=repr)
+def test_a_label_that_is_not_a_str_is_invalid_type(label):
+    """A label that is no str, hashable or not, is refused as an unsupported type, not a bare TypeError."""
+    for lookup in (build_cartan, coxeter_number, fundamental_degrees, standard_cartan_matrix):
+        with pytest.raises(InvalidType, match=re.escape(f"unsupported type {label}2")):
+            lookup(label, 2)
+    with pytest.raises(InvalidType, match=re.escape(f"unsupported type {label}1")):
+        CartanDatum(label, 1, ((2,),))
+
+
+@pytest.mark.parametrize("matrix", [None, [[2, -1], [-1, 2]], [(2, -1), (-1, 2)], "((2, -1), (-1, 2))", 2],
+                         ids=repr)
+def test_cartan_datum_rejects_a_matrix_that_is_not_a_tuple(matrix, monkeypatch):
+    """A matrix that is no tuple is refused before any rank x rank matrix is built."""
+    def no_matrix(n):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "_chain", no_matrix)
+    with pytest.raises(InvalidType, match="^the matrix given is not the Cartan matrix of A2$"):
+        CartanDatum("A", 2, matrix)
+    with pytest.raises(InvalidType, match="^the matrix given is not the Cartan matrix of A1000000$"):
+        CartanDatum("A", 1000000, ((2,),))
 
 
 def test_cartan_datum_rejects_bad_matrix_under_optimize(run_optimized):
@@ -261,6 +286,15 @@ def test_order_mismatch_is_internal_error(monkeypatch):
         enumerate_group(build_root_system(build_cartan("A", 2)))
 
 
+def test_finding_more_elements_than_the_degrees_give_is_internal_error(monkeypatch):
+    """The search stops at the first element past the order the degrees give: an engine bug at any limit."""
+    # degrees (2, 3) for A3: the search reaches a 7th of its 24 elements
+    monkeypatch.setitem(rootsys._TYPES, "A", rootsys._TYPES["A"]._replace(degrees=lambda n: (2, 3)))
+    for limit in (10, DEFAULT_MAX_ORDER):
+        with pytest.raises(InternalError, match="^enumerated more than 6 elements for A3$"):
+            build_weyl_group("A", 3, max_order=limit)
+
+
 def test_order_mismatch_is_internal_error_under_optimize(run_optimized):
     code = (
         "from weyl_dl import InternalError, build_cartan, build_root_system\n"
@@ -331,8 +365,9 @@ def test_enumeration_matches_full_permutation_search(type_label, rank):
     assert W.lengths == lengths
     assert W.right_maps == right_maps
     assert tuple(W.inv(y) for y in range(W.order)) == inverses
-    assert "elements" not in vars(W)  # built only when asked for
+    assert "root_actions" not in vars(W) and "elements" not in vars(W)  # built only when asked for
     assert W.elements == elements
+    assert W.root_actions == tuple(map(bytes, elements))
     rs = W.rootsystem
     assert [rs.roots[c] for c in rs.simple_root_columns] == [
         tuple(int(j == i) for j in range(rank)) for i in range(rank)

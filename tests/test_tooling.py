@@ -78,6 +78,23 @@ def test_traced_cold_table_counts_lazily_imported_calls(tmp_path):
     assert result["counters"]["cli.cache.misses"] == 1
 
 
+def test_traced_warm_dl_assembles_one_operator(tmp_path):
+    """dl F 4 on a filled cache, traced: DL reads the induction counts and never induces or restricts."""
+    trace = tmp_path / "trace.json"
+    cache = str(tmp_path / "cache")
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for _ in range(2):  # the first run fills the cache
+        proc = subprocess.run([sys.executable, str(TRACED_CLI), str(trace), "dl", "F", "4", "--cache-dir", cache],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    result = json.loads(trace.read_text())
+    calls = result["calls"]
+    assert result["counters"]["cli.cache.hits"] == 1
+    assert calls["dl.dl_matrix"] >= 1
+    assert calls["indres.induction_counts"] >= 1
+    assert calls.get("indres.induce", 0) == calls.get("indres.restrict", 0) == 0
+
+
 def test_every_public_name_resolves():
     """Each name in weyl_dl.__all__ resolves in a fresh interpreter; a rename fails here, not at its first caller."""
     code = (
