@@ -2,20 +2,19 @@
 
 DL(V) = sum over subsets I of J of (-1)^|I| ind res V, on the table of W_J,
 for W (J all simple reflections) or a standard parabolic (Alvis 1979; Curtis
-1980).  It is one integer operator on the class functions of W_J, assembled
-from the induction counts and fusion maps of the W_I and applied to each
-irreducible exactly.  It is verified to coincide with tensoring by the sign
-character, to square to the identity, and to induce the transpose pairing
-on partition labels in type A.  Cohomological shift
-bookkeeping appears only through the parity ledger: the inverse-side signs
-(-1)^(d_empty + d_I) collapse to (-1)^|I|, since d_0 + d_k = 2(central_rank +
-sigma_size) - k.  There is one assembly; dl_inverse_matrix checks the ledger
-on every layer and returns it.
+1980).  By the projection formula, ind res chi = chi * 1_{W_I}^{W_J}, so DL
+multiplies pointwise by one class function, sum of (-1)^|I| 1_{W_I}^{W_J}
+(the sign character, by Solomon's identity), read from induction counts alone.
+It is verified to coincide with tensoring by the sign character, to square to
+the identity, and to induce the transpose pairing on partition labels in type
+A.  Cohomological shift bookkeeping appears only through the parity ledger:
+the inverse-side signs (-1)^(d_empty + d_I) collapse to (-1)^|I|, since
+d_0 + d_k = 2(central_rank + sigma_size) - k.  There is one assembly;
+dl_inverse_matrix checks the ledger on every layer and returns it.
 """
 from __future__ import annotations
 
 import itertools
-from operator import mul
 from typing import NamedTuple
 
 from .chars import (
@@ -24,7 +23,7 @@ from .chars import (
 )
 from .errors import GroupMismatch, InternalError, InvalidType
 from .grp import _check_weyl, parabolic
-from .indres import fusion, induction_counts
+from .indres import induction_counts
 from .rootsys import WeylGroup
 
 
@@ -39,8 +38,8 @@ class ShiftLedger(NamedTuple):
     sigma_size: int
 
     def shift(self, i: int) -> int:
-        if not 0 <= i <= self.sigma_size:
-            raise InvalidType(f"layer {i} is outside 0..{self.sigma_size}")
+        if type(i) is not int or not 0 <= i <= self.sigma_size:
+            raise InvalidType(f"layer {i!r} is outside 0..{self.sigma_size}")
         return self.central_rank + self.sigma_size - i
 
     @property
@@ -66,25 +65,25 @@ def subsets(rank: int) -> list[tuple[int, ...]]:
 def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """Columns are the images of the irreducibles of W_J under sum over I in J of (-1)^|I| ind res.
 
-    (ind res chi)(w_r) = (1/|W_I|) * sum of n * chi(fusion[c]) over the triples
-    (r, c, n) of induction_counts(W_J, W_I), so DL chi = O chi / |W_J| for the
-    integer operator O[r][fusion[c]] += (-1)^|I| * |W_J|/|W_I| * n.
+    ind res chi = chi * 1_{W_I}^{W_J} (the projection formula), and
+    1_{W_I}^{W_J}(w_r) is (1/|W_I|) * the sum of n over the triples (r, c, n)
+    of induction_counts(W_J, W_I).  So DL chi = eps * chi / |W_J| pointwise,
+    for the integer class function eps[r] += (-1)^|I| * |W_J|/|W_I| * n.
     """
     G = table.classes
     _check_weyl(G, W.group_id)
     gens = G.generators
     if gens is None:
         raise GroupMismatch(f"table on {G.group_id} is on an explicit subgroup, not a standard parabolic")
-    operator = [[0] * G.n_classes for _ in range(G.n_classes)]
+    eps = [0] * G.n_classes
     for positions in subsets(len(gens)):
         P = parabolic(W, tuple(gens[k] for k in positions))
         scale = (-1) ** len(positions) * (G.order // P.order)
-        fused = fusion(P, G)
-        for r, c, n in induction_counts(G, P):
-            operator[r][fused[c]] += scale * n
+        for r, _, n in induction_counts(G, P):
+            eps[r] += scale * n
     images = []
     for chi in table.irreducibles:
-        values = tuple(exact_quotient(sum(map(mul, row, chi.values)), G.order) for row in operator)
+        values = tuple(exact_quotient(e * v, G.order) for e, v in zip(eps, chi.values))
         images.append(decompose(table, ClassFunction(table.group_id, values)).coeffs)
     return tuple(images)
 

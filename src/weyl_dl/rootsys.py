@@ -302,18 +302,13 @@ class WeylGroup:
         return tuple(actions)
 
     @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """Each element as a permutation of the root list, a tuple of root_actions."""
-        return tuple(map(tuple, self.root_actions))
-
-    @cached_property
     def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
         """conjugation_maps[i][y] is the index of s_i*y*s_i = (y^-1*s_i)^-1 * s_i."""
         inv = self._inverses
         return tuple(tuple(r[inv[r[inv[y]]]] for y in range(self.order)) for r in self.right_maps)
 
     def mul(self, a: int, b: int) -> int:
-        """Index of elements[a] after elements[b]: a walked along the reduced word of b."""
+        """Index of the product a*b, b acting first: a walked along the reduced word of b."""
         right = self.right_maps
         for i in self.words[b]:
             a = right[i][a]

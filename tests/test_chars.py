@@ -272,7 +272,7 @@ def test_reflection_is_the_trace_of_the_root_action(groups, type_label, rank):
     roots = W.rootsystem.roots
     columns = [roots.index(tuple(int(j == i) for j in range(rank))) for i in range(rank)]
     expected = tuple(
-        sum(roots[W.elements[w][columns[j]]][j] for j in range(rank)) for w in cc.reps
+        sum(roots[W.root_actions[w][columns[j]]][j] for j in range(rank)) for w in cc.reps
     )
     assert reflection(W, cc).values == expected
 

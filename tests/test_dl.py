@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -184,6 +186,31 @@ def test_dl_matrix_equals_the_literal_alternating_sum(groups, key):
         assert dl_matrix(W, t) == literal_dl_matrix(W, t), t.group_id
 
 
+@pytest.mark.parametrize("key", [*ROSTER, ("D", 5)], ids=lambda key: f"{key[0]}{key[1]}")
+def test_alternating_sum_of_parabolic_permutation_characters_is_sign(groups, key):
+    """Solomon's identity: sum over I in J of (-1)^|I| ind_{W_I}^{W_J} 1 is the sign character of W_J."""
+    W = groups(*key)
+    for J in subsets(W.rank):
+        PJ = parabolic(W, J)
+        total = [0] * PJ.n_classes
+        for positions in subsets(len(J)):
+            PI = parabolic(W, tuple(J[k] for k in positions))
+            term = induce(trivial(PI), PI, PJ).values
+            total = [a + (-1) ** len(positions) * v for a, v in zip(total, term)]
+        assert tuple(total) == sign(W, PJ).values, J
+
+
+def test_dl_matrix_reads_no_fusion_map():
+    """DL reads the induction counts alone: after it runs on W and on B4's parabolic tables, no fusion is cached."""
+    W = build_weyl_group("B", 4)
+    parabolics = [parabolic(W, J) for J in subsets(W.rank)]
+    dl_matrix(W, character_table(W))
+    assert all(P.fusion == {} for P in parabolics)
+    for P in parabolics[:-1]:
+        dl_matrix(W, character_table(W, P))
+    assert all(P.fusion == {} for P in parabolics)
+
+
 def test_dl_inverse_checks_the_ledger_of_the_parabolic(groups, monkeypatch):
     """On W_J the ledger has central rank rank - |J| and sigma size |J|, one check per layer."""
     seen = []
@@ -326,9 +353,9 @@ def test_shift_ledger_values():
     assert all(ledger.d[i] > ledger.d[i + 1] for i in range(3))
 
 
-@pytest.mark.parametrize("layer", [-1, 4, 9])
+@pytest.mark.parametrize("layer", [-1, 4, 9, True, 1.0, None])
 def test_shift_rejects_layer_outside_ledger(layer):
-    with pytest.raises(InvalidType, match=f"layer {layer} is outside 0..3"):
+    with pytest.raises(InvalidType, match=re.escape(f"layer {layer!r} is outside 0..3")):
         ShiftLedger(0, 3).shift(layer)
 
 

@@ -214,17 +214,17 @@ def test_parabolic_rejects_bad_index_under_optimize(run_optimized):
 
 def brute_force_conjugate(W, index, x, y):
     """Index of x*y*x^-1, composed from the root permutations alone and looked up in index."""
-    px, py = W.elements[x], W.elements[y]
+    px, py = W.root_actions[x], W.root_actions[y]
     px_inv = [0] * len(px)
     for r, image in enumerate(px):
         px_inv[image] = r
-    return index[tuple(px[py[px_inv[r]]] for r in range(len(px)))]
+    return index[bytes(px[py[px_inv[r]]] for r in range(len(px)))]
 
 
 def assert_classes_match_oracle(W, cc, members):
     """cc against orbits found by conjugating with every member of the subgroup."""
     members = sorted(members)
-    index = {p: i for i, p in enumerate(W.elements)}
+    index = {p: i for i, p in enumerate(W.root_actions)}
     assert cc.members == tuple(members)
     orbits = []
     seen = set()
@@ -239,11 +239,11 @@ def assert_classes_match_oracle(W, cc, members):
         assert all(cc.class_of(e) == c for e in orbit)
     assert cc.class_index.keys() == set(members)
     for c, rep in enumerate(cc.reps):
-        p = W.elements[rep]
+        p = W.root_actions[rep]
         inverse = [0] * len(p)
         for r, image in enumerate(p):
             inverse[image] = r
-        assert cc.inverse_class[c] == cc.class_of(index[tuple(inverse)])
+        assert cc.inverse_class[c] == cc.class_of(index[bytes(inverse)])
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
@@ -266,14 +266,14 @@ def test_intersection_subgroup_classes_match_oracle(groups, type_label, rank):
 
 
 def compose(p, q):
-    """The root permutation p after q."""
-    return tuple(p[r] for r in q)
+    """The root permutation p after q, as bytes."""
+    return bytes(p[r] for r in q)
 
 
 def closure_by_composition(W, simple):
     """Root permutations of the subgroup generated by the listed simple reflections."""
     gens = [W.rootsystem.simple_reflection_perms[i] for i in simple]
-    found = {W.elements[W.identity_index]}
+    found = {W.root_actions[W.identity_index]}
     frontier = list(found)
     while frontier:
         frontier = [q for q in {compose(p, g) for p in frontier for g in gens} if q not in found]
@@ -283,10 +283,10 @@ def closure_by_composition(W, simple):
 
 def test_simple_reflection_maps(groups):
     W = groups("B", 3)
-    index = {p: i for i, p in enumerate(W.elements)}
+    index = {p: i for i, p in enumerate(W.root_actions)}
     for i, s in enumerate(W.rootsystem.simple_reflection_perms):
-        assert W.generator_indices[i] == index[s]
-        for y, p in enumerate(W.elements):
+        assert W.generator_indices[i] == index[bytes(s)]
+        for y, p in enumerate(W.root_actions):
             assert W.right_maps[i][y] == index[compose(p, s)]
             assert W.conjugation_maps[i][y] == index[compose(s, compose(p, s))]
 
@@ -294,14 +294,14 @@ def test_simple_reflection_maps(groups):
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
 def test_double_cosets_match_composition(groups, type_label, rank):
     W = groups(type_label, rank)
-    index = {p: i for i, p in enumerate(W.elements)}
+    index = {p: i for i, p in enumerate(W.root_actions)}
     for J in subsets(rank):
         WJ = closure_by_composition(W, J)
         for I in subsets(rank):
             WI = closure_by_composition(W, I)
             covered = set()
             for x, K in double_cosets(W, J, I):
-                px = W.elements[x]
+                px = W.root_actions[x]
                 px_inv = [0] * len(px)
                 for r, image in enumerate(px):
                     px_inv[image] = r

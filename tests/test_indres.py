@@ -24,6 +24,7 @@ from weyl_dl import (
     subgroup_classes,
     trivial,
 )
+from weyl_dl.cli import ROSTER
 from weyl_dl.indres import fusion, induce_between, induction_counts, mackey_operator
 
 
@@ -276,15 +277,26 @@ def test_induction_counts_match_sweep(tables, type_label, rank):
         assert induction_counts(cc, P) is counts is P.counts[cc.group_id]
 
 
-@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2)])
-def test_induction_counts_into_w_have_one_triple_per_subgroup_class(tables, type_label, rank):
-    """Each class of H lies in one class of W, so it appears in exactly one triple."""
-    W, cc, _ = tables(type_label, rank)
-    for I in subsets(rank):
-        P = parabolic(W, I)
-        counts = induction_counts(cc, P)
-        assert sorted(c for _, c, _ in counts) == list(range(P.n_classes))
-        assert all(r == cc.class_of(P.reps[c]) for r, c, _ in counts)
+@pytest.mark.parametrize("type_label, rank", [*ROSTER, ("D", 5)])
+def test_induction_counts_into_w_have_one_triple_per_subgroup_class(groups, type_label, rank):
+    """For W_I <= W_J, each class c of W_I lies in one class r of W_J: one triple (r, c, n) per c.
+
+    r is the fusion of c, and n = |c| * |W_J| / |C_r|, so the DL assembly may
+    read r off the triple alone.
+    """
+    W = groups(type_label, rank)
+    for J in subsets(rank):
+        PJ = parabolic(W, J)
+        for I in subsets(rank):
+            if not set(I) <= set(J):
+                continue
+            PI = parabolic(W, I)
+            counts = induction_counts(PJ, PI)
+            fused = fusion(PI, PJ)
+            assert sorted(c for _, c, _ in counts) == list(range(PI.n_classes))
+            for r, c, n in counts:
+                assert r == fused[c], (J, I, c)
+                assert n * PJ.sizes[r] == PI.sizes[c] * PJ.order, (J, I, c)
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3)])

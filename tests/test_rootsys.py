@@ -207,7 +207,7 @@ def test_longest_element_is_involution(groups):
 
 def test_action_is_faithful(groups):
     W = groups("B", 3)
-    assert len(set(W.elements)) == W.order
+    assert len(set(W.root_actions)) == W.order
 
 
 def test_reflection_count(groups):
@@ -223,28 +223,28 @@ def test_canonical_order_starts_at_identity(groups):
     W = groups("A", 3)
     assert W.identity_index == 0
     assert W.lengths[0] == 0
-    assert W.elements[0] == tuple(range(len(W.rootsystem.roots)))
+    assert W.root_actions[0] == bytes(range(len(W.rootsystem.roots)))
     assert list(W.lengths) == sorted(W.lengths)
 
 
 def test_products_match_permutation_composition(groups):
     for key in [("B", 2), ("A", 3)]:
         W = groups(*key)
-        perms = W.elements
+        perms = W.root_actions
         index = {p: i for i, p in enumerate(perms)}
         inverses = []
         for p in perms:
             inverse = [0] * len(p)
             for r, image in enumerate(p):
                 inverse[image] = r
-            inverses.append(tuple(inverse))
+            inverses.append(bytes(inverse))
         for a in range(W.order):
             assert W.inv(a) == index[inverses[a]]
             for b in range(W.order):
-                assert W.mul(a, b) == index[tuple(perms[a][r] for r in perms[b])]
+                assert W.mul(a, b) == index[bytes(perms[a][r] for r in perms[b])]
         for w in range(W.order):
             expected = [
-                index[tuple(perms[x][perms[w][r]] for r in inverses[x])] for x in range(W.order)
+                index[bytes(perms[x][perms[w][r]] for r in inverses[x])] for x in range(W.order)
             ]
             assert W.conjugate_sweep(w) == expected
             assert W.conjugate_sweep(w, [3, 1]) == [expected[3], expected[1]]
@@ -365,8 +365,7 @@ def test_enumeration_matches_full_permutation_search(type_label, rank):
     assert W.lengths == lengths
     assert W.right_maps == right_maps
     assert tuple(W.inv(y) for y in range(W.order)) == inverses
-    assert "root_actions" not in vars(W) and "elements" not in vars(W)  # built only when asked for
-    assert W.elements == elements
+    assert "root_actions" not in vars(W)  # built only when asked for
     assert W.root_actions == tuple(map(bytes, elements))
     rs = W.rootsystem
     assert [rs.roots[c] for c in rs.simple_root_columns] == [

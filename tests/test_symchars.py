@@ -100,7 +100,7 @@ def test_natural_permutation_roundtrip(groups):
 
 
 def decoded_permutation(W, e):
-    """The point permutation decoded from e's images of the simple roots, read off W.elements.
+    """The point permutation decoded from e's images of the simple roots, read off W.root_actions.
 
     A root with coordinate support [lo..hi] is the difference of the coordinate
     vectors at the points lo and hi+1; chaining the images of a_1..a_n gives
@@ -118,7 +118,7 @@ def decoded_permutation(W, e):
     sigma = [None] * (W.rank + 1)
     for i in range(W.rank):
         column = roots.index(tuple(int(j == i) for j in range(W.rank)))
-        a, b = pair_of(roots[W.elements[e][column]])
+        a, b = pair_of(roots[W.root_actions[e][column]])
         assert sigma[i] in (None, a), "the images of a_i and a_(i+1) do not chain"
         sigma[i], sigma[i + 1] = a, b
     return tuple(sigma)
