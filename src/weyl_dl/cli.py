@@ -24,7 +24,6 @@ from .errors import (
 # usage error compile no engine module (README "Start-up").
 if TYPE_CHECKING:
     from .chars import CharacterTable
-    from .grp import ConjugacyClasses
     from .rootsys import WeylGroup
 
 SCHEMA_VERSION = 1
@@ -55,6 +54,8 @@ class Config(_ConfigFields):
             raise InvalidType(f"max_group_order must be an int, got {max_group_order!r}")
         if max_group_order < 2:
             raise InvalidType(f"max_group_order must be >= 2, got {max_group_order}")
+        if not isinstance(cache_dir, Path):
+            raise InvalidType(f"cache_dir must be a Path, got {cache_dir!r}")
         if output_format not in FORMATS:
             raise InvalidType(f"output format must be one of {FORMATS}")
         return super().__new__(cls, max_group_order, cache_dir, output_format)
@@ -72,15 +73,15 @@ def cache_path(cfg: Config, type_label: str, rank: int) -> Path:
     return cfg.cache_dir.expanduser() / name
 
 
-def cache_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> dict:
+def cache_payload(W: WeylGroup, table: CharacterTable) -> dict:
     """The JSON object of W's cache file: numbers as decimal strings, central_rank 0."""
     return {
         "schema_version": str(SCHEMA_VERSION),
         "type_label": W.cartan.type_label,
         "rank": str(W.cartan.rank),
         "central_rank": "0",
-        "class_words": [W.word_str(r) for r in classes.reps],
-        "class_sizes": [str(s) for s in classes.sizes],
+        "class_words": [W.word_str(r) for r in table.classes.reps],
+        "class_sizes": [str(s) for s in table.classes.sizes],
         "degrees": [str(d) for d in table.degrees],
         "labels": None if table.labels is None else [[str(p) for p in lam] for lam in table.labels],
         "values": [[str(v) for v in chi.values] for chi in table.irreducibles],
@@ -129,9 +130,7 @@ def load_cache_entry(path: Path, type_label: str, rank: int) -> tuple[dict, list
     return payload, rows
 
 
-def load_or_compute_table(
-    cfg: Config, W: WeylGroup, classes: ConjugacyClasses
-) -> tuple[CharacterTable, bool]:
+def load_or_compute_table(cfg: Config, W: WeylGroup) -> tuple[CharacterTable, bool]:
     """Cached table if the file is exactly the one this table writes, else a fresh computation.
 
     A hit needs rows that table_from_rows certifies, in canonical order, and a
@@ -141,6 +140,7 @@ def load_or_compute_table(
     is still returned, with a warning on stderr.
     """
     from .chars import character_table, table_from_rows
+    from .grp import conjugacy_classes
 
     cartan = W.cartan
     path = cache_path(cfg, cartan.type_label, cartan.rank)
@@ -148,26 +148,18 @@ def load_or_compute_table(
     if cached is not None:
         payload, rows = cached
         try:
-            table = table_from_rows(W, classes, rows)
-            if cache_payload(W, classes, table) == payload:
+            table = table_from_rows(W, conjugacy_classes(W), rows)
+            if cache_payload(W, table) == payload:
                 return table, True
         except IrrationalityError:
             pass
         print(f"warning: cache file {path} is inconsistent; recomputing", file=sys.stderr)
     table = character_table(W)
     try:
-        save_cache_entry(path, cache_payload(W, classes, table))
+        save_cache_entry(path, cache_payload(W, table))
     except OSError as exc:
         print(f"warning: cannot write cache file {path}: {exc}", file=sys.stderr)
     return table, False
-
-
-def build_group(cfg: Config, type_label: str, rank: int) -> tuple[WeylGroup, ConjugacyClasses]:
-    from .grp import conjugacy_classes
-    from .rootsys import build_weyl_group
-
-    W = build_weyl_group(type_label, rank, max_order=cfg.max_group_order)
-    return W, conjugacy_classes(W)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,7 @@ def _row(name: str, violations: Sequence[str], detail: str = "") -> CheckItem:
     return CheckItem(name, not violations, violations[0] if violations else detail)
 
 
-def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> list[CheckItem]:
+def run_type_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
     """The full invariant suite for one type; the heavier identities are rank-gated.
 
     table is W's table from load_or_compute_table, which certified it.
@@ -199,6 +191,7 @@ def run_type_checks(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTab
     checks: list[CheckItem] = []
     add = checks.append
     cartan = W.cartan
+    classes = table.classes
 
     expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
     add(CheckItem("group-order-degrees", W.order == expected, f"order={W.order}"))
@@ -325,8 +318,7 @@ def _rows(table: CharacterTable) -> list[list[str]]:
             for i, label in enumerate(irreducible_labels(table))]
 
 
-def _type_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
-                  extra: list[dict] | None = None) -> dict:
+def _type_payload(W: WeylGroup, table: CharacterTable, extra: list[dict] | None = None) -> dict:
     """The per-type JSON object that every report extends; extra adds keys per irreducible."""
     irreducibles = [{"label": label, "degree": degree, "values": values}
                     for label, degree, *values in _rows(table)]
@@ -336,7 +328,7 @@ def _type_payload(W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable
         "label": W.cartan.label,
         "cartan": [[_ds(v) for v in row] for row in W.cartan.cartan_matrix],
         "classes": [{"word": W.word_str(rep), "size": _ds(size)}
-                    for rep, size in zip(classes.reps, classes.sizes)],
+                    for rep, size in zip(table.classes.reps, table.classes.sizes)],
         "irreducibles": irreducibles,
     }
 
@@ -366,9 +358,10 @@ def _csv_row(fields: list[str]) -> str:
     return ",".join(quoted)
 
 
-def render_table(cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable) -> str:
+def render_table(cfg: Config, W: WeylGroup, table: CharacterTable) -> str:
     if cfg.output_format == "json":
-        return _emit_json({**_type_payload(W, classes, table), "order": _ds(W.order), "checks": []})
+        return _emit_json({**_type_payload(W, table), "order": _ds(W.order), "checks": []})
+    classes = table.classes
     words = [W.word_str(r) for r in classes.reps]
     cols = ["label", "degree"] + words
     rows = _rows(table)
@@ -387,10 +380,7 @@ def render_table(cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: Ch
 SPRINGER_CONVENTION = "trivial character <-> single-row partition in type A"
 
 
-def render_dl(
-    cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
-    checks: list[CheckItem],
-) -> str:
+def render_dl(cfg: Config, W: WeylGroup, table: CharacterTable, checks: list[CheckItem]) -> str:
     from .chars import irreducible_labels
     from .dl import sign_permutation
 
@@ -401,7 +391,7 @@ def render_dl(
             {"dl_image": names[perm[i]], "dl_image_index": _ds(perm[i])}
             for i in range(table.n_irreducibles)
         ]
-        return _emit_json({**_type_payload(W, classes, table, extra),
+        return _emit_json({**_type_payload(W, table, extra),
                            "springer_convention": SPRINGER_CONVENTION,
                            "checks": _checks_payload(checks)})
     pair_lines = []
@@ -426,12 +416,9 @@ def render_dl(
     return "\n".join(lines)
 
 
-def render_verify_single(
-    cfg: Config, W: WeylGroup, classes: ConjugacyClasses, table: CharacterTable,
-    checks: list[CheckItem],
-) -> str:
+def render_verify_single(cfg: Config, W: WeylGroup, table: CharacterTable, checks: list[CheckItem]) -> str:
     if cfg.output_format == "json":
-        return _emit_json({**_type_payload(W, classes, table), "checks": _checks_payload(checks)})
+        return _emit_json({**_type_payload(W, table), "checks": _checks_payload(checks)})
     if cfg.output_format == "csv":
         lines = [_csv_row(["name", "passed", "detail"])]
         lines += [_csv_row([c.name, "true" if c.passed else "false", c.detail]) for c in checks]
@@ -481,11 +468,12 @@ def _verify_text(results: list[tuple[str, list[CheckItem]]]) -> str:
 # Each imports the engine modules it runs before it builds its group: a module
 # compiled after a large group is enumerated raises the peak RSS (README "Start-up").
 
-def _load_type(cfg: Config, type_label: str, rank: int
-               ) -> tuple[WeylGroup, ConjugacyClasses, CharacterTable]:
-    W, classes = build_group(cfg, type_label, rank)
-    table, _ = load_or_compute_table(cfg, W, classes)
-    return W, classes, table
+def _load_type(cfg: Config, type_label: str, rank: int) -> tuple[WeylGroup, CharacterTable]:
+    from .rootsys import build_weyl_group
+
+    W = build_weyl_group(type_label, rank, max_order=cfg.max_group_order)
+    table, _ = load_or_compute_table(cfg, W)
+    return W, table
 
 
 def _exit_code(checks: Iterable[CheckItem]) -> int:
@@ -501,9 +489,9 @@ def cmd_table(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
 def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
     from . import dl  # noqa: F401  (with chars, indres and everything chars imports)
 
-    W, classes, table = _load_type(cfg, type_label, rank)
+    W, table = _load_type(cfg, type_label, rank)
     checks = _dl_checks(W, table)
-    return render_dl(cfg, W, classes, table, checks), _exit_code(checks)
+    return render_dl(cfg, W, table, checks), _exit_code(checks)
 
 
 def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
@@ -523,13 +511,13 @@ def cmd_verify(cfg: Config, targets: list[str]) -> tuple[str, int]:
 
     results = []
     for type_label, rank in types:
-        W, classes, table = _load_type(cfg, type_label, rank)
-        results.append((W.cartan.label, run_type_checks(W, classes, table)))
+        W, table = _load_type(cfg, type_label, rank)
+        results.append((W.cartan.label, run_type_checks(W, table)))
     if types is ROSTER:
         results.append(("ledger", global_parity_checks()))
         text = render_verify_all(cfg, results)
     else:
-        text = render_verify_single(cfg, W, classes, table, results[0][1])
+        text = render_verify_single(cfg, W, table, results[0][1])
     return text, _exit_code(c for _, checks in results for c in checks)
 
 

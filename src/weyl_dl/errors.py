@@ -2,11 +2,13 @@
 
 
 class InvalidType(Exception):
-    """Unsupported or malformed Cartan type request."""
+    """A refused input: a type, rank or Cartan matrix, an index, a Config field or
+    order limit, a verify target, members that are no subgroup, or a ledger layer."""
 
 
 class SizeLimit(Exception):
-    """Group enumeration exceeded the configured maximum order."""
+    """A group over its order limit, or a root system over MAX_ROOTS roots or over
+    the 256 roots a search key holds; raised before the group is enumerated."""
 
 
 DEFAULT_MAX_ORDER = 2_000_000

@@ -198,8 +198,8 @@ def test_cache_populated_and_used(cache_dir):
 
 
 def test_cache_roundtrip(cache_dir, tables):
-    W, classes, table = tables("A", 2)
-    payload = cache_payload(W, classes, table)
+    W, _, table = tables("A", 2)
+    payload = cache_payload(W, table)
     assert payload["values"] == [["1", "1", "1"], ["1", "-1", "1"], ["2", "0", "-1"]]
     assert payload["labels"] == [["3"], ["1", "1", "1"], ["2", "1"]]
     cfg = Config(cache_dir=cache_dir)
@@ -341,8 +341,8 @@ def test_warm_table_is_the_table_of_the_group(cache_dir, monkeypatch):
     load = cli.load_or_compute_table
     loaded = []
 
-    def recorded(cfg, W, classes):
-        table, hit = load(cfg, W, classes)
+    def recorded(cfg, W):
+        table, hit = load(cfg, W)
         loaded.append((W, table, hit))
         return table, hit
 
@@ -351,6 +351,27 @@ def test_warm_table_is_the_table_of_the_group(cache_dir, monkeypatch):
     [(W, table, hit)] = loaded
     assert hit
     assert chars.character_table(W) is table
+
+
+def test_loaded_table_holds_the_classes_of_the_group(cache_dir, capsys):
+    """A miss, a hit and an inconsistent file each give a table on conjugacy_classes(W) itself."""
+    cfg = Config(cache_dir=cache_dir)
+
+    def load():
+        W = rootsys.build_weyl_group("B", 3)
+        table, hit = cli.load_or_compute_table(cfg, W)
+        assert table.classes is weyl_dl.conjugacy_classes(W)
+        return hit
+
+    assert not load()  # a miss writes the file
+    assert load()
+    path = cache_path(cfg, "B", 3)
+    payload = json.loads(path.read_text())
+    payload["values"].reverse()  # rows out of canonical order
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert not load()
+    assert "inconsistent" in capsys.readouterr().err
 
 
 def test_config_validation():
@@ -796,15 +817,15 @@ def test_verify_all_counts_the_ledger_target(cache_dir, monkeypatch):
 
 def test_verify_all_leaves_no_group_alive(cache_dir, monkeypatch):
     """Every per-pair cache lives on its W: after verify all, no W of the run is still reachable."""
-    build = cli.build_group
+    build = rootsys.build_weyl_group
     groups = []
 
-    def recorded(cfg, type_label, rank):
-        W, classes = build(cfg, type_label, rank)
+    def recorded(*args, **kwargs):
+        W = build(*args, **kwargs)
         groups.append(weakref.ref(W))
-        return W, classes
+        return W
 
-    monkeypatch.setattr(cli, "build_group", recorded)
+    monkeypatch.setattr(rootsys, "build_weyl_group", recorded)
     assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
     gc.collect()
     assert len(groups) == len(cli.ROSTER)
@@ -817,23 +838,23 @@ def test_verify_all_holds_one_type_at_a_time(cache_dir, monkeypatch):
     A type is alive while its group, its classes or its table is reachable; a
     loop that kept every table would count 0, 1, 2, ... here.
     """
-    build, load = cli.build_group, cli.load_or_compute_table
+    build, load = rootsys.build_weyl_group, cli.load_or_compute_table
     refs = []  # per type: weak references to its group, classes and table
     alive = []
 
-    def recorded_build(cfg, type_label, rank):
+    def recorded_build(*args, **kwargs):
         gc.collect()
         alive.append(sum(any(ref() is not None for ref in type_refs) for type_refs in refs))
-        W, classes = build(cfg, type_label, rank)
-        refs.append([weakref.ref(W), weakref.ref(classes)])
-        return W, classes
+        W = build(*args, **kwargs)
+        refs.append([weakref.ref(W)])
+        return W
 
-    def recorded_load(cfg, W, classes):
-        table, hit = load(cfg, W, classes)
-        refs[-1].append(weakref.ref(table))
+    def recorded_load(cfg, W):
+        table, hit = load(cfg, W)
+        refs[-1] += [weakref.ref(table.classes), weakref.ref(table)]
         return table, hit
 
-    monkeypatch.setattr(cli, "build_group", recorded_build)
+    monkeypatch.setattr(rootsys, "build_weyl_group", recorded_build)
     monkeypatch.setattr(cli, "load_or_compute_table", recorded_load)
     assert run_cli(["verify", "all", "--cache-dir", str(cache_dir)])[0] == 0
     assert [len(type_refs) for type_refs in refs] == [3] * len(cli.ROSTER)
@@ -842,15 +863,14 @@ def test_verify_all_holds_one_type_at_a_time(cache_dir, monkeypatch):
 
 def test_parabolic_class_maps_hold_members_only(cache_dir, monkeypatch):
     """After dl A 5, each cached proper parabolic maps its members, and only them, to classes."""
-    build = cli.build_group
+    build = rootsys.build_weyl_group
     groups = []
 
-    def recorded(cfg, type_label, rank):
-        W, classes = build(cfg, type_label, rank)
-        groups.append(W)
-        return W, classes
+    def recorded(*args, **kwargs):
+        groups.append(build(*args, **kwargs))
+        return groups[-1]
 
-    monkeypatch.setattr(cli, "build_group", recorded)
+    monkeypatch.setattr(rootsys, "build_weyl_group", recorded)
     assert run_cli(["dl", "A", "5", "--cache-dir", str(cache_dir)])[0] == 0
     [W] = groups
     parabolics = [P for key, P in W.cache.items() if key[0] == "parabolic"]

@@ -142,11 +142,12 @@ def test_error_path(tmp_path, command, code, stderr):
     assert list(tmp_path.iterdir()) == []
 
 
-# help text at a fixed width: `weyl-dl --help` and the help of the two per-type commands
+# help text at a fixed width: `weyl-dl --help` and the help of each command
 HELP = (
     ("--help", "81cbb721b959f5b1e3f533684689666d0b12d21e5108baa23c5b2819582a8f02"),
     ("table --help", "87aa21b09ae61076dd165e5ea4b34f427bbeda5dab318cce2293a843d31f25cf"),
     ("dl --help", "f07c57f8dba3ec47e5f48784abece4c3851830b41b337e178f82a4c6daa0d868"),
+    ("verify --help", "f40cba591b9de742b793659a1d7ce5f773091933d700ba917fad2920e4d1e638"),
 )
 
 

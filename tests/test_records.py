@@ -64,6 +64,11 @@ def test_validated_records_check_replace_too():
         W.cartan._replace(cartan_matrix=((2, -5), (-5, 2)))
     with pytest.raises(InvalidType, match="max_group_order"):
         Config()._replace(max_group_order=1)
+    for cache_dir in ("x", None):
+        with pytest.raises(InvalidType, match="cache_dir must be a Path"):
+            Config(cache_dir=cache_dir)
+        with pytest.raises(InvalidType, match="cache_dir must be a Path"):
+            Config()._replace(cache_dir=cache_dir)
     assert Config(output_format="json")._replace(cache_dir=Path("x")).cache_dir == Path("x")
 
 
@@ -74,11 +79,14 @@ def test_validation_survives_optimize(run_optimized):
         "from weyl_dl.rootsys import CartanDatum\n"
         "for make in (lambda: CartanDatum('X', 2, ((2, -5), (-5, 2))),\n"
         "             lambda: Config(max_group_order=1),\n"
-        "             lambda: Config(output_format='xml')):\n"
+        "             lambda: Config(output_format='xml'),\n"
+        "             lambda: Config(cache_dir='x'), lambda: Config(cache_dir=None),\n"
+        "             lambda: Config()._replace(cache_dir='x'),\n"
+        "             lambda: Config()._replace(cache_dir=None)):\n"
         "    try:\n"
         "        make()\n"
         "        print('accepted')\n"
         "    except InvalidType:\n"
         "        print('InvalidType')\n"
     )
-    assert run_optimized(code) == "InvalidType\n" * 3
+    assert run_optimized(code) == "InvalidType\n" * 7
