@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from math import prod
+from functools import cached_property
+from math import inf, prod
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -171,119 +172,112 @@ class CheckItem(NamedTuple):
     detail: str = ""
 
 
-def _row(name: str, violations: Sequence[str], detail: str = "") -> CheckItem:
-    """A row that passes when there are no violations; a failing row shows the first one."""
-    return CheckItem(name, not violations, violations[0] if violations else detail)
+def _row(violations: Sequence[str], detail: str = "") -> tuple[bool, str]:
+    """Passes when there are no violations; a failing row shows the first one."""
+    return not violations, violations[0] if violations else detail
+
+
+class _Context:
+    """One type's W and table, the engine modules its rows call, and the work rows share.
+
+    Each shared value is computed when a row first reads it.
+    """
+
+    def __init__(self, W: WeylGroup, table: CharacterTable) -> None:
+        from . import chars, dl, grp, indres, rootsys, symchars
+
+        self.W, self.table = W, table
+        self.chars, self.dl, self.grp, self.indres, self.rootsys, self.symchars = (
+            chars, dl, grp, indres, rootsys, symchars)
+
+    @cached_property
+    def sub_tables(self) -> dict:
+        """The table of W_I, for each of the 2^r subsets I of the simple reflections."""
+        W, character_table = self.W, self.chars.character_table
+        return {I: character_table(W, self.grp.parabolic(W, I)) for I in self.dl.subsets(W.rank)}
+
+    @cached_property
+    def induced(self) -> dict:
+        """ind_{W_I}^W chi, once per (I, chi), for Mackey's left side and transitivity's direct side."""
+        return {I: [self.indres.induce(chi, t.classes, self.table.classes) for chi in t.irreducibles]
+                for I, t in self.sub_tables.items()}
+
+
+def _transitivity(c: _Context) -> tuple[bool, str]:
+    sub, induce = c.sub_tables, c.indres.induce
+    # a list, not a generator: every pair is induced even after a failure
+    return all([
+        induce(induce(chi, sub[J].classes, sub[I].classes), sub[I].classes, c.table.classes) == direct
+        for J in sub for I in sub if set(J) <= set(I)
+        for chi, direct in zip(sub[J].irreducibles, c.induced[J])
+    ]), ""
+
+
+def _springer(c: _Context) -> tuple[bool, str]:
+    labels, perm = c.table.labels, c.dl.sign_permutation(c.W, c.table)
+    transposed = labels is not None and all(
+        labels[p] == c.symchars.transpose(lam) for lam, p in zip(labels, perm))
+    return transposed, "; ".join(f"{a}->{b}" for a, b in c.dl.springer_table(c.W, c.table)[:3])
+
+
+# The report rows in order: (name, largest rank it runs at, the one type it runs on or None,
+# check).  A check takes a _Context and returns (passed, detail).
+ROWS = (
+    ("group-order-degrees", inf, None, lambda c: (
+        c.W.order == prod(c.rootsys.fundamental_degrees(c.W.cartan.type_label, c.W.rank)),
+        f"order={c.W.order}")),
+    ("length-inversions", inf, None, lambda c: (
+        c.W.lengths == tuple(map(c.W.inversions, range(c.W.order))), "")),
+    ("longest-element", inf, None, lambda c: (c.W.lengths[c.W.longest_element] == c.W.rootsystem.n_positive
+                                              and c.W.mul(c.W.longest_element, c.W.longest_element) == 0, "")),
+    ("faithful-action", inf, None, lambda c: (len(set(c.W.root_actions)) == c.W.order, "")),
+    # the conjugates of the simple reflections: their orbit under conjugation by each s_i
+    ("reflection-count", inf, None, lambda c: (
+        (n := len(c.grp._orbit(c.W.generator_indices, c.W.conjugation_maps))) == c.W.rootsystem.n_positive,
+        f"count={n}")),
+    ("class-sizes-sum", inf, None, lambda c: (
+        sum(c.table.classes.sizes) == c.W.order, f"classes={c.table.classes.n_classes}")),
+    ("table-integer-values", inf, None, lambda c: (
+        all(isinstance(v, int) for chi in c.table.irreducibles for v in chi.values), "")),
+    # table_from_rows built the table only after certify_characters proved both relations
+    ("row-orthonormality", inf, None, lambda c: (True, "")),
+    ("column-orthogonality", inf, None, lambda c: (True, "")),
+    ("degree-squares", inf, None, lambda c: (sum(d * d for d in c.table.degrees) == c.W.order, "")),
+    ("degree-divides-order", inf, None, lambda c: (all(c.W.order % d == 0 for d in c.table.degrees), "")),
+    ("type-a-partition-labels", inf, "A", lambda c: (
+        c.table.labels is not None and len(set(c.table.labels)) == c.table.classes.n_classes, "")),
+    ("frobenius-reciprocity", 4, None, lambda c: _row(
+        [v for t in c.sub_tables.values() for v in c.indres.frobenius_check(c.table, t)],
+        f"subsets={2 ** c.W.rank}")),
+    ("mackey-decomposition", 3, None, lambda c: _row([
+        v for I in c.sub_tables for J in c.sub_tables
+        for chi, ind_chi in zip(c.sub_tables[I].irreducibles, c.induced[I])
+        for v in c.indres.mackey_check(c.W, I, J, chi, ind_chi)])),
+    ("induction-transitivity", 3, None, _transitivity),
+    ("sign-twist", inf, None, lambda c: _row(c.dl.verify_sign_twist(c.W, c.table))),
+    ("involution", inf, None, lambda c: _row(c.dl.verify_involution(c.W, c.table))),
+    ("dl-unit-images", inf, None, lambda c: (all(sorted(col) == [0] * (c.table.classes.n_classes - 1) + [1]
+                                                 for col in c.dl.dl_matrix(c.W, c.table)), "")),
+    ("dl-inverse-agreement", inf, None, lambda c: (
+        c.dl.dl_matrix(c.W, c.table) == c.dl.dl_inverse_matrix(c.W, c.table), "")),
+    ("springer-transpose", inf, "A", _springer),
+    ("shift-parity-ledger", inf, None, lambda c: (_parity_ledger_holds([c.W.rank]), "")),
+)
+
+DL_ROWS = ("sign-twist", "involution", "dl-inverse-agreement")
+
+
+def _checks(W: WeylGroup, table: CharacterTable, names: Sequence[str] | None = None) -> list[CheckItem]:
+    """The rows of ROWS whose gate admits W, in report order; only those named, if names is given."""
+    c = _Context(W, table)
+    return [CheckItem(name, *check(c)) for name, max_rank, only_type, check in ROWS
+            if W.rank <= max_rank and only_type in (None, W.cartan.type_label)
+            and (names is None or name in names)]
 
 
 def run_type_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
-    """The full invariant suite for one type; the heavier identities are rank-gated.
-
-    table is W's table from load_or_compute_table, which certified it.
-    """
-    from .chars import character_table
-    from .dl import dl_matrix, sign_permutation, springer_table, subsets as subsets_of
-    from .grp import _orbit, parabolic
-    from .indres import frobenius_check, induce, mackey_check
-    from .rootsys import fundamental_degrees
-    from .symchars import transpose
-
-    checks: list[CheckItem] = []
-    add = checks.append
-    cartan = W.cartan
-    classes = table.classes
-
-    expected = prod(fundamental_degrees(cartan.type_label, cartan.rank))
-    add(CheckItem("group-order-degrees", W.order == expected, f"order={W.order}"))
-
-    agree = W.lengths == tuple(map(W.inversions, range(W.order)))
-    add(CheckItem("length-inversions", agree))
-
-    npos = W.rootsystem.n_positive
-    w0 = W.longest_element
-    add(CheckItem("longest-element", W.lengths[w0] == npos and W.mul(w0, w0) == 0))
-
-    add(CheckItem("faithful-action", len(set(W.root_actions)) == W.order))
-
-    # the conjugates of the simple reflections: their orbit under conjugation by each s_i
-    count = len(_orbit(W.generator_indices, W.conjugation_maps))
-    add(CheckItem("reflection-count", count == npos, f"count={count}"))
-
-    add(CheckItem("class-sizes-sum", sum(classes.sizes) == W.order,
-                  f"classes={classes.n_classes}"))
-
-    k = classes.n_classes
-    add(CheckItem("table-integer-values",
-                  all(isinstance(v, int) for chi in table.irreducibles for v in chi.values)))
-    # table_from_rows built the table only after certify_characters proved both relations
-    add(CheckItem("row-orthonormality", True))
-    add(CheckItem("column-orthogonality", True))
-
-    add(CheckItem("degree-squares", sum(d * d for d in table.degrees) == W.order))
-    add(CheckItem("degree-divides-order", all(W.order % d == 0 for d in table.degrees)))
-
-    if cartan.type_label == "A":
-        labels_ok = table.labels is not None and len(set(table.labels)) == k
-        add(CheckItem("type-a-partition-labels", bool(labels_ok)))
-
-    if W.rank <= 4:
-        subsets = subsets_of(W.rank)
-        sub_tables = {I: character_table(W, parabolic(W, I)) for I in subsets}
-        violations = [v for sub_table in sub_tables.values()
-                      for v in frobenius_check(table, sub_table)]
-        add(_row("frobenius-reciprocity", violations, f"subsets={2 ** W.rank}"))
-
-    if W.rank <= 3:
-        # ind_{W_I}^W chi, once per (I, chi), for Mackey's left side and the direct side below
-        induced = {I: [induce(chi, t.classes, classes) for chi in t.irreducibles]
-                   for I, t in sub_tables.items()}
-        violations = [v for I in subsets for J in subsets
-                      for chi, ind_chi in zip(sub_tables[I].irreducibles, induced[I])
-                      for v in mackey_check(W, I, J, chi, ind_chi)]
-        add(_row("mackey-decomposition", violations))
-
-        # a list, not a generator: every pair is induced even after a failure
-        transitive = all([
-            induce(induce(chi, sub_tables[J].classes, sub_tables[I].classes),
-                   sub_tables[I].classes, classes) == direct
-            for J in subsets for I in subsets if set(J) <= set(I)
-            for chi, direct in zip(sub_tables[J].irreducibles, induced[J])
-        ])
-        add(CheckItem("induction-transitivity", transitive))
-
-    *dl_rows, agreement = _dl_checks(W, table)
-    checks += dl_rows
-    add(CheckItem("dl-unit-images", all(
-        sorted(col) == [0] * (k - 1) + [1] for col in dl_matrix(W, table)
-    )))
-    add(agreement)
-
-    if cartan.type_label == "A":
-        pairs = springer_table(W, table)
-        perm = sign_permutation(W, table)
-        transposed = table.labels is not None and all(
-            table.labels[perm[i]] == transpose(table.labels[i]) for i in range(k)
-        )
-        add(CheckItem("springer-transpose", transposed,
-                      "; ".join(f"{a}->{b}" for a, b in pairs[:3])))
-
-    add(CheckItem("shift-parity-ledger", _parity_ledger_holds([W.rank])))
-
-    return checks
-
-
-def _dl_checks(W: WeylGroup, table: CharacterTable) -> list[CheckItem]:
-    """The sign-twist, involution and dl-inverse-agreement rows, for dl and verify alike."""
-    from .dl import dl_inverse_matrix, dl_matrix, verify_involution, verify_sign_twist
-
-    twist = verify_sign_twist(W, table)
-    involution = verify_involution(W, table)
-    agree = dl_matrix(W, table) == dl_inverse_matrix(W, table)
-    return [
-        _row("sign-twist", twist),
-        _row("involution", involution),
-        CheckItem("dl-inverse-agreement", agree),
-    ]
+    """The full invariant suite for W and its table from load_or_compute_table, which certified it."""
+    return _checks(W, table)
 
 
 def _parity_ledger_holds(sigmas: Iterable[int]) -> bool:
@@ -490,7 +484,7 @@ def cmd_dl(cfg: Config, type_label: str, rank: int) -> tuple[str, int]:
     from . import dl  # noqa: F401  (with chars, indres and everything chars imports)
 
     W, table = _load_type(cfg, type_label, rank)
-    checks = _dl_checks(W, table)
+    checks = _checks(W, table, DL_ROWS)
     return render_dl(cfg, W, table, checks), _exit_code(checks)
 
 

@@ -21,7 +21,7 @@ from .chars import (
     CharacterTable, ClassFunction, VirtualCharacter, _combine, check_on, decompose,
     exact_quotient, irreducible_labels, sign, unit,
 )
-from .errors import GroupMismatch, InternalError, InvalidType
+from .errors import GroupMismatch, InternalError, InvalidType, NotVirtual
 from .grp import _check_weyl, parabolic
 from .indres import induction_counts
 from .rootsys import WeylGroup
@@ -82,9 +82,12 @@ def _alternating_matrix(W: WeylGroup, table: CharacterTable) -> tuple[tuple[int,
         for r, _, n in induction_counts(G, P):
             eps[r] += scale * n
     images = []
-    for chi in table.irreducibles:
+    for i, chi in enumerate(table.irreducibles):
         values = tuple(exact_quotient(e * v, G.order) for e, v in zip(eps, chi.values))
-        images.append(decompose(table, ClassFunction(table.group_id, values)).coeffs)
+        try:
+            images.append(decompose(table, ClassFunction(table.group_id, values)).coeffs)
+        except NotVirtual as exc:  # DL maps the virtual characters onto themselves
+            raise InternalError(f"DL image of irreducible #{i} on {G.group_id} is not virtual: {exc}") from exc
     return tuple(images)
 
 

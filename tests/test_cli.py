@@ -480,6 +480,38 @@ def test_sign_twist_inconsistency_exits_4(cache_dir, capsys, monkeypatch):
         "error: internal: sign tensor irreducible #0 is not a row of the table\n")
 
 
+@pytest.mark.parametrize("command", ["dl", "verify"])
+def test_dl_assembly_fault_exits_4(cache_dir, capsys, monkeypatch, command):
+    """One induction count of the trivial subgroup raised by 1 in DL's assembly is an engine fault, not bad input."""
+    counts = dl.induction_counts
+
+    def one_too_many(G, H):
+        triples = counts(G, H)
+        if H.order != 1:
+            return triples
+        (r, c, n), *rest = triples
+        return ((r, c, n + 1), *rest)
+
+    monkeypatch.setattr(dl, "induction_counts", one_too_many)
+    code, out = run_cli([command, "B", "3", "--cache-dir", str(cache_dir)])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == (
+        "error: internal: DL image of irreducible #0 on B3 is not virtual: "
+        "pairing 1/48 with an irreducible is not an integer\n")
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_each_row_runs_alone(cache_dir, type_label, rank):
+    """Every row the gates admit gives, run alone on a fresh group, the row of the full suite."""
+    names = [name for name, *_ in cli.ROWS]
+    assert len(set(names)) == len(names) and set(cli.DL_ROWS) <= set(names)
+    cfg = Config(cache_dir=cache_dir)
+    full = cli.run_type_checks(*cli._load_type(cfg, type_label, rank))
+    assert [c.name for c in full] == [name for name in names if name in {c.name for c in full}]
+    for row in full:
+        assert cli._checks(*cli._load_type(cfg, type_label, rank), (row.name,)) == [row], row.name
+
+
 @pytest.fixture(scope="module")
 def warm_f4_cache(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache")

@@ -51,6 +51,8 @@ GOLDEN = (
     # beyond the roster: DL over all 64 and 32 parabolics
     ("dl A 6 --format json", "7232a261d7717b349cc73bcda4a4c1122dce7795dc4557a8e1a518ef48167053"),
     ("dl D 5 --format json", "63881aebba1cec856be8a89611cbf6aa4e8f1c5642d54221ebf7168056ebea91"),
+    # rank 5 runs neither Frobenius (rank <= 4) nor Mackey and transitivity (rank <= 3)
+    ("verify B 5 --format json", "9a25fe640102628361e0a8b1e4113ff58b2ea98cb4f13229f4e26e7de2e3a894"),
     # verify of one type, and the csv and text reports of table and dl
     ("verify A 3 --format json", "95e5fe8f27053bbad0e1c23188e8b577b0559155d3c70d957242fb4e97be1012"),
     ("verify A 3 --format csv", "6c5c75a4b9648ab5ad8948ca16548d29b5122e18709815851a8f4b4c4336d005"),

@@ -79,7 +79,10 @@ def test_traced_cold_table_counts_lazily_imported_calls(tmp_path):
 
 
 def test_traced_warm_dl_assembles_one_operator(tmp_path):
-    """dl F 4 on a filled cache, traced: DL reads the induction counts and never induces or restricts."""
+    """dl F 4 on a filled cache, traced: DL reads the induction counts and never induces or restricts.
+
+    dl runs its three rows of cli.ROWS and no other: no Frobenius or Mackey check, and no full suite.
+    """
     trace = tmp_path / "trace.json"
     cache = str(tmp_path / "cache")
     env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -93,6 +96,10 @@ def test_traced_warm_dl_assembles_one_operator(tmp_path):
     assert calls["dl.dl_matrix"] >= 1
     assert calls["indres.induction_counts"] >= 1
     assert calls.get("indres.induce", 0) == calls.get("indres.restrict", 0) == 0
+    for name in ("cli.run_type_checks", "indres.frobenius_check", "indres.mackey_check"):
+        assert calls.get(name, 0) == 0, name
+    for name in ("dl.verify_sign_twist", "dl.verify_involution", "dl.dl_inverse_matrix"):
+        assert calls[name] == 1, name
 
 
 def test_every_public_name_resolves():
