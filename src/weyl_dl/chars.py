@@ -152,6 +152,12 @@ def trivial(classes: ConjugacyClasses) -> ClassFunction:
     return ClassFunction(classes.group_id, (1,) * classes.n_classes)
 
 
+def class_indicators(classes: ConjugacyClasses) -> tuple[ClassFunction, ...]:
+    """The indicator 1_c of each class c, 1 on c and 0 elsewhere: a basis of the class functions."""
+    n = classes.n_classes
+    return tuple(ClassFunction(classes.group_id, (0,) * c + (1,) + (0,) * (n - 1 - c)) for c in range(n))
+
+
 def sign(W: WeylGroup, classes: ConjugacyClasses) -> ClassFunction:
     """(-1)^length, evaluated on class representatives."""
     _check_weyl(classes, W.group_id)

@@ -191,25 +191,24 @@ class _Context:
             chars, dl, grp, indres, rootsys, symchars)
 
     @cached_property
-    def sub_tables(self) -> dict:
-        """The table of W_I, for each of the 2^r subsets I of the simple reflections."""
-        W, character_table = self.W, self.chars.character_table
-        return {I: character_table(W, self.grp.parabolic(W, I)) for I in self.dl.subsets(W.rank)}
+    def parabolics(self) -> dict:
+        """The classes of W_I, for each of the 2^r subsets I of the simple reflections."""
+        return {I: self.grp.parabolic(self.W, I) for I in self.dl.subsets(self.W.rank)}
 
     @cached_property
     def induced(self) -> dict:
-        """ind_{W_I}^W chi, once per (I, chi), for Mackey's left side and transitivity's direct side."""
-        return {I: [self.indres.induce(chi, t.classes, self.table.classes) for chi in t.irreducibles]
-                for I, t in self.sub_tables.items()}
+        """(1_c, ind_{W_I}^W 1_c) per class indicator 1_c of W_I, per I, for Mackey and transitivity."""
+        return {I: [(f, self.indres.induce(f, P, self.table.classes)) for f in self.chars.class_indicators(P)]
+                for I, P in self.parabolics.items()}
 
 
 def _transitivity(c: _Context) -> tuple[bool, str]:
-    sub, induce = c.sub_tables, c.indres.induce
+    P, induce = c.parabolics, c.indres.induce
     # a list, not a generator: every pair is induced even after a failure
     return all([
-        induce(induce(chi, sub[J].classes, sub[I].classes), sub[I].classes, c.table.classes) == direct
-        for J in sub for I in sub if set(J) <= set(I)
-        for chi, direct in zip(sub[J].irreducibles, c.induced[J])
+        induce(induce(f, P[J], P[I]), P[I], c.table.classes) == direct
+        for J in P for I in P if set(J) <= set(I)
+        for f, direct in c.induced[J]
     ]), ""
 
 
@@ -247,12 +246,11 @@ ROWS = (
     ("type-a-partition-labels", inf, "A", lambda c: (
         c.table.labels is not None and len(set(c.table.labels)) == c.table.classes.n_classes, "")),
     ("frobenius-reciprocity", 4, None, lambda c: _row(
-        [v for t in c.sub_tables.values() for v in c.indres.frobenius_check(c.table, t)],
+        [v for P in c.parabolics.values() for v in c.indres.frobenius_check(c.table, P)],
         f"subsets={2 ** c.W.rank}")),
     ("mackey-decomposition", 3, None, lambda c: _row([
-        v for I in c.sub_tables for J in c.sub_tables
-        for chi, ind_chi in zip(c.sub_tables[I].irreducibles, c.induced[I])
-        for v in c.indres.mackey_check(c.W, I, J, chi, ind_chi)])),
+        v for I in c.parabolics for J in c.parabolics for f, ind_f in c.induced[I]
+        for v in c.indres.mackey_check(c.W, I, J, f, ind_f)])),
     ("induction-transitivity", 3, None, _transitivity),
     ("sign-twist", inf, None, lambda c: _row(c.dl.verify_sign_twist(c.W, c.table))),
     ("involution", inf, None, lambda c: _row(c.dl.verify_involution(c.W, c.table))),
@@ -422,15 +420,8 @@ def render_verify_single(cfg: Config, W: WeylGroup, table: CharacterTable, check
 
 def render_verify_all(cfg: Config, results: list[tuple[str, list[CheckItem]]]) -> str:
     if cfg.output_format == "json":
-        all_checks = []
-        for label, checks in results:
-            all_checks += _checks_payload(checks, target=label)
-        return _emit_json({
-            "cartan": [],
-            "classes": [],
-            "irreducibles": [],
-            "checks": all_checks,
-        })
+        all_checks = [item for label, checks in results for item in _checks_payload(checks, target=label)]
+        return _emit_json({"cartan": [], "classes": [], "irreducibles": [], "checks": all_checks})
     if cfg.output_format == "csv":
         lines = [_csv_row(["target", "name", "passed", "detail"])]
         for label, checks in results:

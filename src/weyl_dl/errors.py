@@ -2,8 +2,8 @@
 
 
 class InvalidType(Exception):
-    """A refused input: a type, rank or Cartan matrix, an index, a Config field or
-    order limit, a verify target, members that are no subgroup, or a ledger layer."""
+    """A refused input: a type, rank or Cartan matrix, an index, a Config field or order limit,
+    a verify target, members that are no subgroup, partitions of unequal size, or a ledger layer."""
 
 
 class SizeLimit(Exception):

@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import floordiv, mod, mul
 from typing import Sequence
 
-from .chars import CharacterTable, ClassFunction, check_on, exact_quotient
+from .chars import CharacterTable, ClassFunction, check_on, class_indicators, exact_quotient
 from .grp import ConjugacyClasses, _check_weyl, conjugacy_classes, double_cosets, parabolic
 from .rootsys import WeylGroup
 
@@ -95,28 +95,28 @@ def induce_between(
     return induce(f, sub, sup)
 
 
-def frobenius_check(table_G: CharacterTable, table_H: CharacterTable) -> tuple[str, ...]:
-    """<ind chi, psi> = <chi, res psi> for all irreducible pairs, exactly; the violations, or ().
+def frobenius_check(table_G: CharacterTable, H: ConjugacyClasses) -> tuple[str, ...]:
+    """<ind 1_c, psi> = <1_c, res psi> for each class c of H and psi in Irr(G), exactly; the violations, or ().
 
-    table_H is the table of a subgroup H of the group of table_G.  Induction
-    goes through the members' tally and restriction through fusion, so the
-    two sides are computed independently.  Each side is a sum against a
-    table's weighted conjugates, and lhs_total / |G| = rhs_total / |H| is
+    Both sides are linear in the function on the subgroup H, and its class
+    indicators 1_c are a basis.  Induction goes through the members' tally and
+    restriction through fusion, so the two sides are computed independently.
+    With rhs_total = |c| (res psi)(c^-1), lhs_total / |G| = rhs_total / |H| is
     compared as lhs_total * |H| = rhs_total * |G|.
     """
-    G, H = table_G.classes, table_H.classes
+    G = table_G.classes
     g, h = G.order, H.order
     violations = []
     restrictions = [restrict(psi, H, G).values for psi in table_G.irreducibles]
-    for a, (chi, chi_weighted) in enumerate(zip(table_H.irreducibles, table_H.weighted_conjugates)):
-        ind_chi = induce(chi, H, G).values
+    for c, one_c in enumerate(class_indicators(H)):
+        ind_c = induce(one_c, H, G).values
         for b, (psi_weighted, res_psi) in enumerate(zip(table_G.weighted_conjugates, restrictions)):
-            lhs_total = sum(map(mul, ind_chi, psi_weighted))
-            rhs_total = sum(map(mul, chi_weighted, res_psi))
+            lhs_total = sum(map(mul, ind_c, psi_weighted))
+            rhs_total = H.sizes[c] * res_psi[H.inverse_class[c]]
             if lhs_total * h != rhs_total * g:
                 lhs, rhs = exact_quotient(lhs_total, g), exact_quotient(rhs_total, h)
                 violations.append(
-                    f"{H.group_id} chi#{a} psi#{b}: <ind chi, psi>={lhs} != <chi, res psi>={rhs}"
+                    f"{H.group_id} class#{c} psi#{b}: <ind 1_c, psi>={lhs} != <1_c, res psi>={rhs}"
                 )
     return tuple(violations)
 

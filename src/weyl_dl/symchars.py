@@ -89,7 +89,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1 if not lam else 0
     if sum(lam) != sum(mu):
-        raise ValueError("partition sizes differ")
+        raise InvalidType(f"partitions {lam} and {mu} have unequal sizes")
     t, rest = mu[0], mu[1:]
     beta = _beta_set(lam)
     beta_set = set(beta)

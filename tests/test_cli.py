@@ -1,3 +1,4 @@
+import copy
 import gc
 import io
 import json
@@ -411,8 +412,8 @@ def test_verify_all_takes_no_further_arguments(cache_dir, capsys):
     assert capsys.readouterr().err == "error: verify all takes no further arguments\n"
 
 
-def test_warm_verify_splits_only_proper_parabolics(cache_dir, monkeypatch):
-    """W's table comes from the cache and also serves W_S; each proper W_I is split once."""
+def test_warm_verify_splits_nothing(cache_dir, monkeypatch):
+    """W's table comes from the cache, and the parabolic rows run on class indicators: no table is split."""
     assert run_cli(["verify", "B", "3", "--cache-dir", str(cache_dir)])[0] == 0
     split = chars._split_eigenvectors
     orders = []
@@ -423,8 +424,7 @@ def test_warm_verify_splits_only_proper_parabolics(cache_dir, monkeypatch):
 
     monkeypatch.setattr(chars, "_split_eigenvectors", counted)
     assert run_cli(["verify", "B", "3", "--cache-dir", str(cache_dir)])[0] == 0
-    assert len(orders) == 2 ** 3 - 1
-    assert all(order < 48 for order in orders)
+    assert orders == []
 
 
 def test_unwritable_cache_dir_still_prints_table(tmp_path, capsys):
@@ -719,17 +719,16 @@ def _tamper_mackey(monkeypatch):
 
 
 def _tamper_frobenius(monkeypatch):
-    weighted = chars.CharacterTable.weighted_conjugates.func
+    """The identity class of each W_I, as frobenius_check reads it, has size 2; Mackey reads the true size."""
+    check = indres.frobenius_check
 
-    def tampered(table):
-        rows = weighted(table)
-        if "|I=" not in table.group_id:
-            return rows  # W's own table, which DL reads, stays as it is
-        first = list(rows[0])
-        first[table.classes.identity_class] += 1
-        return (tuple(first), *rows[1:])
+    def tampered(table_G, H):
+        H, sizes = copy.copy(H), list(H.sizes)
+        sizes[H.identity_class] = 2
+        H.sizes = tuple(sizes)
+        return check(table_G, H)
 
-    monkeypatch.setattr(chars.CharacterTable, "weighted_conjugates", property(tampered))
+    monkeypatch.setattr(indres, "frobenius_check", tampered)
 
 
 @pytest.mark.parametrize("tamper, row", [(_tamper_mackey, "mackey-decomposition"),
@@ -746,7 +745,7 @@ def test_verify_reports_a_failing_check(cache_dir, monkeypatch, tamper, row):
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert {c["name"] for c in failed} == {row}
         [a3] = [c for c in failed if c.get("target", "A3") == "A3"]
-        assert "coset sum" in a3["detail"] or "<ind chi, psi>" in a3["detail"]
+        assert "coset sum" in a3["detail"] or "<ind 1_c, psi>" in a3["detail"]
 
 
 def _swap_first_two_dl_images(monkeypatch):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from weyl_dl import (
-    CharacterTable,
     ClassFunction,
     GroupMismatch,
     build_weyl_group,
@@ -76,7 +75,7 @@ def test_a_subgroup_of_another_weyl_group_is_a_group_mismatch(tables, groups):
     with pytest.raises(GroupMismatch, match="not of A2"):
         induce(ClassFunction(H.group_id, (1, -1)), H, cc)
     with pytest.raises(GroupMismatch, match="not of A2"):
-        frobenius_check(t, character_table(groups("B", 2), H))
+        frobenius_check(t, H)
     assert "A2" not in H.counts and "A2" not in H.fusion
 
 
@@ -133,9 +132,8 @@ def test_induce_preserves_virtual(tables):
 def test_frobenius_a2(tables):
     W, cc, t = tables("A", 2)
     P = parabolic(W, (0,))
-    tp = character_table(W, P)
-    assert frobenius_check(t, tp) == ()
-    assert tp.group_id == "A2|I=[1]"
+    assert frobenius_check(t, P) == ()
+    assert P.group_id == "A2|I=[1]"
     # <ind triv, reflection> = 1 = <triv, res reflection>
     refl = reflection(W, cc)
     lhs = inner_product(cc, induce(trivial(P), P, cc), refl)
@@ -155,12 +153,12 @@ def test_frobenius_all_subsets(tables):
     for key in [("A", 3), ("B", 3), ("G", 2)]:
         W, _, t = tables(*key)
         for I in subsets(W.rank):
-            assert frobenius_check(t, character_table(W, parabolic(W, I))) == ()
+            assert frobenius_check(t, parabolic(W, I)) == ()
 
 
 @pytest.mark.parametrize("type_label, rank, count", [("A", 3, 8), ("B", 3, 8), ("G", 2, 4)])
 def test_frobenius_on_intersections(tables, type_label, rank, count):
-    """Each distinct W_J n x W_I x^-1 against W and against W_J, with its own table."""
+    """Each distinct W_J n x W_I x^-1, as an explicit subgroup, against W and against W_J."""
     W, _, t = tables(type_label, rank)
     seen = set()
     for J in subsets(rank):
@@ -170,11 +168,10 @@ def test_frobenius_on_intersections(tables, type_label, rank, count):
                 members = parabolic(W, K).members
                 H = subgroup_classes(W, members)
                 assert H.generators is None
-                th = character_table(W, H)
-                assert frobenius_check(tj, th) == ()
+                assert frobenius_check(tj, H) == ()
                 if members not in seen:
                     seen.add(members)
-                    assert frobenius_check(t, th) == ()
+                    assert frobenius_check(t, H) == ()
     assert len(seen) == count
 
 
@@ -332,46 +329,62 @@ def frobenius_violations(table_G, table_H):
     return tuple(out)
 
 
-def test_frobenius_holds_for_any_class_function(tables):
-    """Reciprocity is linear in chi: a table_H with a wrong row still passes."""
-    W, cc, t = tables("B", 3)
-    P = parabolic(W, (0, 1))
-    tp = character_table(W, P)
-    rows = list(tp.irreducibles)
-    rows[2] = ClassFunction(P.group_id, tuple(v + 1 for v in rows[2].values))
-    assert frobenius_check(t, CharacterTable(P, tuple(rows), tp.degrees)) == ()
+def tamper_tally(monkeypatch, G, H):
+    """Raise the first induction count from H to G by |H|: ind f gains f(c) at class r, for that triple (r, c)."""
+    (r, c, n), *rest = induction_counts(G, H)
+    monkeypatch.setitem(H.counts, G.group_id, ((r, c, n + H.order), *rest))
+    return r, c
 
 
-def test_frobenius_reports_a_tampered_weighted_row(tables):
-    """One wrong row of table_H's weighted conjugates |c| chi(c^-1) fails against every psi."""
+@pytest.mark.parametrize("type_label, rank", [key for key in ROSTER if key[1] <= 4])
+def test_frobenius_check_agrees_with_the_irreducible_pair_oracle(tables, type_label, rank):
+    """Reciprocity is linear in the function on W_I: its class indicators and its irreducibles agree.
+
+    Both are empty on every W_I, and both are non-empty under a tampered tally.
+    """
+    W, cc, t = tables(type_label, rank)
+    for I in subsets(rank):
+        P = parabolic(W, I)
+        tp = character_table(W, P)
+        assert frobenius_check(t, P) == () == frobenius_violations(t, tp)
+        with pytest.MonkeyPatch.context() as mp:
+            tamper_tally(mp, cc, P)
+            assert frobenius_check(t, P) != () != frobenius_violations(t, tp)
+
+
+def test_frobenius_reports_a_tampered_class_size(tables, monkeypatch):
+    """One class size of H, which only the restricted side reads, fails that class against every psi."""
     W, cc, t = tables("B", 3)
     P = parabolic(W, (0, 1))
-    tp = character_table(W, P)
-    tampered = CharacterTable(P, tp.irreducibles, tp.degrees)
-    weighted = [list(row) for row in tp.weighted_conjugates]
-    weighted[2][P.identity_class] += 1  # adds psi(1) / |H| to <chi#2, res psi>
-    tampered.weighted_conjugates = tuple(map(tuple, weighted))
-    chi = tp.irreducibles[2]
-    expected = tuple(
-        f"{P.group_id} chi#2 psi#{b}: "
-        f"<ind chi, psi>={inner_product(cc, induce(chi, P, cc), psi)} != "
-        f"<chi, res psi>={inner_product(P, chi, restrict(psi, P, cc)) + Fraction(t.degrees[b], P.order)}"
+    e = P.identity_class
+    one_e = indicator(P, e)
+    expected = tuple(  # |e| = 1 read as 2 doubles <1_e, res psi> = psi(1) / |H|
+        f"{P.group_id} class#{e} psi#{b}: "
+        f"<ind 1_c, psi>={inner_product(cc, induce(one_e, P, cc), psi)} != "
+        f"<1_c, res psi>={2 * inner_product(P, one_e, restrict(psi, P, cc))}"
         for b, psi in enumerate(t.irreducibles)
     )
-    assert frobenius_check(t, tampered) == expected
+    sizes = list(P.sizes)
+    sizes[e] += 1
+    monkeypatch.setattr(P, "sizes", tuple(sizes))
+    assert frobenius_check(t, P) == expected
 
 
 def test_frobenius_reports_a_tampered_tally(monkeypatch):
-    """Counts that induce wrongly fail against the fusion-restricted side."""
+    """Counts that induce wrongly fail against the fusion-restricted side, for the one class they move."""
     W = build_weyl_group("A", 3)
     cc = conjugacy_classes(W)
     t, P = character_table(W), parabolic(W, (0,))
-    tp = character_table(W, P)
-    (r, c, n), *rest = induction_counts(cc, P)
-    monkeypatch.setitem(P.counts, cc.group_id, ((r, c, n + P.order), *rest))
-    violations = frobenius_check(t, tp)
-    assert violations != ()
-    assert violations == frobenius_violations(t, tp)
+    r, c = tamper_tally(monkeypatch, cc, P)
+    one_c = indicator(P, c)
+    expected = tuple(  # ind 1_c gains 1 at class r, so <ind 1_c, psi> gains |C_r| psi(C_r^-1) / |G|
+        f"{P.group_id} class#{c} psi#{b}: "
+        f"<ind 1_c, psi>={inner_product(cc, induce(one_c, P, cc), psi)} != "
+        f"<1_c, res psi>={inner_product(P, one_c, restrict(psi, P, cc))}"
+        for b, psi in enumerate(t.irreducibles) if psi.values[cc.inverse_class[r]]
+    )
+    assert frobenius_check(t, P) == expected != ()
+    assert frobenius_violations(t, character_table(W, P)) != ()
 
 
 def test_mackey_reports_a_tampered_operator(monkeypatch):

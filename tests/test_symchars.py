@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyl_dl import InvalidType
 from weyl_dl.symchars import (
     class_size,
     cycle_type,
@@ -46,6 +47,13 @@ def test_s3_table_frozen():
     assert table[(3,)] == [1, 1, 1]
     assert table[(1, 1, 1)] == [1, -1, 1]
     assert table[(2, 1)] == [-1, 0, 2]
+
+
+@pytest.mark.parametrize("lam, mu", [((2, 1), (2,)), ((1,), (1, 1)), ((), (1,))])
+def test_mn_character_refuses_partitions_of_different_sizes(lam, mu):
+    """A package error, not a bare ValueError: callers catch the package's own classes."""
+    with pytest.raises(InvalidType, match="have unequal sizes"):
+        mn_character(lam, mu)
 
 
 def test_s4_dimensions():

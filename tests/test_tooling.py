@@ -48,7 +48,10 @@ def test_benchmark_smoke_run_is_correct(workload):
 
 @pytest.mark.parametrize("type_label, rank, frobenius, mackey", [("A", 3, 8, 176), ("G", 2, 4, 44)])
 def test_traced_verify_runs_every_check(tmp_path, type_label, rank, frobenius, mackey):
-    """verify T n on a fresh cache, traced: Frobenius on every W_I, Mackey on every (I, J, chi), DL once."""
+    """verify T n on a fresh cache, traced: Frobenius on every W_I, Mackey on every (I, J, 1_c), DL once.
+
+    The only table split is W's own: the parabolic rows run on class indicators, not on sub-tables.
+    """
     trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, str(TRACED_CLI), str(trace), "verify", type_label, str(rank),
@@ -56,9 +59,10 @@ def test_traced_verify_runs_every_check(tmp_path, type_label, rank, frobenius, m
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(trace.read_text())["calls"]
     W = build_weyl_group(type_label, rank)
-    irreducibles = sum(parabolic(W, I).n_classes for I in subsets(rank))  # |Irr(W_I)| = its class count
+    indicators = sum(parabolic(W, I).n_classes for I in subsets(rank))
     assert calls["indres.frobenius_check"] == 2 ** rank == frobenius
-    assert calls["indres.mackey_check"] == 2 ** rank * irreducibles == mackey
+    assert calls["indres.mackey_check"] == 2 ** rank * indicators == mackey
+    assert calls["chars.character_table"] == 1
     for name in ("dl.verify_sign_twist", "dl.verify_involution", "dl.dl_inverse_matrix"):
         assert calls[name] == 1, name
 
